@@ -9,16 +9,16 @@ harness.
 
 from .config import Config, load_config
 from .corpus import (Candidate, Corpus, Document, SENTENCE_BREAK,
-                     default_stopwords, extract_candidates, key_occurrences,
-                     load_corpus, load_stopwords, tokenize)
+                     default_stopwords, extract_candidates, load_corpus,
+                     load_stopwords, tokenize)
 from .errors import (ConfigError, CorpusError, DataError, EvaluationError,
                      IndexFileError, KpIndexError)
 from .evaluation import (EvaluationReport, evaluate_corpus, f_at_k,
                          normalize_phrase, split_present_absent,
                          tfidf_baseline)
-from .graph import (Layer, MultiEdge, NodeInfo, Origin, SemMultiGraph,
-                    bridge_components, build_document_graph, cooccurrence_in,
-                    expand_graph, to_dot, weakly_connected_components)
+from .graph import (Layer, NodeInfo, Origin, SemMultiGraph, bridge_components,
+                    build_document_graph, expand_graph, to_dot,
+                    weakly_connected_components)
 from .index import (InvertedIndex, build_index, load_index, save_index,
                     search)
 from .porter import stem
@@ -34,13 +34,13 @@ __all__ = [
     "Candidate", "Config", "ConfigError", "Corpus", "CorpusError",
     "DataError", "DocVector", "Document", "EvaluationError",
     "EvaluationReport", "IndexFileError", "InvertedIndex", "KpIndexError",
-    "Layer", "MultiEdge", "NeighborSet", "NodeInfo", "Origin",
+    "Layer", "NeighborSet", "NodeInfo", "Origin",
     "RankParams", "RankedKeyphrase", "SENTENCE_BREAK", "SemMultiGraph",
     "SimilarityProvider", "TfidfSimilarity", "bridge_components",
     "build_document_graph", "build_enriched_graph", "build_index",
-    "compute_idf", "cooccurrence_in", "cosine", "default_stopwords",
+    "compute_idf", "cosine", "default_stopwords",
     "evaluate_corpus", "expand_graph", "extract_candidates",
-    "extract_pipeline", "f_at_k", "find_neighbors", "key_occurrences",
+    "extract_pipeline", "f_at_k", "find_neighbors",
     "load_config", "load_corpus", "load_index", "load_stopwords",
     "normalize_phrase", "pagerank", "rank_keyphrases", "save_index",
     "search", "split_present_absent", "stem", "tfidf_baseline", "to_dot",

@@ -21,8 +21,7 @@ from .errors import ConfigError, DataError
 from .evaluation import evaluate_corpus, tfidf_baseline
 from .graph import to_dot
 from .index import build_index, load_index, save_index, search
-from .ranking import (build_enriched_graph, extract_pipeline, pagerank,
-                      rank_keyphrases)
+from .ranking import build_enriched_graph, rank_graph
 from .similarity import TfidfSimilarity
 
 MODELS = ("full", "no-expansion", "tfidf")
@@ -129,15 +128,11 @@ def _extract_all(corpus: Corpus, cfg: Config, workers: int,
     provider = TfidfSimilarity(corpus) if cfg.k_neighbors > 0 else None
 
     def one(doc_id):
-        if dot_dir is None:
-            return doc_id, extract_pipeline(doc_id, corpus, cfg, provider)
         g = build_enriched_graph(doc_id, corpus, cfg, provider)
-        Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
-            to_dot(g, name=doc_id), encoding="utf-8")
-        if not g.nodes:
-            return doc_id, []
-        scores = pagerank(g, cfg.rank_params())
-        return doc_id, rank_keyphrases(g, scores, cfg.rank_params())
+        if dot_dir is not None:
+            Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
+                to_dot(g, name=doc_id), encoding="utf-8")
+        return doc_id, rank_graph(g, cfg)
 
     if dot_dir is not None:
         Path(dot_dir).mkdir(parents=True, exist_ok=True)
@@ -264,9 +259,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

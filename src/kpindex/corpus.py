@@ -141,23 +141,6 @@ def extract_candidates(doc: Document, max_len: int = 3,
     return cands
 
 
-def key_occurrences(doc: Document, key: str,
-                    stopwords: frozenset[str] = frozenset()) -> list[int]:
-    """Start offsets where the key's stem sequence occurs as a valid span.
-
-    A span is valid under the same rules as candidate extraction: no
-    stopword token and no sentence break inside it.
-    """
-    seq = key.split(" ")
-    n = len(seq)
-    starts = []
-    for i in range(len(doc.stems) - n + 1):
-        if doc.stems[i:i + n] == seq and not any(
-                _blocked(t, stopwords) for t in doc.tokens[i:i + n]):
-            starts.append(i)
-    return starts
-
-
 def index_stems(doc: Document, stopwords: frozenset[str],
                 stopword_stems: frozenset[str]) -> Iterator[str]:
     """Stems of a document that participate in indexing and weighting.

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
+from typing import NamedTuple
 
 from .corpus import Corpus, Candidate, Document
 from .similarity import NeighborSet
@@ -36,27 +38,36 @@ class NodeInfo:
     first_offset: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class MultiEdge:
+class Edge(NamedTuple):
     u: str
     v: str
     layer: Layer
     weight: float
-    provenance: set[str] = field(default_factory=set)
+
+
+def _pair(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u < v else (v, u)
+
+
+def _layers(layer: Layer | None) -> tuple[Layer, ...]:
+    return tuple(Layer) if layer is None else (layer,)
 
 
 class SemMultiGraph:
-    """Undirected multigraph over candidate keys, two weighted edge layers."""
+    """Undirected multigraph over candidate keys, two weighted edge layers.
+
+    Each layer is one map from a sorted key pair to its accumulated weight.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[str, NodeInfo] = {}
-        self._edges: dict[tuple[str, str], dict[Layer, MultiEdge]] = {}
+        self.weights: dict[Layer, dict[tuple[str, str], float]] = {
+            Layer.DOCUMENT: {}, Layer.DOMAIN: {}}
 
     def add_node(self, key: str, info: NodeInfo) -> None:
         self.nodes[key] = info
 
-    def add_edge(self, u: str, v: str, layer: Layer, weight: float,
-                 provenance: set[str]) -> None:
+    def add_edge(self, u: str, v: str, layer: Layer, weight: float) -> None:
         """Accumulate weight onto the (pair, layer) edge; self-loops rejected."""
         if u == v:
             raise ValueError(f"self-loop on {u!r}")
@@ -64,49 +75,53 @@ class SemMultiGraph:
             raise ValueError("edge weight must be positive")
         if u not in self.nodes or v not in self.nodes:
             raise KeyError("both endpoints must be nodes")
-        pair = (u, v) if u < v else (v, u)
-        layers = self._edges.setdefault(pair, {})
-        edge = layers.get(layer)
-        if edge is None:
-            layers[layer] = MultiEdge(pair[0], pair[1], layer, weight, set(provenance))
-        else:
-            edge.weight += weight
-            edge.provenance |= provenance
+        weights = self.weights[layer]
+        pair = _pair(u, v)
+        weights[pair] = weights.get(pair, 0.0) + weight
 
-    def edge(self, u: str, v: str, layer: Layer) -> MultiEdge | None:
-        pair = (u, v) if u < v else (v, u)
-        return self._edges.get(pair, {}).get(layer)
+    def edge(self, u: str, v: str, layer: Layer) -> Edge | None:
+        pair = _pair(u, v)
+        weight = self.weights[layer].get(pair)
+        return None if weight is None else Edge(*pair, layer, weight)
 
-    def edges(self, layer: Layer | None = None) -> list[MultiEdge]:
+    def edges(self, layer: Layer | None = None) -> list[Edge]:
         """All edges in canonical (endpoint, layer) order."""
-        out = []
-        for pair in sorted(self._edges):
-            for lay in (Layer.DOCUMENT, Layer.DOMAIN):
-                if layer is not None and lay is not layer:
-                    continue
-                edge = self._edges[pair].get(lay)
-                if edge is not None:
-                    out.append(edge)
-        return out
-
-    def pair_weight(self, u: str, v: str) -> float:
-        """Summed weight across both layers for one node pair."""
-        pair = (u, v) if u < v else (v, u)
-        return sum(e.weight for e in self._edges.get(pair, {}).values())
+        edges = [Edge(u, v, lay, w) for lay in _layers(layer)
+                 for (u, v), w in self.weights[lay].items()]
+        edges.sort(key=itemgetter(0, 1))  # stable: DOCUMENT before DOMAIN
+        return edges
 
     def node_count(self) -> int:
         return len(self.nodes)
 
     def edge_count(self, layer: Layer | None = None) -> int:
-        return len(self.edges(layer))
+        return sum(len(self.weights[lay]) for lay in _layers(layer))
 
     def keys_with_origin(self, origin: Origin) -> list[str]:
         return sorted(k for k, info in self.nodes.items() if info.origin is origin)
 
 
-def _count_window_pairs(starts_a: list[int], starts_b: list[int],
-                        window: int) -> int:
-    return sum(1 for a in starts_a for b in starts_b if abs(a - b) <= window)
+def window_pairs(candidates: dict[str, Candidate],
+                 window: int) -> dict[tuple[str, str], int]:
+    """Occurrence pairs of distinct keys whose start offsets differ by at
+    most `window`, counted per sorted key pair.
+
+    One pass over all occurrences sorted by (start, key): each occurrence
+    is paired only with the later ones still inside its window.
+    """
+    occurrences = sorted((start, key) for key, cand in candidates.items()
+                         for start, _ in cand.occurrences)
+    counts: dict[tuple[str, str], int] = {}
+    n = len(occurrences)
+    for i, (start, a) in enumerate(occurrences):
+        j = i + 1
+        while j < n and occurrences[j][0] - start <= window:
+            b = occurrences[j][1]
+            if a != b:
+                pair = _pair(a, b)
+                counts[pair] = counts.get(pair, 0) + 1
+            j += 1
+    return counts
 
 
 def build_document_graph(doc: Document, candidates: dict[str, Candidate],
@@ -119,8 +134,7 @@ def build_document_graph(doc: Document, candidates: dict[str, Candidate],
     if window < 1:
         raise ValueError("window must be >= 1")
     g = SemMultiGraph()
-    keys = sorted(candidates)
-    for key in keys:
+    for key in sorted(candidates):
         cand = candidates[key]
         g.add_node(key, NodeInfo(
             origin=Origin.PRESENT,
@@ -128,32 +142,9 @@ def build_document_graph(doc: Document, candidates: dict[str, Candidate],
             surfaces=Counter(cand.surfaces),
             first_offset=dict(cand.first_offset),
         ))
-    for i, a in enumerate(keys):
-        starts_a = [s for s, _ in candidates[a].occurrences]
-        for b in keys[i + 1:]:
-            starts_b = [s for s, _ in candidates[b].occurrences]
-            w = _count_window_pairs(starts_a, starts_b, window)
-            if w > 0:
-                g.add_edge(a, b, Layer.DOCUMENT, float(w), {doc.id})
+    g.weights[Layer.DOCUMENT] = {
+        pair: float(c) for pair, c in window_pairs(candidates, window).items()}
     return g
-
-
-def cooccurrence_in(neighbor_doc: Document, key_a: str, key_b: str,
-                    window: int = 10,
-                    stopwords: frozenset[str] = frozenset()) -> int:
-    """Within-window occurrence pairs of two candidate keys in one document."""
-    from .corpus import key_occurrences
-
-    starts_a = key_occurrences(neighbor_doc, key_a, stopwords)
-    if not starts_a:
-        return 0
-    starts_b = key_occurrences(neighbor_doc, key_b, stopwords)
-    return _count_window_pairs(starts_a, starts_b, window)
-
-
-def _neighbor_starts(cands: dict[str, Candidate], key: str) -> list[int]:
-    cand = cands.get(key)
-    return [s for s, _ in cand.occurrences] if cand is not None else []
 
 
 def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
@@ -170,8 +161,9 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
         up with no positive-weight edge is skipped, since every ABSENT node
         must stay connected to the rest of the graph.
 
-    The DOCUMENT layer is never touched. With lambda_domain == 0 or no
-    neighbors the graph is returned unchanged.
+    Weights accumulate neighbor by neighbor in neighbor order, so float
+    sums are reproducible. The DOCUMENT layer is never touched. With
+    lambda_domain == 0 or no neighbors the graph is returned unchanged.
     """
     if lambda_domain < 0:
         raise ValueError("lambda_domain must be >= 0")
@@ -182,30 +174,24 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
 
     present = g.keys_with_origin(Origin.PRESENT)
     present_set = set(present)
+    active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, max_len)
-                      for nid, _ in nbrs.neighbors}
+                      for nid, _ in active}
+    neighbor_pairs = {nid: window_pairs(cands, window)
+                      for nid, cands in neighbor_cands.items()}
 
     # (a) domain evidence between present candidates
-    for nid, sim in nbrs.neighbors:
-        if sim <= 0:
-            continue
-        cands = neighbor_cands[nid]
-        shared = sorted(present_set & cands.keys())
-        for i, a in enumerate(shared):
-            starts_a = _neighbor_starts(cands, a)
-            for b in shared[i + 1:]:
-                c = _count_window_pairs(starts_a, _neighbor_starts(cands, b), window)
-                if c > 0:
-                    g.add_edge(a, b, Layer.DOMAIN, lambda_domain * sim * c, {nid})
+    for nid, sim in active:
+        for (a, b), c in neighbor_pairs[nid].items():
+            if a in present_set and b in present_set:
+                g.add_edge(a, b, Layer.DOMAIN, lambda_domain * sim * c)
 
     # (b) absent-candidate admission
     if absent_quota == 0:
         return g
     scores: dict[str, float] = defaultdict(float)
     contributors: dict[str, set[str]] = defaultdict(set)
-    for nid, sim in nbrs.neighbors:
-        if sim <= 0:
-            continue
+    for nid, sim in active:
         for key, cand in neighbor_cands[nid].items():
             if key in present_set:
                 continue
@@ -219,18 +205,15 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
             break
         if score <= 0:
             break
-        links: dict[str, tuple[float, set[str]]] = {}
-        for nid, sim in nbrs.neighbors:
-            if sim <= 0 or nid not in contributors[key]:
+        links: dict[str, float] = {}
+        for nid, sim in active:
+            if nid not in contributors[key]:
                 continue
-            cands = neighbor_cands[nid]
-            starts_key = _neighbor_starts(cands, key)
+            pairs = neighbor_pairs[nid]
             for other in present + admitted:
-                c = _count_window_pairs(starts_key, _neighbor_starts(cands, other),
-                                        window)
+                c = pairs.get(_pair(key, other), 0)
                 if c > 0:
-                    w, prov = links.get(other, (0.0, set()))
-                    links[other] = (w + lambda_domain * sim * c, prov | {nid})
+                    links[other] = links.get(other, 0.0) + lambda_domain * sim * c
         if not links:
             continue
         surfaces: Counter = Counter()
@@ -242,8 +225,7 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
                                  source_docs=set(contributors[key]),
                                  surfaces=surfaces))
         for other in sorted(links):
-            w, prov = links[other]
-            g.add_edge(key, other, Layer.DOMAIN, w, prov)
+            g.add_edge(key, other, Layer.DOMAIN, links[other])
         admitted.append(key)
     return g
 
@@ -289,9 +271,10 @@ def bridge_components(g: SemMultiGraph, beta: float = 2.0) -> SemMultiGraph:
     for idx, comp in enumerate(weakly_connected_components(g, Layer.DOCUMENT)):
         for key in comp:
             component_of[key] = idx
-    for edge in g.edges(Layer.DOMAIN):
-        if component_of[edge.u] != component_of[edge.v]:
-            edge.weight *= beta
+    domain = g.weights[Layer.DOMAIN]
+    for u, v in domain:
+        if component_of[u] != component_of[v]:
+            domain[u, v] *= beta
     return g
 
 

@@ -64,9 +64,6 @@ class InvertedIndex:
     def num_documents(self) -> int:
         return len(self.doc_lengths)
 
-    def document_frequency(self, term: str) -> int:
-        return len({doc_id for doc_id, _, _ in self.postings.get(term, [])})
-
     def weighted_length(self, doc_id: str,
                         field_weights: dict[str, float]) -> float:
         lengths = self.doc_lengths[doc_id]
@@ -150,11 +147,23 @@ def load_index(path: str) -> InvertedIndex:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise IndexFileError(f"{path}: corrupt index payload") from None
+    if not isinstance(payload, dict):
+        raise IndexFileError(f"{path}: corrupt index payload")
     index = InvertedIndex(payload.get("config", {}))
-    index.doc_lengths = {doc_id: {f: float(v) for f, v in lengths.items()}
-                         for doc_id, lengths in payload["doc_lengths"].items()}
-    index.postings = {term: [(p[0], p[1], float(p[2])) for p in plist]
-                      for term, plist in payload["postings"].items()}
+    try:
+        field = "doc_lengths"
+        index.doc_lengths = {doc_id: {f: float(lengths[f]) for f in FIELDS}
+                             for doc_id, lengths in payload[field].items()}
+        field = "postings"
+        index.postings = {term: [(p[0], p[1], float(p[2])) for p in plist]
+                          for term, plist in payload[field].items()}
+        for plist in index.postings.values():
+            for doc_id, posting_field, _ in plist:
+                if doc_id not in index.doc_lengths or posting_field not in FIELDS:
+                    raise ValueError("posting names an unknown document or field")
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError):
+        raise IndexFileError(f"{path}: index payload field {field!r} is "
+                             f"missing or malformed") from None
     return index.finalize()
 
 

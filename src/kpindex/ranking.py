@@ -163,8 +163,13 @@ def extract_pipeline(doc_id: str, corpus: Corpus, config,
     Pass a shared provider when processing many documents so tf-idf
     vectors are built once.
     """
-    g = build_enriched_graph(doc_id, corpus, config, provider)
+    return rank_graph(build_enriched_graph(doc_id, corpus, config, provider),
+                      config)
+
+
+def rank_graph(g: SemMultiGraph, config) -> list[RankedKeyphrase]:
+    """PageRank and final ranking of one enriched graph; [] when it is empty."""
     if not g.nodes:
         return []
-    scores = pagerank(g, config.rank_params())
-    return rank_keyphrases(g, scores, config.rank_params())
+    params = config.rank_params()
+    return rank_keyphrases(g, pagerank(g, params), params)

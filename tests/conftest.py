@@ -23,6 +23,13 @@ def write_jsonl(path, records):
     return str(path)
 
 
+def write_payload(path, payload):
+    """An index file with a valid header around an arbitrary JSON payload."""
+    body = json.dumps(payload).encode("utf-8")
+    path.write_bytes(b"KPIX" + bytes([1]) + len(body).to_bytes(8, "big") + body)
+    return str(path)
+
+
 @pytest.fixture
 def two_doc_corpus(stopwords):
     """Target 'a' plus one similar neighbor 'b' that keeps mentioning a

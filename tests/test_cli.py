@@ -1,10 +1,13 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
+from kpindex import cli
 from kpindex.cli import main
 
-from conftest import write_jsonl
+from conftest import write_jsonl, write_payload
 
 TWO_DOC_RECORDS = [
     {"id": "a", "title": "Graph ranking for document collections",
@@ -189,6 +192,19 @@ class TestIndexAndSearch:
         assert code == 2
         assert "magic" in err
 
+    def test_payload_without_doc_lengths_is_data_error(self, tmp_path, capsys):
+        bad = write_payload(tmp_path / "bad.kpix", {"postings": {}})
+        code, _, err = run(["search", bad, "graph"], capsys)
+        assert code == 2
+        assert "'doc_lengths'" in err
+
+    def test_programming_error_is_not_data_error(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise KeyError("bug")
+        monkeypatch.setattr(cli, "load_index", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["search", str(tmp_path / "any.kpix"), "graph"])
+
 
 class TestEvaluateCommand:
     def test_json_report(self, tmp_path, capsys):
@@ -225,3 +241,20 @@ class TestEvaluateCommand:
         assert lines[0].startswith("# config:")
         assert lines[1] == "doc_id,scope,k,precision,recall,f1"
         assert len(lines) == 2 + 2 * 3 * 2
+
+
+class TestGoldenOutput:
+    """Output bytes on the bundled sample100 corpus with the default config."""
+
+    SAMPLE = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
+
+    @pytest.mark.parametrize("command, sha256", [
+        ("extract",
+         "21b757b1d71916c0cbd8f258bff71eafa0e9e077c3c6039f2e624fb163af4706"),
+        ("evaluate",
+         "a8bb3d604b1a951856b8b1134719fc0a5c9ef22cb3e27dffa0972775c9de4821"),
+    ])
+    def test_sample100_bytes(self, tmp_path, command, sha256):
+        out = tmp_path / "out"
+        assert main([command, self.SAMPLE, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpindex import (Corpus, CorpusError, Document, SENTENCE_BREAK,
-                     extract_candidates, key_occurrences, load_corpus,
-                     tokenize)
+                     extract_candidates, load_corpus, tokenize)
 from kpindex.porter import stem
 
 from conftest import write_jsonl
@@ -178,6 +177,17 @@ class TestExtractCandidates:
             assert first[key].surfaces == second[key].surfaces
 
 
+def valid_span_starts(doc, key, stopwords):
+    """Independent span matcher: starts where the key's stem sequence occurs
+    with no stopword token and no sentence break inside the span."""
+    seq = key.split(" ")
+    n = len(seq)
+    return [i for i in range(len(doc.stems) - n + 1)
+            if doc.stems[i:i + n] == seq
+            and not any(t == SENTENCE_BREAK or t in stopwords
+                        for t in doc.tokens[i:i + n])]
+
+
 class TestKeyOccurrences:
     def test_matches_candidate_occurrences(self, stopwords):
         doc = Document.build("d", "Graph ranking models",
@@ -185,9 +195,10 @@ class TestKeyOccurrences:
         cands = extract_candidates(doc, 3, stopwords)
         for key, cand in cands.items():
             starts = [s for s, _ in cand.occurrences]
-            assert key_occurrences(doc, key, stopwords) == starts
+            assert valid_span_starts(doc, key, stopwords) == starts
 
     def test_stopword_positions_do_not_match(self):
         doc = doc_from_tokens(["the", "graph"])
-        assert key_occurrences(doc, "the graph", frozenset({"the"})) == []
-        assert key_occurrences(doc, "graph", frozenset({"the"})) == [1]
+        cands = extract_candidates(doc, 3, frozenset({"the"}))
+        assert "the graph" not in cands
+        assert [s for s, _ in cands["graph"].occurrences] == [1]

@@ -2,11 +2,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kpindex import (Candidate, Document, Layer, NodeInfo, Origin,
                      SemMultiGraph, bridge_components, build_document_graph,
-                     cooccurrence_in, expand_graph, to_dot,
+                     expand_graph, extract_candidates, to_dot,
                      weakly_connected_components)
+from kpindex.graph import window_pairs
 from kpindex.similarity import NeighborSet
 
 from conftest import make_corpus
@@ -26,13 +28,17 @@ def graph_of(nodes, edges):
                                  surfaces=Counter({key: 1}),
                                  first_offset={key: 0}))
     for u, v, layer, w in edges:
-        g.add_edge(u, v, layer, w, {"d"})
+        g.add_edge(u, v, layer, w)
     return g
 
 
 def edge_snapshot(g):
-    return [(e.u, e.v, e.layer, e.weight, frozenset(e.provenance))
-            for e in g.edges()]
+    return [tuple(e) for e in g.edges()]
+
+
+def count_window_pairs(starts_a, starts_b, window):
+    """Pairwise count that window_pairs replaced; kept as its oracle."""
+    return sum(1 for a in starts_a for b in starts_b if abs(a - b) <= window)
 
 
 DOC = Document.build("d", "", "")
@@ -49,7 +55,6 @@ class TestBuildDocumentGraph:
         g = build_document_graph(DOC, cands, window=10)
         edge = g.edge("a", "b", Layer.DOCUMENT)
         assert edge is not None and edge.weight == 1.0
-        assert edge.provenance == {"d"}
 
     def test_multiple_occurrence_pairs(self):
         cands = {"a": unigram("a", [0, 3]), "b": unigram("b", [5])}
@@ -66,19 +71,46 @@ class TestBuildDocumentGraph:
         assert g.node_count() == 0
 
 
+class TestWindowPairs:
+    @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e f"]),
+                           st.sets(st.integers(0, 12), min_size=1)),
+           st.integers(0, 4))
+    @example({"a": {0}, "b": {0}}, 1)  # distinct keys sharing a start
+    @example({"a": {0, 3}, "b": {3, 6}}, 3)  # pairs exactly window apart
+    def test_matches_pairwise_oracle(self, starts, window):
+        cands = {key: unigram(key, sorted(s)) for key, s in starts.items()}
+        keys = sorted(cands)
+        expected = {}
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                c = count_window_pairs(starts[a], starts[b], window)
+                if c > 0:
+                    expected[a, b] = c
+        assert window_pairs(cands, window) == expected
+
+
+def neighbor_pairs(abstract, window):
+    doc = Document.build("n", "", abstract)
+    return window_pairs(extract_candidates(doc, 3), window)
+
+
 class TestCooccurrenceIn:
     def test_key_absent(self):
-        doc = Document.build("n", "", "graph ranking helps.")
-        assert cooccurrence_in(doc, "quantum", "graph", window=10) == 0
+        pairs = neighbor_pairs("graph ranking helps.", window=10)
+        assert not any("quantum" in pair for pair in pairs)
+        assert ("graph", "help") in pairs
 
     def test_within_window(self):
-        doc = Document.build("n", "", "graph methods improve ranking.")
         # offsets: graph=1, rank=4 (leading field break at 0)
-        assert cooccurrence_in(doc, "graph", "rank", window=10) == 1
+        pairs = neighbor_pairs("graph methods improve ranking.", window=10)
+        assert pairs["graph", "rank"] == 1
+        # the window edge: starts exactly `window` apart still count
+        pairs = neighbor_pairs("graph methods improve ranking.", window=3)
+        assert pairs["graph", "rank"] == 1
 
     def test_window_too_small(self):
-        doc = Document.build("n", "", "graph methods improve ranking.")
-        assert cooccurrence_in(doc, "graph", "rank", window=2) == 0
+        pairs = neighbor_pairs("graph methods improve ranking.", window=2)
+        assert ("graph", "rank") not in pairs
 
 
 def present_graph_for(corpus, doc_id, window=10):
@@ -118,7 +150,6 @@ class TestExpandGraph:
                      lambda_domain=1.0, absent_quota=0)
         domain = g.edge("graph", "rank", Layer.DOMAIN)
         assert domain.weight == pytest.approx(1.0, abs=1e-12)
-        assert domain.provenance == {"b"}
         assert g.edge("graph", "rank", Layer.DOCUMENT).weight == 1.0
 
     def test_absent_quota_admits_exactly_one_connected_node(self, stopwords):
@@ -259,22 +290,20 @@ class TestGraphStructure:
     def test_self_loops_rejected(self):
         g = graph_of("ab", [])
         with pytest.raises(ValueError):
-            g.add_edge("a", "a", Layer.DOCUMENT, 1.0, {"d"})
+            g.add_edge("a", "a", Layer.DOCUMENT, 1.0)
 
     def test_parallel_layers_allowed_but_accumulated_within_layer(self):
         g = graph_of("ab", [])
-        g.add_edge("a", "b", Layer.DOCUMENT, 1.0, {"d"})
-        g.add_edge("a", "b", Layer.DOMAIN, 0.5, {"n1"})
-        g.add_edge("a", "b", Layer.DOMAIN, 0.25, {"n2"})
+        g.add_edge("a", "b", Layer.DOCUMENT, 1.0)
+        g.add_edge("a", "b", Layer.DOMAIN, 0.5)
+        g.add_edge("a", "b", Layer.DOMAIN, 0.25)
         assert g.edge_count() == 2
-        domain = g.edge("a", "b", Layer.DOMAIN)
-        assert domain.weight == 0.75
-        assert domain.provenance == {"n1", "n2"}
+        assert g.edge("a", "b", Layer.DOMAIN).weight == 0.75
 
     def test_positive_weights_enforced(self):
         g = graph_of("ab", [])
         with pytest.raises(ValueError):
-            g.add_edge("a", "b", Layer.DOCUMENT, 0.0, {"d"})
+            g.add_edge("a", "b", Layer.DOCUMENT, 0.0)
 
     def test_dot_dump_mentions_layers_and_origins(self):
         g = graph_of("ab", [("a", "b", Layer.DOCUMENT, 2.0)])

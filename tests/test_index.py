@@ -7,8 +7,7 @@ from kpindex import (Config, IndexFileError, InvertedIndex, build_index,
 from kpindex.index import (FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            query_terms)
 
-from conftest import make_corpus
-
+from conftest import make_corpus, write_payload
 
 def extract_all(corpus, cfg):
     return {doc_id: extract_pipeline(doc_id, corpus, cfg)
@@ -95,6 +94,21 @@ class TestPersistence:
         path.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(IndexFileError, match="truncated"):
             load_index(str(path))
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"postings": {}}, "doc_lengths"),
+        ({"doc_lengths": [], "postings": {}}, "doc_lengths"),
+        ({"doc_lengths": {"a": {"text": 1.0}}, "postings": {}}, "doc_lengths"),
+        ({"doc_lengths": {}}, "postings"),
+        ({"doc_lengths": {}, "postings": {"x": [["a", "text", 1.0]]}},
+         "postings"),
+        ({"doc_lengths": {"a": {"text": 1, "kp_present": 0, "kp_absent": 0}},
+          "postings": {"x": [["a", "title", 1.0]]}}, "postings"),
+    ])
+    def test_malformed_payload_names_field(self, tmp_path, payload, field):
+        path = write_payload(tmp_path / "c.kpix", payload)
+        with pytest.raises(IndexFileError, match=f"'{field}'"):
+            load_index(path)
 
 
 FIVE_DOC_ROWS = [

@@ -59,8 +59,7 @@ def scale_edges(g, factor):
     for key, info in g.nodes.items():
         scaled.add_node(key, info)
     for e in g.edges():
-        scaled.add_edge(e.u, e.v, e.layer, e.weight * factor,
-                        set(e.provenance))
+        scaled.add_edge(e.u, e.v, e.layer, e.weight * factor)
     return scaled
 
 
