@@ -107,20 +107,24 @@ def window_pairs(candidates: dict[str, Candidate],
     most `window`, counted per sorted key pair.
 
     One pass over all occurrences sorted by (start, key): each occurrence
-    is paired only with the later ones still inside its window.
+    is paired only with the later ones still inside its window; the
+    window's end index only moves forward.
     """
     occurrences = sorted((start, key) for key, cand in candidates.items()
                          for start, _ in cand.occurrences)
+    starts = [start for start, _ in occurrences]
+    keys = [key for _, key in occurrences]
     counts: dict[tuple[str, str], int] = {}
-    n = len(occurrences)
-    for i, (start, a) in enumerate(occurrences):
-        j = i + 1
-        while j < n and occurrences[j][0] - start <= window:
-            b = occurrences[j][1]
+    n = len(keys)
+    end = 0
+    for i, a in enumerate(keys):
+        limit = starts[i] + window
+        while end < n and starts[end] <= limit:
+            end += 1
+        for b in keys[i + 1:end]:
             if a != b:
-                pair = _pair(a, b)
+                pair = (a, b) if a < b else (b, a)
                 counts[pair] = counts.get(pair, 0) + 1
-            j += 1
     return counts
 
 
@@ -177,14 +181,29 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
     active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, max_len)
                       for nid, _ in active}
-    neighbor_pairs = {nid: window_pairs(cands, window)
-                      for nid, cands in neighbor_cands.items()}
 
-    # (a) domain evidence between present candidates
+    # (a) domain evidence between present candidates; (b) needs, per
+    # neighbor, the partners of every non-present key: {key: {other: count}}
+    domain = g.weights[Layer.DOMAIN]
+    partners: dict[str, dict[str, dict[str, int]]] = {}
     for nid, sim in active:
-        for (a, b), c in neighbor_pairs[nid].items():
-            if a in present_set and b in present_set:
-                g.add_edge(a, b, Layer.DOMAIN, lambda_domain * sim * c)
+        scale = lambda_domain * sim
+        view: dict[str, dict[str, int]] = defaultdict(dict)
+        for pair, c in window_pairs(neighbor_cands[nid], window).items():
+            a, b = pair
+            a_present = a in present_set
+            b_present = b in present_set
+            if a_present and b_present:
+                weight = scale * c
+                if weight <= 0:
+                    raise ValueError("edge weight must be positive")
+                domain[pair] = domain.get(pair, 0.0) + weight
+                continue
+            if not a_present:
+                view[a][b] = c
+            if not b_present:
+                view[b][a] = c
+        partners[nid] = view
 
     # (b) absent-candidate admission
     if absent_quota == 0:
@@ -199,20 +218,17 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
             contributors[key].add(nid)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
-    admitted: list[str] = []
+    linkable = set(present)  # PRESENT plus the ABSENT keys admitted so far
+    admitted = 0
     for key, score in ranked:
-        if len(admitted) >= absent_quota:
+        if admitted >= absent_quota:
             break
         if score <= 0:
             break
         links: dict[str, float] = {}
         for nid, sim in active:
-            if nid not in contributors[key]:
-                continue
-            pairs = neighbor_pairs[nid]
-            for other in present + admitted:
-                c = pairs.get(_pair(key, other), 0)
-                if c > 0:
+            for other, c in partners[nid].get(key, {}).items():
+                if other in linkable:
                     links[other] = links.get(other, 0.0) + lambda_domain * sim * c
         if not links:
             continue
@@ -226,7 +242,8 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
                                  surfaces=surfaces))
         for other in sorted(links):
             g.add_edge(key, other, Layer.DOMAIN, links[other])
-        admitted.append(key)
+        linkable.add(key)
+        admitted += 1
     return g
 
 
@@ -237,9 +254,10 @@ def weakly_connected_components(g: SemMultiGraph,
     Canonical order: components sorted by their smallest member key.
     """
     adjacency: dict[str, set[str]] = {k: set() for k in g.nodes}
-    for edge in g.edges(layer):
-        adjacency[edge.u].add(edge.v)
-        adjacency[edge.v].add(edge.u)
+    for lay in _layers(layer):
+        for u, v in g.weights[lay]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
     seen: set[str] = set()
     components: list[set[str]] = []
     for start in sorted(g.nodes):
@@ -249,7 +267,7 @@ def weakly_connected_components(g: SemMultiGraph,
         stack = [start]
         while stack:
             node = stack.pop()
-            for nxt in sorted(adjacency[node]):
+            for nxt in adjacency[node]:
                 if nxt not in comp:
                     comp.add(nxt)
                     stack.append(nxt)

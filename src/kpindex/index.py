@@ -12,8 +12,11 @@ JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import uuid
 from collections import Counter, defaultdict
 
 from .corpus import Corpus, SENTENCE_BREAK, index_stems, tokenize
@@ -121,11 +124,21 @@ def save_index(index: InvertedIndex, path: str) -> None:
                      for term, plist in sorted(index.postings.items())},
     }
     body = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        fh.write(len(body).to_bytes(8, "big"))
-        fh.write(body)
+    # write a temporary file next to the target, then rename it over the
+    # target, so a failed write leaves the previous index intact
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(bytes([_VERSION]))
+            fh.write(len(body).to_bytes(8, "big"))
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_index(path: str) -> InvertedIndex:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, preferred_surface
-from .graph import (Origin, SemMultiGraph, bridge_components,
+from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
 from .similarity import NeighborSet, SimilarityProvider, TfidfSimilarity
 
@@ -46,32 +46,45 @@ class RankedKeyphrase:
 
 
 def _power_iteration(g: SemMultiGraph, p: RankParams):
-    """Yield (scores, l1_delta) per iteration of the damped random walk.
+    """Yield (scores, l1_delta) per iteration of the damped random walk;
+    scores is a list in sorted(g.nodes) order.
 
-    S(u) <- (1-d)/|V| + d * sum_v w(u,v)/W(v) * S(v), where W(v) is the
-    total weight incident to v across both layers. Isolated nodes keep
-    the teleport share only.
+    S(u) <- (1-d)/|V| + d * sum_v w(u,v)/W(v) * S(v), where w(u,v) sums
+    the pair's DOCUMENT and DOMAIN weights and W(v) is the total weight
+    incident to v. Isolated nodes keep the teleport share only.
+
+    Nodes are integer rows: each row holds (neighbor index, w(u,v)/W(v))
+    in ascending index order, the order in which W(v) is summed, with the
+    quotient computed once. Every float sum keeps its order, so the
+    scores do not depend on this layout.
     """
     keys = sorted(g.nodes)
     n = len(keys)
-    adjacency: dict[str, list[tuple[str, float]]] = {k: [] for k in keys}
-    for pair_u, pair_v, weight in _pair_weights(g):
-        adjacency[pair_u].append((pair_v, weight))
-        adjacency[pair_v].append((pair_u, weight))
-    for k in keys:
-        adjacency[k].sort()
-    total_weight = {k: sum(w for _, w in adjacency[k]) for k in keys}
+    index = {k: i for i, k in enumerate(keys)}
+    summed = dict(g.weights[Layer.DOCUMENT])
+    for pair, w in g.weights[Layer.DOMAIN].items():
+        summed[pair] = summed.get(pair, 0.0) + w
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in keys]
+    for (u, v), w in summed.items():
+        i, j = index[u], index[v]
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    for row in adjacency:
+        row.sort()
+    total_weight = [sum(w for _, w in row) for row in adjacency]
+    rows = [[(j, w / total_weight[j]) for j, w in row] for row in adjacency]
 
     base = (1.0 - p.damping) / n
-    scores = {k: 1.0 / n for k in keys}
+    damping = p.damping
+    scores = [1.0 / n] * n
     for _ in range(p.max_iter):
-        nxt = {}
-        for u in keys:
+        nxt = []
+        for row in rows:
             acc = 0.0
-            for v, w in adjacency[u]:
-                acc += w / total_weight[v] * scores[v]
-            nxt[u] = base + p.damping * acc
-        delta = sum(abs(nxt[k] - scores[k]) for k in keys)
+            for j, q in row:
+                acc += q * scores[j]
+            nxt.append(base + damping * acc)
+        delta = sum(abs(a - b) for a, b in zip(nxt, scores))
         scores = nxt
         yield scores, delta
         if delta <= p.tol:
@@ -91,16 +104,8 @@ def pagerank(g: SemMultiGraph, p: RankParams = RankParams()) -> dict[str, float]
     scores = None
     for scores, _ in _power_iteration(g, p):
         pass
-    norm = sum(scores[k] for k in sorted(scores))
-    return {k: scores[k] / norm for k in sorted(scores)}
-
-
-def _pair_weights(g: SemMultiGraph) -> list[tuple[str, str, float]]:
-    summed: dict[tuple[str, str], float] = {}
-    for edge in g.edges():
-        pair = (edge.u, edge.v)
-        summed[pair] = summed.get(pair, 0.0) + edge.weight
-    return [(u, v, w) for (u, v), w in sorted(summed.items())]
+    norm = sum(scores)
+    return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}
 
 
 def _best_surface(info) -> str:

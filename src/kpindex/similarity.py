@@ -63,12 +63,15 @@ def vectorize(doc: Document, idf: dict[str, float]) -> DocVector:
 
 
 def cosine(a: DocVector, b: DocVector) -> float:
-    """Cosine similarity in [0, 1]; 0 whenever either vector is empty."""
+    """Cosine similarity in [0, 1]; 0 whenever either vector is empty.
+
+    fsum is correctly rounded, so the order of the terms cannot change it.
+    """
     if a.norm == 0.0 or b.norm == 0.0:
         return 0.0
     small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
         else (b.weights, a.weights)
-    dot = math.fsum(w * large[t] for t, w in sorted(small.items()) if t in large)
+    dot = math.fsum(w * large[t] for t, w in small.items() if t in large)
     value = dot / (a.norm * b.norm)
     return min(1.0, max(0.0, value))
 

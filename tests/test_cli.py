@@ -258,3 +258,13 @@ class TestGoldenOutput:
         out = tmp_path / "out"
         assert main([command, self.SAMPLE, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_sample100_dot_dump_bytes(self, tmp_path):
+        dots = tmp_path / "dots"
+        assert main(["extract", self.SAMPLE, "--output", str(tmp_path / "out"),
+                     "--dot-dump", str(dots)]) == 0
+        names = sorted(p.name for p in dots.iterdir())
+        assert len(names) == 100
+        blob = b"".join((dots / name).read_bytes() for name in names)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7d70a465e9f7aeae79f9180230a8dc25faa1c103fbe840e09a34a0ceb6c7705f")

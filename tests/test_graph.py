@@ -1,8 +1,8 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kpindex import (Candidate, Document, Layer, NodeInfo, Origin,
                      SemMultiGraph, bridge_components, build_document_graph,
@@ -207,6 +207,96 @@ class TestExpandGraph:
         after = len(weakly_connected_components(g))
         assert mid <= before
         assert after == mid
+
+
+def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
+                        max_len=3):
+    """expand_graph as it was before absent admission read partner views:
+    every admission candidate looks up its pair with each PRESENT and
+    previously admitted key. Kept as the oracle of the fast path."""
+    if lambda_domain == 0 or not nbrs.neighbors:
+        return g
+    present = g.keys_with_origin(Origin.PRESENT)
+    present_set = set(present)
+    active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
+    neighbor_cands = {nid: corpus.candidates_for(nid, max_len)
+                      for nid, _ in active}
+    neighbor_pairs = {nid: window_pairs(cands, window)
+                      for nid, cands in neighbor_cands.items()}
+    for nid, sim in active:
+        for (a, b), c in neighbor_pairs[nid].items():
+            if a in present_set and b in present_set:
+                g.add_edge(a, b, Layer.DOMAIN, lambda_domain * sim * c)
+    if absent_quota == 0:
+        return g
+    scores = defaultdict(float)
+    contributors = defaultdict(set)
+    for nid, sim in active:
+        for key, cand in neighbor_cands[nid].items():
+            if key in present_set:
+                continue
+            scores[key] += sim * cand.frequency
+            contributors[key].add(nid)
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    admitted = []
+    for key, score in ranked:
+        if len(admitted) >= absent_quota or score <= 0:
+            break
+        links = {}
+        for nid, sim in active:
+            if nid not in contributors[key]:
+                continue
+            pairs = neighbor_pairs[nid]
+            for other in present + admitted:
+                c = pairs.get((min(key, other), max(key, other)), 0)
+                if c > 0:
+                    links[other] = links.get(other, 0.0) + lambda_domain * sim * c
+        if not links:
+            continue
+        surfaces = Counter()
+        for nid in sorted(contributors[key]):
+            cand = neighbor_cands[nid].get(key)
+            if cand is not None:
+                surfaces.update(cand.surfaces)
+        g.add_node(key, NodeInfo(origin=Origin.ABSENT,
+                                 source_docs=set(contributors[key]),
+                                 surfaces=surfaces))
+        for other in sorted(links):
+            g.add_edge(key, other, Layer.DOMAIN, links[other])
+        admitted.append(key)
+    return g
+
+
+WORDS = ["graph", "ranking", "semantic", "index", "neural", "model",
+         "query", "text", "search", "cluster", "the", "of"]
+abstracts = st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+                     min_size=1, max_size=4).map(
+    lambda sentences: " ".join(" ".join(s) + "." for s in sentences))
+
+
+class TestExpandGraphOracle:
+    @given(st.lists(abstracts, min_size=2, max_size=4),
+           st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+                    min_size=3, max_size=3),
+           st.integers(1, 6), st.sampled_from([0.5, 1.0, 2.5]),
+           st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_partner_free_admission(self, stopwords, texts, sims,
+                                            window, lambda_domain, quota):
+        corpus = make_corpus([(f"d{i}", "", text)
+                              for i, text in enumerate(texts)], stopwords)
+        nbrs = NeighborSet("d0", [(f"d{i}", sim) for i, sim in
+                                  zip(range(1, len(texts)), sims)],
+                           k=3, min_sim=0.0)
+        got = expand_graph(present_graph_for(corpus, "d0", window), corpus["d0"],
+                           nbrs, corpus, window=window,
+                           lambda_domain=lambda_domain, absent_quota=quota)
+        want = expand_graph_oracle(present_graph_for(corpus, "d0", window),
+                                   nbrs, corpus, window, lambda_domain, quota)
+        assert got.nodes.keys() == want.nodes.keys()
+        for key, info in want.nodes.items():
+            assert got.nodes[key] == info
+        assert got.weights == want.weights
 
 
 def oracle_components(keys, pairs):

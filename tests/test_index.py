@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+import kpindex.index as index_module
+
 from kpindex import (Config, IndexFileError, InvertedIndex, build_index,
                      extract_pipeline, load_index, save_index, search)
 from kpindex.index import (FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
@@ -94,6 +96,39 @@ class TestPersistence:
         path.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(IndexFileError, match="truncated"):
             load_index(str(path))
+
+    def test_failed_write_keeps_previous_index(self, two_doc_corpus, tmp_path,
+                                               monkeypatch):
+        path = tmp_path / "c.kpix"
+        save_index(self.build(two_doc_corpus), str(path))
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the header, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def write(self, data):
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(index_module, "open",
+                            lambda *args: FailingFile(open(*args)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_index(InvertedIndex({"other": True}), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.kpix"]
 
     @pytest.mark.parametrize("payload, field", [
         ({"postings": {}}, "doc_lengths"),

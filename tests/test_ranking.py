@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kpindex import (Config, Layer, NodeInfo, Origin, RankParams,
                      SemMultiGraph, build_document_graph, extract_pipeline,
@@ -36,6 +37,54 @@ def linear_solve_scores(g, damping):
     s = np.linalg.solve(a, b)
     s = s / s.sum()
     return {k: s[idx[k]] for k in keys}
+
+
+def pair_weights_oracle(g):
+    """Per-pair DOCUMENT + DOMAIN sums that PageRank read before its rows
+    were integer-indexed; kept as the oracle of the row layout."""
+    summed = {}
+    for edge in g.edges():
+        pair = (edge.u, edge.v)
+        summed[pair] = summed.get(pair, 0.0) + edge.weight
+    return [(u, v, w) for (u, v), w in sorted(summed.items())]
+
+
+def power_iteration_oracle(g, p):
+    """The dict-based power iteration that _power_iteration replaced."""
+    keys = sorted(g.nodes)
+    n = len(keys)
+    adjacency = {k: [] for k in keys}
+    for pair_u, pair_v, weight in pair_weights_oracle(g):
+        adjacency[pair_u].append((pair_v, weight))
+        adjacency[pair_v].append((pair_u, weight))
+    for k in keys:
+        adjacency[k].sort()
+    total_weight = {k: sum(w for _, w in adjacency[k]) for k in keys}
+
+    base = (1.0 - p.damping) / n
+    scores = {k: 1.0 / n for k in keys}
+    for _ in range(p.max_iter):
+        nxt = {}
+        for u in keys:
+            acc = 0.0
+            for v, w in adjacency[u]:
+                acc += w / total_weight[v] * scores[v]
+            nxt[u] = base + p.damping * acc
+        delta = sum(abs(nxt[k] - scores[k]) for k in keys)
+        scores = nxt
+        yield scores, delta
+        if delta <= p.tol:
+            return
+
+
+NODE_NAMES = [f"n{i}" for i in range(7)]
+
+# (nodes, edges): edges may repeat a pair, within a layer or across both
+graphs = st.integers(1, len(NODE_NAMES)).flatmap(lambda n: st.tuples(
+    st.just(NODE_NAMES[:n]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.sampled_from(list(Layer)),
+                       st.floats(0.01, 50.0)), max_size=3 * n)))
 
 
 def random_graph(rng, max_nodes=8):
@@ -145,6 +194,32 @@ class TestPagerank:
         forward = graph_of("abc", edges)
         backward = graph_of("cba", list(reversed(edges)))
         assert pagerank(forward) == pagerank(backward)
+
+
+class TestPowerIterationOracle:
+    @given(graphs, st.sampled_from([RankParams(),
+                                    RankParams(tol=1e-12, max_iter=60),
+                                    RankParams(damping=0.5, max_iter=3)]))
+    @example((["n0"], []), RankParams())  # single node
+    @example((["n0", "n1", "n2"], [(0, 1, Layer.DOCUMENT, 2.0)]),
+             RankParams())  # isolated node
+    @example((["n0", "n1", "n2"], [(0, 1, Layer.DOCUMENT, 0.3),
+                                   (1, 0, Layer.DOMAIN, 0.1),
+                                   (1, 2, Layer.DOMAIN, 0.7)]),
+             RankParams())  # both layers on one pair
+    def test_scores_and_deltas_bit_equal(self, graph, params):
+        nodes, edges = graph
+        g = graph_of(nodes, [(nodes[i], nodes[j], layer, w)
+                             for i, j, layer, w in edges if i != j])
+        keys = sorted(g.nodes)
+        got = [(list(scores), delta)
+               for scores, delta in _power_iteration(g, params)]
+        want = [([scores[k] for k in keys], delta)
+                for scores, delta in power_iteration_oracle(g, params)]
+        assert got == want
+        last = want[-1][0]
+        norm = sum(last)
+        assert pagerank(g, params) == {k: s / norm for k, s in zip(keys, last)}
 
 
 def node(origin, surfaces, first_offset=None, sources=("d",)):

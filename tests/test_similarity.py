@@ -92,6 +92,27 @@ class TestCosine:
         assert 0.0 <= cosine(a, b) <= 1.0
 
 
+    @given(st.dictionaries(st.text("abcdefghij", min_size=1, max_size=3),
+                           st.floats(1e-6, 1e3), max_size=12),
+           st.dictionaries(st.text("abcdefghij", min_size=1, max_size=3),
+                           st.floats(1e-6, 1e3), max_size=12))
+    @settings(max_examples=300)
+    def test_equals_sorted_order_oracle(self, wa, wb):
+        a, b = vec(wa), vec(wb)
+        assert cosine(a, b) == sorted_cosine(a, b)
+        assert cosine(b, a) == sorted_cosine(b, a)
+
+
+def sorted_cosine(a, b):
+    """cosine as it was when the dot product summed terms in sorted order."""
+    if a.norm == 0.0 or b.norm == 0.0:
+        return 0.0
+    small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
+        else (b.weights, a.weights)
+    dot = math.fsum(w * large[t] for t, w in sorted(small.items()) if t in large)
+    return min(1.0, max(0.0, dot / (a.norm * b.norm)))
+
+
 def brute_force_neighbors(corpus, doc_id, k, min_sim):
     provider = TfidfSimilarity(corpus)
     scored = [(other.id, provider.similarity(doc_id, other.id))
