@@ -22,8 +22,8 @@ from .graph import (Layer, NodeInfo, Origin, SemMultiGraph, bridge_components,
 from .index import (InvertedIndex, build_index, load_index, save_index,
                     search)
 from .porter import stem
-from .ranking import (RankParams, RankedKeyphrase, build_enriched_graph,
-                      extract_pipeline, pagerank, rank_keyphrases)
+from .ranking import (RankedKeyphrase, build_enriched_graph, extract_pipeline,
+                      pagerank, rank_keyphrases)
 from .similarity import (DocVector, NeighborSet, SimilarityProvider,
                          TfidfSimilarity, compute_idf, cosine, find_neighbors,
                          vectorize)
@@ -35,7 +35,7 @@ __all__ = [
     "DataError", "DocVector", "Document", "EvaluationError",
     "EvaluationReport", "IndexFileError", "InvertedIndex", "KpIndexError",
     "Layer", "NeighborSet", "NodeInfo", "Origin",
-    "RankParams", "RankedKeyphrase", "SENTENCE_BREAK", "SemMultiGraph",
+    "RankedKeyphrase", "SENTENCE_BREAK", "SemMultiGraph",
     "SimilarityProvider", "TfidfSimilarity", "bridge_components",
     "build_document_graph", "build_enriched_graph", "build_index",
     "compute_idf", "cosine", "default_stopwords",

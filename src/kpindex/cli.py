@@ -1,18 +1,18 @@
 """Command-line interface: extract | index | search | neighbors | evaluate.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error. Every command
-is deterministic for a fixed (input, config) pair regardless of worker
-count: per-document work is pure and a single writer emits records sorted
-by document id. JSON Lines outputs start with one {"config": ...} record
-echoing the effective configuration.
+is deterministic for a fixed (input, config) pair: documents are processed
+one at a time in sorted id order by pure per-document work, and a single
+writer emits records sorted by document id. JSON Lines outputs start with
+one {"config": ...} record echoing the effective configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import Config, load_config
@@ -37,8 +37,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(cmd):
     cmd.add_argument("--config", metavar="PATH", help="key = value config file")
     cmd.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    cmd.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for per-document stages")
 
 
 def _add_knobs(cmd):
@@ -109,43 +107,35 @@ def _load(args, cfg: Config) -> Corpus:
 
 
 def _open_output(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
-def _map_documents(fn, doc_ids, workers):
-    if workers <= 1:
-        return [fn(doc_id) for doc_id in doc_ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, doc_ids))
+    if path:
+        return open(path, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _jsonl(record) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def _extract_all(corpus: Corpus, cfg: Config, workers: int,
+def _extract_all(corpus: Corpus, cfg: Config,
                  dot_dir: str | None = None) -> dict:
     provider = TfidfSimilarity(corpus) if cfg.k_neighbors > 0 else None
-
-    def one(doc_id):
+    if dot_dir is not None:
+        Path(dot_dir).mkdir(parents=True, exist_ok=True)
+    extracted = {}
+    for doc_id in sorted(corpus.ids()):
         g = build_enriched_graph(doc_id, corpus, cfg, provider)
         if dot_dir is not None:
             Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
                 to_dot(g, name=doc_id), encoding="utf-8")
-        return doc_id, rank_graph(g, cfg)
-
-    if dot_dir is not None:
-        Path(dot_dir).mkdir(parents=True, exist_ok=True)
-    doc_ids = sorted(corpus.ids())
-    return dict(_map_documents(one, doc_ids, workers))
+        extracted[doc_id] = rank_graph(g, cfg)
+    return extracted
 
 
 def run_extract(args) -> int:
     cfg = _effective_config(args)
     corpus = _load(args, cfg)
-    extracted = _extract_all(corpus, cfg, args.workers, args.dot_dump)
-    out = _open_output(args.output)
-    try:
+    extracted = _extract_all(corpus, cfg, args.dot_dump)
+    with _open_output(args.output) as out:
         print(_jsonl({"config": cfg.to_dict()}), file=out)
         for doc_id in sorted(extracted):
             record = {"id": doc_id, "keyphrases": [
@@ -153,16 +143,13 @@ def run_extract(args) -> int:
                  "origin": rk.origin.value}
                 for rk in extracted[doc_id]]}
             print(_jsonl(record), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def run_index(args) -> int:
     cfg = _effective_config(args)
     corpus = _load(args, cfg)
-    extracted = _extract_all(corpus, cfg, args.workers)
+    extracted = _extract_all(corpus, cfg)
     index = build_index(corpus, extracted, cfg.to_dict())
     try:
         save_index(index, args.index_path)
@@ -175,14 +162,10 @@ def run_index(args) -> int:
 def run_search(args) -> int:
     index = load_index(args.index_path)
     results = search(index, args.query, top_n=args.top)
-    out = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         print(_jsonl({"config": index.config}), file=out)
         for rank, (doc_id, score) in enumerate(results, start=1):
             print(_jsonl({"rank": rank, "id": doc_id, "score": score}), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -190,24 +173,18 @@ def run_neighbors(args) -> int:
     cfg = _effective_config(args)
     corpus = _load(args, cfg)
     provider = TfidfSimilarity(corpus)
-
-    def one(doc_id):
+    rows = {}
+    for doc_id in sorted(corpus.ids()):
         nbrs = provider.neighbors(doc_id, cfg.k_neighbors, cfg.min_sim)
-        return doc_id, [{"id": nid, "sim": sim} for nid, sim in nbrs.neighbors]
-
-    rows = dict(_map_documents(one, sorted(corpus.ids()), args.workers))
-    out = _open_output(args.output)
-    try:
+        rows[doc_id] = [{"id": nid, "sim": sim} for nid, sim in nbrs.neighbors]
+    with _open_output(args.output) as out:
         print(_jsonl({"config": cfg.to_dict()}), file=out)
         for doc_id in sorted(rows):
             print(_jsonl({"id": doc_id, "neighbors": rows[doc_id]}), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
-def _model_fn(name: str, corpus: Corpus, cfg: Config, workers: int):
+def _model_fn(name: str, corpus: Corpus, cfg: Config):
     """Precompute predictions per document so evaluation stays a pure lookup."""
     if name == "tfidf":
         from .similarity import compute_idf
@@ -217,29 +194,22 @@ def _model_fn(name: str, corpus: Corpus, cfg: Config, workers: int):
     run_cfg = cfg
     if name == "no-expansion":
         run_cfg = cfg.replace(k_neighbors=0, absent_quota=0, lambda_domain=0.0)
-    extracted = _extract_all(corpus, run_cfg, workers)
+    extracted = _extract_all(corpus, run_cfg)
     return lambda doc: [rk.surface for rk in extracted.get(doc.id, [])]
 
 
 def run_evaluate(args) -> int:
     cfg = _effective_config(args)
     corpus = _load(args, cfg)
-    if args.model not in MODELS:
-        raise DataError(f"unknown model {args.model!r}; "
-                        f"valid names: {', '.join(MODELS)}")
-    model = _model_fn(args.model, corpus, cfg, args.workers)
+    model = _model_fn(args.model, corpus, cfg)
     report = evaluate_corpus(corpus, model, cfg, model_name=args.model)
-    out = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         if args.csv:
             print(f"# config: {_jsonl(cfg.to_dict())}", file=out)
             for row in report.csv_rows():
                 print(",".join(str(v) for v in row), file=out)
         else:
             print(json.dumps(report.to_dict(), sort_keys=True, indent=2), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

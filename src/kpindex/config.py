@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .ranking import RankParams
 
 
 @dataclass
@@ -28,6 +27,9 @@ class Config:
     gamma_absent: float = 0.8
     top_n: int = 10
     stopwords_path: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "Config":
         checks = [
@@ -49,11 +51,6 @@ class Config:
                 raise ConfigError(message)
         return self
 
-    def rank_params(self) -> RankParams:
-        return RankParams(damping=self.damping, tol=self.tol,
-                          max_iter=self.max_iter,
-                          gamma_absent=self.gamma_absent, top_n=self.top_n)
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(Config)}
 
@@ -64,7 +61,7 @@ class Config:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is not None:
                 values[key] = value
-        return Config(**values).validate()
+        return Config(**values)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -88,7 +85,7 @@ def _coerce(key: str, raw: str):
 def load_config(path: str | None) -> Config:
     """Read a key = value config file; None yields pure defaults."""
     if path is None:
-        return Config().validate()
+        return Config()
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,4 +102,4 @@ def load_config(path: str | None) -> Config:
                 values[key] = _coerce(key, raw)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    return Config(**values).validate()
+    return Config(**values)

@@ -209,16 +209,13 @@ def load_stopwords(path: str | None) -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-def load_corpus(path: str, format: str = "jsonl",
-                stopwords: Iterable[str] | None = None) -> Corpus:
+def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     """Load a JSON Lines corpus: one object per line with id, title, abstract
     and an optional keyphrases array.
 
     Raises CorpusError naming the offending line for malformed records and
     naming the id for duplicates.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported corpus format {format!r}")
     docs: list[Document] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

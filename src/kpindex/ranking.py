@@ -9,31 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import Config
 from .corpus import Corpus, preferred_surface
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
 from .similarity import NeighborSet, SimilarityProvider, TfidfSimilarity
-
-
-@dataclass
-class RankParams:
-    damping: float = 0.85
-    tol: float = 1e-6
-    max_iter: int = 100
-    gamma_absent: float = 0.8
-    top_n: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.gamma_absent < 0:
-            raise ValueError("gamma_absent must be >= 0")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
 
 
 @dataclass
@@ -45,7 +25,7 @@ class RankedKeyphrase:
     sources: list[str] = field(default_factory=list)
 
 
-def _power_iteration(g: SemMultiGraph, p: RankParams):
+def _power_iteration(g: SemMultiGraph, config: Config):
     """Yield (scores, l1_delta) per iteration of the damped random walk;
     scores is a list in sorted(g.nodes) order.
 
@@ -74,10 +54,10 @@ def _power_iteration(g: SemMultiGraph, p: RankParams):
     total_weight = [sum(w for _, w in row) for row in adjacency]
     rows = [[(j, w / total_weight[j]) for j, w in row] for row in adjacency]
 
-    base = (1.0 - p.damping) / n
-    damping = p.damping
+    damping = config.damping
+    base = (1.0 - damping) / n
     scores = [1.0 / n] * n
-    for _ in range(p.max_iter):
+    for _ in range(config.max_iter):
         nxt = []
         for row in rows:
             acc = 0.0
@@ -87,11 +67,11 @@ def _power_iteration(g: SemMultiGraph, p: RankParams):
         delta = sum(abs(a - b) for a, b in zip(nxt, scores))
         scores = nxt
         yield scores, delta
-        if delta <= p.tol:
+        if delta <= config.tol:
             return
 
 
-def pagerank(g: SemMultiGraph, p: RankParams = RankParams()) -> dict[str, float]:
+def pagerank(g: SemMultiGraph, config: Config = Config()) -> dict[str, float]:
     """Node scores of the damped random walk, normalized to sum to 1.
 
     Iteration stops when the L1 change drops to tol or max_iter is
@@ -102,7 +82,7 @@ def pagerank(g: SemMultiGraph, p: RankParams = RankParams()) -> dict[str, float]
     if not g.nodes:
         raise ValueError("empty graph")
     scores = None
-    for scores, _ in _power_iteration(g, p):
+    for scores, _ in _power_iteration(g, config):
         pass
     norm = sum(scores)
     return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}
@@ -117,7 +97,7 @@ def _best_surface(info) -> str:
 
 
 def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
-                    p: RankParams = RankParams()) -> list[RankedKeyphrase]:
+                    config: Config = Config()) -> list[RankedKeyphrase]:
     """Apply the origin factor, sort, truncate to top_n, attach surfaces.
 
     Zero-scored entries (gamma_absent == 0) are dropped, so origin factors
@@ -126,7 +106,7 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
     rows = []
     for key in sorted(scores):
         info = g.nodes[key]
-        factor = p.gamma_absent if info.origin is Origin.ABSENT else 1.0
+        factor = config.gamma_absent if info.origin is Origin.ABSENT else 1.0
         final = scores[key] * factor
         if final <= 0:
             continue
@@ -138,10 +118,10 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
             sources=sorted(info.source_docs),
         ))
     rows.sort(key=lambda r: (-r.score, r.key))
-    return rows[:p.top_n]
+    return rows[:config.top_n]
 
 
-def build_enriched_graph(doc_id: str, corpus: Corpus, config,
+def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
                          provider: SimilarityProvider | None = None) -> SemMultiGraph:
     """Document graph -> neighbor expansion -> component bridging."""
     doc = corpus[doc_id]
@@ -161,7 +141,7 @@ def build_enriched_graph(doc_id: str, corpus: Corpus, config,
     return g
 
 
-def extract_pipeline(doc_id: str, corpus: Corpus, config,
+def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
                      provider: SimilarityProvider | None = None) -> list[RankedKeyphrase]:
     """Full per-document pipeline; deterministic for fixed (corpus, config).
 
@@ -172,9 +152,8 @@ def extract_pipeline(doc_id: str, corpus: Corpus, config,
                       config)
 
 
-def rank_graph(g: SemMultiGraph, config) -> list[RankedKeyphrase]:
+def rank_graph(g: SemMultiGraph, config: Config) -> list[RankedKeyphrase]:
     """PageRank and final ranking of one enriched graph; [] when it is empty."""
     if not g.nodes:
         return []
-    params = config.rank_params()
-    return rank_keyphrases(g, pagerank(g, params), params)
+    return rank_keyphrases(g, pagerank(g, config), config)

@@ -3,19 +3,23 @@ tolerance and prints one pass/fail line. Run with `pytest -s` to see the
 lines stream."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import kpindex
 from kpindex import (Config, Corpus, Document, build_document_graph,
                      build_index, default_stopwords, evaluate_corpus,
                      extract_pipeline, load_corpus, load_index, pagerank,
                      rank_keyphrases, search, split_present_absent,
                      weakly_connected_components)
-from kpindex.cli import main
 from kpindex.similarity import TfidfSimilarity
 
 from conftest import make_corpus, write_jsonl
@@ -89,8 +93,7 @@ def test_criterion_1_baseline_collapse(stopwords):
             piped = extract_pipeline(doc_id, corpus, cfg)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
             g = build_document_graph(corpus[doc_id], cands, cfg.window)
-            baseline = rank_keyphrases(g, pagerank(g, cfg.rank_params()),
-                                       cfg.rank_params())
+            baseline = rank_keyphrases(g, pagerank(g, cfg), cfg)
             assert ranking_bytes(piped) == ranking_bytes(baseline)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -206,31 +209,41 @@ def test_criterion_6_vocabulary_mismatch_retrieval(synthetic_corpus):
         assert rate >= 0.9
 
 
-def test_criterion_7_worker_determinism(synthetic_corpus, tmp_path):
-    with criterion(7, "extract/index/evaluate outputs byte-identical for "
-                      "1 worker vs 4 workers"):
+def run_cli_process(argv, hash_seed):
+    """Run `python -m kpindex.cli argv` in a fresh interpreter."""
+    src = str(Path(kpindex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "kpindex.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_criterion_7_process_determinism(synthetic_corpus, tmp_path):
+    with criterion(7, "extract/index/evaluate outputs byte-identical across "
+                      "processes with different hash seeds"):
         _, records, _ = synthetic_corpus
         corpus_path = write_jsonl(tmp_path / "synthetic.jsonl", records)
         outputs = {}
-        for workers in ("1", "4"):
-            extract_out = tmp_path / f"extract.{workers}.jsonl"
-            eval_out = tmp_path / f"eval.{workers}.json"
-            index_out = tmp_path / f"index.{workers}.kpix"
-            assert main(["extract", corpus_path, "--workers", workers,
-                         "--output", str(extract_out)]) == 0
-            assert main(["index", corpus_path, str(index_out),
-                         "--workers", workers]) == 0
-            assert main(["evaluate", corpus_path, "--model", "full",
-                         "--workers", workers,
-                         "--output", str(eval_out)]) == 0
-            outputs[workers] = (extract_out.read_bytes(),
-                                index_out.read_bytes(),
-                                eval_out.read_bytes())
-        assert outputs["1"][0] == outputs["4"][0], "extract differs"
-        assert outputs["1"][1] == outputs["4"][1], "index differs"
-        assert outputs["1"][2] == outputs["4"][2], "evaluate differs"
+        for seed in (1, 2):
+            extract_out = tmp_path / f"extract.{seed}.jsonl"
+            eval_out = tmp_path / f"eval.{seed}.json"
+            index_out = tmp_path / f"index.{seed}.kpix"
+            run_cli_process(["extract", corpus_path,
+                             "--output", str(extract_out)], seed)
+            run_cli_process(["index", corpus_path, str(index_out)], seed)
+            run_cli_process(["evaluate", corpus_path, "--model", "full",
+                             "--output", str(eval_out)], seed)
+            outputs[seed] = (extract_out.read_bytes(),
+                             index_out.read_bytes(),
+                             eval_out.read_bytes())
+        assert outputs[1][0] == outputs[2][0], "extract differs"
+        assert outputs[1][1] == outputs[2][1], "index differs"
+        assert outputs[1][2] == outputs[2][2], "evaluate differs"
         assert load_index(str(tmp_path / "index.1.kpix")) == \
-            load_index(str(tmp_path / "index.4.kpix"))
+            load_index(str(tmp_path / "index.2.kpix"))
 
 
 def test_criterion_8_evaluation_arithmetic(toy_gold_corpus):

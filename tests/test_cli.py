@@ -73,12 +73,6 @@ class TestExtract:
         _, second, _ = run(["extract", path], capsys)
         assert first == second
 
-    def test_workers_do_not_change_output(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
-        _, one, _ = run(["extract", path, "--workers", "1"], capsys)
-        _, four, _ = run(["extract", path, "--workers", "4"], capsys)
-        assert one == four
-
     def test_output_file(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
         out_path = tmp_path / "out.jsonl"
@@ -107,6 +101,21 @@ class TestExitCodes:
             main(["evaluate", path, "--model", "bogus"])
         assert exc.value.code == 1
         assert "full" in capsys.readouterr().err
+
+    def test_workers_flag_is_usage_error(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", path, "--workers", "2"])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
+
+    def test_output_in_missing_directory_is_data_error(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        out_path = tmp_path / "missing" / "out.jsonl"
+        code, out, err = run(["extract", path, "--output", str(out_path)],
+                             capsys)
+        assert code == 2
+        assert out == "" and "missing" in err
 
     def test_duplicate_id_is_data_error(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "c.jsonl", [

@@ -94,10 +94,6 @@ class TestLoadCorpus:
         corpus = load_corpus(path, stopwords=stopwords)
         assert corpus["a"].gold == ["graph ranking"]
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(CorpusError, match="format"):
-            load_corpus(str(tmp_path / "c.csv"), format="csv")
-
     def test_unknown_doc_id(self, stopwords):
         corpus = Corpus([Document.build("a", "T", "A.")], stopwords)
         with pytest.raises(KeyError, match="unknown document id"):

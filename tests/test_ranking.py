@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kpindex import (Config, Layer, NodeInfo, Origin, RankParams,
+from kpindex import (Config, ConfigError, Layer, NodeInfo, Origin,
                      SemMultiGraph, build_document_graph, extract_pipeline,
                      pagerank, rank_keyphrases)
 from kpindex.ranking import _power_iteration
@@ -117,6 +117,10 @@ class TestPagerank:
         with pytest.raises(ValueError, match="empty graph"):
             pagerank(SemMultiGraph())
 
+    def test_out_of_range_config_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="damping"):
+            Config(damping=1.5)
+
     def test_single_node(self):
         scores = pagerank(graph_of("a", []))
         assert scores["a"] == pytest.approx(1.0, abs=1e-12)
@@ -183,7 +187,7 @@ class TestPagerank:
         for _ in range(10):
             g = random_graph(rng)
             deltas = [d for _, d in
-                      _power_iteration(g, RankParams(tol=1e-12, max_iter=60))]
+                      _power_iteration(g, Config(tol=1e-12, max_iter=60))]
             for earlier, later in zip(deltas, deltas[1:]):
                 assert later <= earlier + 1e-15
 
@@ -197,16 +201,16 @@ class TestPagerank:
 
 
 class TestPowerIterationOracle:
-    @given(graphs, st.sampled_from([RankParams(),
-                                    RankParams(tol=1e-12, max_iter=60),
-                                    RankParams(damping=0.5, max_iter=3)]))
-    @example((["n0"], []), RankParams())  # single node
+    @given(graphs, st.sampled_from([Config(),
+                                    Config(tol=1e-12, max_iter=60),
+                                    Config(damping=0.5, max_iter=3)]))
+    @example((["n0"], []), Config())  # single node
     @example((["n0", "n1", "n2"], [(0, 1, Layer.DOCUMENT, 2.0)]),
-             RankParams())  # isolated node
+             Config())  # isolated node
     @example((["n0", "n1", "n2"], [(0, 1, Layer.DOCUMENT, 0.3),
                                    (1, 0, Layer.DOMAIN, 0.1),
                                    (1, 2, Layer.DOMAIN, 0.7)]),
-             RankParams())  # both layers on one pair
+             Config())  # both layers on one pair
     def test_scores_and_deltas_bit_equal(self, graph, params):
         nodes, edges = graph
         g = graph_of(nodes, [(nodes[i], nodes[j], layer, w)
@@ -238,7 +242,7 @@ class TestRankKeyphrases:
     def test_gamma_zero_drops_absent(self):
         g = self.build()
         ranked = rank_keyphrases(g, {"p": 0.5, "q": 0.5},
-                                 RankParams(gamma_absent=0.0))
+                                 Config(gamma_absent=0.0))
         assert [r.key for r in ranked] == ["p"]
 
     def test_no_absent_nodes_preserves_raw_order(self):
@@ -246,14 +250,14 @@ class TestRankKeyphrases:
         for k in "abc":
             g.add_node(k, node(Origin.PRESENT, {k: 1}, {k: 0}))
         scores = {"a": 0.2, "b": 0.5, "c": 0.3}
-        ranked = rank_keyphrases(g, scores, RankParams(gamma_absent=0.0))
+        ranked = rank_keyphrases(g, scores, Config(gamma_absent=0.0))
         assert [r.key for r in ranked] == ["b", "c", "a"]
         assert [r.score for r in ranked] == [0.5, 0.3, 0.2]
 
     def test_interleaving_arithmetic(self):
         g = self.build()
         ranked = rank_keyphrases(g, {"p": 0.10, "q": 0.15},
-                                 RankParams(gamma_absent=0.8))
+                                 Config(gamma_absent=0.8))
         assert [r.key for r in ranked] == ["q", "p"]
         assert ranked[0].score == pytest.approx(0.12, abs=1e-12)
 
@@ -262,7 +266,7 @@ class TestRankKeyphrases:
         for k in ("k1", "k2", "k3"):
             g.add_node(k, node(Origin.PRESENT, {k: 1}, {k: 0}))
         ranked = rank_keyphrases(g, {"k1": 0.4, "k2": 0.4, "k3": 0.2},
-                                 RankParams(top_n=2))
+                                 Config(top_n=2))
         assert [r.key for r in ranked] == ["k1", "k2"]
 
     def test_present_surface_most_frequent_then_earliest(self):
@@ -270,20 +274,20 @@ class TestRankKeyphrases:
         g.add_node("network", node(Origin.PRESENT,
                                    {"networks": 2, "network": 1},
                                    {"networks": 5, "network": 2}))
-        ranked = rank_keyphrases(g, {"network": 1.0}, RankParams())
+        ranked = rank_keyphrases(g, {"network": 1.0}, Config())
         assert ranked[0].surface == "networks"
         g2 = SemMultiGraph()
         g2.add_node("network", node(Origin.PRESENT,
                                     {"networks": 1, "network": 1},
                                     {"networks": 5, "network": 2}))
-        ranked2 = rank_keyphrases(g2, {"network": 1.0}, RankParams())
+        ranked2 = rank_keyphrases(g2, {"network": 1.0}, Config())
         assert ranked2[0].surface == "network"
 
     def test_absent_surface_tie_breaks_lexicographically(self):
         g = SemMultiGraph()
         g.add_node("rank", node(Origin.ABSENT, {"ranking": 1, "ranked": 1},
                                 sources=("n1", "n2")))
-        ranked = rank_keyphrases(g, {"rank": 1.0}, RankParams())
+        ranked = rank_keyphrases(g, {"rank": 1.0}, Config())
         assert ranked[0].surface == "ranked"
         assert ranked[0].sources == ["n1", "n2"]
 
@@ -306,8 +310,7 @@ class TestExtractPipeline:
             piped = extract_pipeline(doc_id, corpus, cfg)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
             g = build_document_graph(corpus[doc_id], cands, cfg.window)
-            baseline = rank_keyphrases(g, pagerank(g, cfg.rank_params()),
-                                       cfg.rank_params())
+            baseline = rank_keyphrases(g, pagerank(g, cfg), cfg)
             assert ranking_as_json(piped) == ranking_as_json(baseline)
 
     def test_neighbor_contributes_absent_key(self, two_doc_corpus):
