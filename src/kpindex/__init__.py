@@ -25,8 +25,7 @@ from .porter import stem
 from .ranking import (RankedKeyphrase, build_enriched_graph, extract_pipeline,
                       pagerank, rank_keyphrases)
 from .similarity import (DocVector, NeighborSet, SimilarityProvider,
-                         TfidfSimilarity, compute_idf, cosine, find_neighbors,
-                         vectorize)
+                         TfidfSimilarity, compute_idf, cosine, vectorize)
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,7 @@ __all__ = [
     "build_document_graph", "build_enriched_graph", "build_index",
     "compute_idf", "cosine", "default_stopwords",
     "evaluate_corpus", "expand_graph", "extract_candidates",
-    "extract_pipeline", "f_at_k", "find_neighbors",
+    "extract_pipeline", "f_at_k",
     "load_config", "load_corpus", "load_index", "load_stopwords",
     "normalize_phrase", "pagerank", "rank_keyphrases", "save_index",
     "search", "split_present_absent", "stem", "tfidf_baseline", "to_dot",

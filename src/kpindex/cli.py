@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import Config, load_config
@@ -40,19 +41,13 @@ def _add_common(cmd):
 
 
 def _add_knobs(cmd):
-    knobs = [
-        ("--max-len", "max_len", int), ("--window", "window", int),
-        ("--k-neighbors", "k_neighbors", int), ("--min-sim", "min_sim", float),
-        ("--lambda-domain", "lambda_domain", float), ("--beta", "beta", float),
-        ("--absent-quota", "absent_quota", int),
-        ("--damping", "damping", float), ("--tol", "tol", float),
-        ("--max-iter", "max_iter", int),
-        ("--gamma-absent", "gamma_absent", float), ("--top-n", "top_n", int),
-    ]
-    for flag, dest, ftype in knobs:
-        cmd.add_argument(flag, dest=dest, type=ftype, default=None)
-    cmd.add_argument("--stopwords", dest="stopwords_path", default=None,
-                     metavar="PATH")
+    """One flag per Config field: --max-len for max_len, --stopwords PATH."""
+    for f in fields(Config):
+        if f.name == "stopwords_path":
+            cmd.add_argument("--stopwords", dest=f.name, metavar="PATH")
+        else:
+            cmd.add_argument("--" + f.name.replace("_", "-"),
+                             type={"int": int, "float": float}[f.type])
 
 
 def build_parser() -> _Parser:
@@ -160,6 +155,8 @@ def run_index(args) -> int:
 
 
 def run_search(args) -> int:
+    if args.top < 1:
+        raise ConfigError("--top must be >= 1")
     index = load_index(args.index_path)
     results = search(index, args.query, top_n=args.top)
     with _open_output(args.output) as out:
@@ -189,8 +186,7 @@ def _model_fn(name: str, corpus: Corpus, cfg: Config):
     if name == "tfidf":
         from .similarity import compute_idf
         idf = compute_idf(corpus)
-        return lambda doc: tfidf_baseline(doc, corpus, cfg.top_n,
-                                          cfg.max_len, idf)
+        return lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
     run_cfg = cfg
     if name == "no-expansion":
         run_cfg = cfg.replace(k_neighbors=0, absent_quota=0, lambda_domain=0.0)

@@ -12,8 +12,10 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
+    """Run parameters, validated at construction; replace() derives a copy."""
+
     max_len: int = 3
     window: int = 10
     k_neighbors: int = 5

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .config import Config
 from .corpus import Corpus, Document, SENTENCE_BREAK, index_stems, tokenize
 from .errors import EvaluationError
 from .porter import stem
@@ -216,8 +217,8 @@ def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
     )
 
 
-def tfidf_baseline(doc: Document, corpus: Corpus, top_n: int = 10,
-                   max_len: int = 3, idf: dict[str, float] | None = None) -> list[str]:
+def tfidf_baseline(doc: Document, corpus: Corpus, config: Config = Config(),
+                   idf: dict[str, float] | None = None) -> list[str]:
     """Candidates ranked by the summed tf*idf of their stems; ties by key.
 
     Returns surface forms so downstream normalization stems each phrase
@@ -226,10 +227,10 @@ def tfidf_baseline(doc: Document, corpus: Corpus, top_n: int = 10,
     if idf is None:
         idf = compute_idf(corpus)
     tf = Counter(index_stems(doc, corpus.stopwords, corpus.stopword_stems))
-    candidates = corpus.candidates_for(doc.id, max_len)
+    candidates = corpus.candidates_for(doc.id, config.max_len)
     scored = []
     for key in sorted(candidates):
         score = math.fsum(tf[s] * idf.get(s, 0.0) for s in key.split(" "))
         scored.append((key, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return [candidates[key].best_surface() for key, _ in scored[:top_n]]
+    return [candidates[key].best_surface() for key, _ in scored[:config.top_n]]

@@ -16,6 +16,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
 
+from .config import Config
 from .corpus import Corpus, Candidate, Document
 from .similarity import NeighborSet
 
@@ -129,14 +130,12 @@ def window_pairs(candidates: dict[str, Candidate],
 
 
 def build_document_graph(doc: Document, candidates: dict[str, Candidate],
-                         window: int = 10) -> SemMultiGraph:
+                         config: Config = Config()) -> SemMultiGraph:
     """One PRESENT node per candidate; DOCUMENT edges weighted by the number
-    of occurrence pairs whose start offsets differ by at most `window`.
+    of occurrence pairs whose start offsets differ by at most config.window.
 
     Sentence breaks limit candidate spans, not co-occurrence.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     g = SemMultiGraph()
     for key in sorted(candidates):
         cand = candidates[key]
@@ -147,13 +146,13 @@ def build_document_graph(doc: Document, candidates: dict[str, Candidate],
             first_offset=dict(cand.first_offset),
         ))
     g.weights[Layer.DOCUMENT] = {
-        pair: float(c) for pair, c in window_pairs(candidates, window).items()}
+        pair: float(c)
+        for pair, c in window_pairs(candidates, config.window).items()}
     return g
 
 
-def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
-                 corpus: Corpus, window: int = 10, lambda_domain: float = 1.0,
-                 absent_quota: int = 10, max_len: int = 3) -> SemMultiGraph:
+def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
+                 config: Config = Config()) -> SemMultiGraph:
     """Enrich the document graph in place with neighbor evidence.
 
     (a) For every pair of PRESENT keys co-occurring in a neighbor with
@@ -169,17 +168,15 @@ def expand_graph(g: SemMultiGraph, doc: Document, nbrs: NeighborSet,
     sums are reproducible. The DOCUMENT layer is never touched. With
     lambda_domain == 0 or no neighbors the graph is returned unchanged.
     """
-    if lambda_domain < 0:
-        raise ValueError("lambda_domain must be >= 0")
-    if absent_quota < 0:
-        raise ValueError("absent_quota must be >= 0")
+    window, lambda_domain = config.window, config.lambda_domain
+    absent_quota = config.absent_quota
     if lambda_domain == 0 or not nbrs.neighbors:
         return g
 
     present = g.keys_with_origin(Origin.PRESENT)
     present_set = set(present)
     active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
-    neighbor_cands = {nid: corpus.candidates_for(nid, max_len)
+    neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
 
     # (a) domain evidence between present candidates; (b) needs, per
@@ -276,15 +273,15 @@ def weakly_connected_components(g: SemMultiGraph,
     return components
 
 
-def bridge_components(g: SemMultiGraph, beta: float = 2.0) -> SemMultiGraph:
+def bridge_components(g: SemMultiGraph,
+                      config: Config = Config()) -> SemMultiGraph:
     """Boost DOMAIN edges that bridge distinct DOCUMENT-layer components.
 
     Every DOMAIN edge whose endpoints fall in different components of the
     DOCUMENT-layer-only graph has its weight multiplied by beta; all other
     weights are untouched. beta == 1 is the identity.
     """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = config.beta
     component_of: dict[str, int] = {}
     for idx, comp in enumerate(weakly_connected_components(g, Layer.DOCUMENT)):
         for key in comp:

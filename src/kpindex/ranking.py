@@ -13,7 +13,7 @@ from .config import Config
 from .corpus import Corpus, preferred_surface
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
-from .similarity import NeighborSet, SimilarityProvider, TfidfSimilarity
+from .similarity import SimilarityProvider, TfidfSimilarity
 
 
 @dataclass
@@ -124,20 +124,14 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
 def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
                          provider: SimilarityProvider | None = None) -> SemMultiGraph:
     """Document graph -> neighbor expansion -> component bridging."""
-    doc = corpus[doc_id]
     candidates = corpus.candidates_for(doc_id, config.max_len)
-    g = build_document_graph(doc, candidates, config.window)
+    g = build_document_graph(corpus[doc_id], candidates, config)
     if config.k_neighbors > 0:
         if provider is None:
             provider = TfidfSimilarity(corpus)
         nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
-    else:
-        nbrs = NeighborSet(source=doc_id, neighbors=[], k=0,
-                           min_sim=config.min_sim)
-    expand_graph(g, doc, nbrs, corpus, window=config.window,
-                 lambda_domain=config.lambda_domain,
-                 absent_quota=config.absent_quota, max_len=config.max_len)
-    bridge_components(g, config.beta)
+        expand_graph(g, nbrs, corpus, config)
+    bridge_components(g, config)
     return g
 
 

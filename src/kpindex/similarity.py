@@ -114,11 +114,3 @@ class TfidfSimilarity(SimilarityProvider):
                 scored.append((other_id, sim))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return NeighborSet(source=doc_id, neighbors=scored[:k], k=k, min_sim=min_sim)
-
-
-def find_neighbors(doc_id: str, corpus: Corpus, k: int, min_sim: float,
-                   provider: SimilarityProvider | None = None) -> NeighborSet:
-    """Convenience wrapper; pass a shared provider when querying many documents."""
-    if provider is None:
-        provider = TfidfSimilarity(corpus)
-    return provider.neighbors(doc_id, k, min_sim)

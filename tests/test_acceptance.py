@@ -92,7 +92,7 @@ def test_criterion_1_baseline_collapse(stopwords):
         for doc_id in sorted(corpus.ids()):
             piped = extract_pipeline(doc_id, corpus, cfg)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
-            g = build_document_graph(corpus[doc_id], cands, cfg.window)
+            g = build_document_graph(corpus[doc_id], cands, cfg)
             baseline = rank_keyphrases(g, pagerank(g, cfg), cfg)
             assert ranking_bytes(piped) == ranking_bytes(baseline)
         elapsed = time.perf_counter() - started

@@ -138,6 +138,16 @@ class TestExitCodes:
         assert code == 1
         assert "bogus_knob" in err
 
+    @pytest.mark.parametrize("top", ["-1", "0"])
+    def test_search_top_below_one_is_config_error(self, tmp_path, capsys, top):
+        corpus_path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        index_path = str(tmp_path / "c.kpix")
+        assert main(["index", corpus_path, index_path]) == 0
+        code, out, err = run(["search", index_path, "graph ranking",
+                              f"--top={top}"], capsys)
+        assert code == 1
+        assert out == "" and "--top" in err
+
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
         code, _, err = run(["extract", path, "--damping", "1.5"], capsys)
@@ -262,10 +272,20 @@ class TestGoldenOutput:
          "21b757b1d71916c0cbd8f258bff71eafa0e9e077c3c6039f2e624fb163af4706"),
         ("evaluate",
          "a8bb3d604b1a951856b8b1134719fc0a5c9ef22cb3e27dffa0972775c9de4821"),
+        ("evaluate --model tfidf",
+         "118f9ef133f67afc435b383a4329396884cc5c283717adf839bf2007b83e8993"),
+        ("evaluate --model no-expansion",
+         "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
+        ("neighbors",
+         "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
+        ("extract --k-neighbors 0",
+         "1855e4fdc9cc46c91895f040d142730130cb137842e884540ed2d278b0e82572"),
     ])
     def test_sample100_bytes(self, tmp_path, command, sha256):
+        """command is an argv prefix; the corpus and --output follow it."""
         out = tmp_path / "out"
-        assert main([command, self.SAMPLE, "--output", str(out)]) == 0
+        argv = command.split() + [self.SAMPLE, "--output", str(out)]
+        assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_sample100_dot_dump_bytes(self, tmp_path):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpindex import (Document, EvaluationError, evaluate_corpus, f_at_k,
-                     normalize_phrase, split_present_absent, tfidf_baseline)
+from kpindex import (Config, Document, EvaluationError, evaluate_corpus,
+                     f_at_k, normalize_phrase, split_present_absent,
+                     tfidf_baseline)
 
 from conftest import make_corpus
 
@@ -194,7 +195,7 @@ class TestTfidfBaseline:
     def test_single_candidate_doc(self, stopwords):
         corpus = make_corpus([("a", "", "graph."), ("b", "", "other text.")],
                              stopwords)
-        ranked = tfidf_baseline(corpus["a"], corpus, top_n=5)
+        ranked = tfidf_baseline(corpus["a"], corpus, Config(top_n=5))
         assert ranked == ["graph"]
 
     def test_rare_stems_outrank_ubiquitous_at_equal_tf(self, stopwords):
@@ -203,7 +204,7 @@ class TestTfidfBaseline:
             ("d2", "", "graph text."),
             ("d3", "", "graph model."),
         ], stopwords)
-        ranked = tfidf_baseline(corpus["d1"], corpus, top_n=5)
+        ranked = tfidf_baseline(corpus["d1"], corpus, Config(top_n=5))
         assert ranked.index("zeta") < ranked.index("graph")
 
     def test_deterministic_under_corpus_reordering(self, stopwords):

@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kpindex import (Candidate, Document, Layer, NodeInfo, Origin,
+from kpindex import (Candidate, Config, Document, Layer, NodeInfo, Origin,
                      SemMultiGraph, bridge_components, build_document_graph,
                      expand_graph, extract_candidates, to_dot,
                      weakly_connected_components)
@@ -46,28 +46,28 @@ DOC = Document.build("d", "", "")
 
 class TestBuildDocumentGraph:
     def test_single_candidate(self):
-        g = build_document_graph(DOC, {"x": unigram("x", [0])}, window=10)
+        g = build_document_graph(DOC, {"x": unigram("x", [0])}, Config(window=10))
         assert g.node_count() == 1
         assert g.edge_count() == 0
 
     def test_pair_within_window(self):
         cands = {"a": unigram("a", [0]), "b": unigram("b", [5])}
-        g = build_document_graph(DOC, cands, window=10)
+        g = build_document_graph(DOC, cands, Config(window=10))
         edge = g.edge("a", "b", Layer.DOCUMENT)
         assert edge is not None and edge.weight == 1.0
 
     def test_multiple_occurrence_pairs(self):
         cands = {"a": unigram("a", [0, 3]), "b": unigram("b", [5])}
-        g = build_document_graph(DOC, cands, window=10)
+        g = build_document_graph(DOC, cands, Config(window=10))
         assert g.edge("a", "b", Layer.DOCUMENT).weight == 2.0
 
     def test_pair_outside_window_gets_no_edge(self):
         cands = {"a": unigram("a", [0]), "b": unigram("b", [30])}
-        g = build_document_graph(DOC, cands, window=10)
+        g = build_document_graph(DOC, cands, Config(window=10))
         assert g.edge("a", "b", Layer.DOCUMENT) is None
 
     def test_empty_candidates(self):
-        g = build_document_graph(DOC, {}, window=10)
+        g = build_document_graph(DOC, {}, Config(window=10))
         assert g.node_count() == 0
 
 
@@ -115,7 +115,7 @@ class TestCooccurrenceIn:
 
 def present_graph_for(corpus, doc_id, window=10):
     cands = corpus.candidates_for(doc_id, 3)
-    return build_document_graph(corpus[doc_id], cands, window)
+    return build_document_graph(corpus[doc_id], cands, Config(window=window))
 
 
 class TestExpandGraph:
@@ -130,7 +130,7 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a")
         before = edge_snapshot(g)
         nbrs = NeighborSet("a", [], k=0, min_sim=0.1)
-        expand_graph(g, corpus["a"], nbrs, corpus)
+        expand_graph(g, nbrs, corpus)
         assert edge_snapshot(g) == before
 
     def test_lambda_zero_is_identity(self, stopwords):
@@ -138,7 +138,7 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a")
         before = edge_snapshot(g)
         nbrs = NeighborSet("a", [("b", 0.9)], k=1, min_sim=0.0)
-        expand_graph(g, corpus["a"], nbrs, corpus, lambda_domain=0.0)
+        expand_graph(g, nbrs, corpus, Config(lambda_domain=0.0))
         assert edge_snapshot(g) == before
 
     def test_domain_edge_weight_is_lambda_sim_count(self, stopwords):
@@ -146,8 +146,8 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a", window=2)
         nbrs = NeighborSet("a", [("b", 0.5)], k=1, min_sim=0.0)
         # in b, graph/rank occurrence pairs within window 2: (1,2) and (5,6)
-        expand_graph(g, corpus["a"], nbrs, corpus, window=2,
-                     lambda_domain=1.0, absent_quota=0)
+        expand_graph(g, nbrs, corpus,
+                     Config(window=2, lambda_domain=1.0, absent_quota=0))
         domain = g.edge("graph", "rank", Layer.DOMAIN)
         assert domain.weight == pytest.approx(1.0, abs=1e-12)
         assert g.edge("graph", "rank", Layer.DOCUMENT).weight == 1.0
@@ -160,7 +160,7 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a")
         present_before = set(g.nodes)
         nbrs = NeighborSet("a", [("b", 0.8)], k=1, min_sim=0.0)
-        expand_graph(g, corpus["a"], nbrs, corpus, absent_quota=1)
+        expand_graph(g, nbrs, corpus, Config(absent_quota=1))
         absent = g.keys_with_origin(Origin.ABSENT)
         assert len(absent) == 1
         key = absent[0]
@@ -176,7 +176,7 @@ class TestExpandGraph:
         nodes_before = set(g.nodes)
         doc_edges_before = [(e.u, e.v, e.weight) for e in g.edges(Layer.DOCUMENT)]
         nbrs = NeighborSet("a", [("b", 0.7)], k=1, min_sim=0.0)
-        expand_graph(g, corpus["a"], nbrs, corpus, absent_quota=5)
+        expand_graph(g, nbrs, corpus, Config(absent_quota=5))
         assert nodes_before <= set(g.nodes)
         assert [(e.u, e.v, e.weight)
                 for e in g.edges(Layer.DOCUMENT)] == doc_edges_before
@@ -187,7 +187,7 @@ class TestExpandGraph:
         for sim in (0.3, 0.6, 0.9):
             g = present_graph_for(corpus, "a")
             nbrs = NeighborSet("a", [("b", sim)], k=1, min_sim=0.0)
-            expand_graph(g, corpus["a"], nbrs, corpus, absent_quota=0)
+            expand_graph(g, nbrs, corpus, Config(absent_quota=0))
             weights[sim] = {(e.u, e.v): e.weight for e in g.edges(Layer.DOMAIN)}
         assert weights[0.3].keys() == weights[0.9].keys()
         for pair in weights[0.3]:
@@ -201,9 +201,9 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a")
         before = len(weakly_connected_components(g))
         nbrs = NeighborSet("a", [("b", 0.9)], k=1, min_sim=0.0)
-        expand_graph(g, corpus["a"], nbrs, corpus, absent_quota=3)
+        expand_graph(g, nbrs, corpus, Config(absent_quota=3))
         mid = len(weakly_connected_components(g))
-        bridge_components(g, beta=2.0)
+        bridge_components(g, Config(beta=2.0))
         after = len(weakly_connected_components(g))
         assert mid <= before
         assert after == mid
@@ -288,9 +288,10 @@ class TestExpandGraphOracle:
         nbrs = NeighborSet("d0", [(f"d{i}", sim) for i, sim in
                                   zip(range(1, len(texts)), sims)],
                            k=3, min_sim=0.0)
-        got = expand_graph(present_graph_for(corpus, "d0", window), corpus["d0"],
-                           nbrs, corpus, window=window,
-                           lambda_domain=lambda_domain, absent_quota=quota)
+        config = Config(window=window, lambda_domain=lambda_domain,
+                        absent_quota=quota)
+        got = expand_graph(present_graph_for(corpus, "d0", window), nbrs,
+                           corpus, config)
         want = expand_graph_oracle(present_graph_for(corpus, "d0", window),
                                    nbrs, corpus, window, lambda_domain, quota)
         assert got.nodes.keys() == want.nodes.keys()
@@ -358,13 +359,13 @@ class TestBridgeComponents:
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
                              ("b", "c", Layer.DOCUMENT, 1.0),
                              ("a", "c", Layer.DOMAIN, 0.4)])
-        bridge_components(g, beta=2.0)
+        bridge_components(g, Config(beta=2.0))
         assert g.edge("a", "c", Layer.DOMAIN).weight == 0.4
 
     def test_cross_component_domain_edge_boosted(self):
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
                              ("b", "c", Layer.DOMAIN, 0.5)])
-        bridge_components(g, beta=2.0)
+        bridge_components(g, Config(beta=2.0))
         assert g.edge("b", "c", Layer.DOMAIN).weight == 1.0
         assert g.edge("a", "b", Layer.DOCUMENT).weight == 1.0
 
@@ -372,7 +373,7 @@ class TestBridgeComponents:
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
                              ("b", "c", Layer.DOMAIN, 0.5)])
         before = edge_snapshot(g)
-        bridge_components(g, beta=1.0)
+        bridge_components(g, Config(beta=1.0))
         assert edge_snapshot(g) == before
 
 

@@ -1,6 +1,59 @@
+import dataclasses
+import inspect
+
+import pytest
+
 import kpindex
+from kpindex import Config, cli, evaluation, graph, ranking
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
+
+STAGES = [graph.build_document_graph, graph.expand_graph,
+          graph.bridge_components, ranking.build_enriched_graph,
+          ranking.extract_pipeline, ranking.rank_graph, ranking.pagerank,
+          ranking.rank_keyphrases, evaluation.tfidf_baseline]
+
+COMMAND_ARGS = {"extract": ["c.jsonl"], "index": ["c.jsonl", "c.kpix"],
+                "neighbors": ["c.jsonl"], "evaluate": ["c.jsonl"]}
 
 
 def test_all_names_resolve():
     missing = [name for name in kpindex.__all__ if not hasattr(kpindex, name)]
     assert missing == []
+
+
+def test_config_is_frozen():
+    cfg = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.window = 0
+    assert cfg.window == 10
+
+
+@pytest.mark.parametrize("stage", STAGES, ids=lambda fn: fn.__name__)
+def test_stage_reads_parameters_from_config(stage):
+    params = inspect.signature(stage).parameters
+    assert "config" in params
+    assert sorted(set(params) & set(CONFIG_FIELDS)) == []
+
+
+def changed_value(field: dataclasses.Field):
+    """A valid value that differs from the field's default."""
+    if field.name == "stopwords_path":
+        return "stopwords.txt"
+    if field.type == "int":
+        return field.default + 1
+    return field.default / 2
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+def test_every_config_field_has_a_flag(command, name):
+    field = next(f for f in dataclasses.fields(Config) if f.name == name)
+    flag = ("--stopwords" if name == "stopwords_path"
+            else "--" + name.replace("_", "-"))
+    value = changed_value(field)
+    args = cli.build_parser().parse_args(
+        [command, *COMMAND_ARGS[command], flag, str(value)])
+    cfg = cli._effective_config(args)
+    assert getattr(cfg, name) == value
+    assert cfg == Config().replace(**{name: value})

@@ -309,7 +309,7 @@ class TestExtractPipeline:
         for doc_id in ("a", "b", "c"):
             piped = extract_pipeline(doc_id, corpus, cfg)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
-            g = build_document_graph(corpus[doc_id], cands, cfg.window)
+            g = build_document_graph(corpus[doc_id], cands, cfg)
             baseline = rank_keyphrases(g, pagerank(g, cfg), cfg)
             assert ranking_as_json(piped) == ranking_as_json(baseline)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpindex import (Corpus, CorpusError, DocVector, Document, TfidfSimilarity,
-                     compute_idf, cosine, find_neighbors, vectorize)
+                     compute_idf, cosine, vectorize)
 
 from conftest import make_corpus
 
@@ -134,41 +134,42 @@ TWO_TOPIC_ROWS = [
 class TestFindNeighbors:
     def test_k_zero(self, stopwords):
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
-        nbrs = find_neighbors("g1", corpus, k=0, min_sim=0.0)
+        nbrs = TfidfSimilarity(corpus).neighbors("g1", k=0, min_sim=0.0)
         assert nbrs.neighbors == []
 
     def test_duplicate_ranks_first_with_unit_similarity(self, stopwords):
         rows = TWO_TOPIC_ROWS + [("g1copy", "Graph ranking",
                                   "Graph ranking orders graph nodes by links.")]
         corpus = make_corpus(rows, stopwords)
-        nbrs = find_neighbors("g1", corpus, k=3, min_sim=0.0)
+        nbrs = TfidfSimilarity(corpus).neighbors("g1", k=3, min_sim=0.0)
         top_id, top_sim = nbrs.neighbors[0]
         assert top_id == "g1copy"
         assert top_sim == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_topics(self, stopwords):
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
-        nbrs = find_neighbors("g1", corpus, k=2, min_sim=0.05)
+        nbrs = TfidfSimilarity(corpus).neighbors("g1", k=2, min_sim=0.05)
         assert set(nbrs.ids()) == {"g2", "g3"}
         assert nbrs.neighbors == brute_force_neighbors(corpus, "g1", 2, 0.05)
 
     def test_unknown_id(self, stopwords):
-        corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
+        provider = TfidfSimilarity(make_corpus(TWO_TOPIC_ROWS, stopwords))
         with pytest.raises(KeyError):
-            find_neighbors("nope", corpus, k=2, min_sim=0.0)
+            provider.neighbors("nope", k=2, min_sim=0.0)
 
     def test_source_never_a_neighbor(self, stopwords):
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
+        provider = TfidfSimilarity(corpus)
         for doc in corpus:
-            nbrs = find_neighbors(doc.id, corpus, k=10, min_sim=0.0)
+            nbrs = provider.neighbors(doc.id, k=10, min_sim=0.0)
             assert doc.id not in nbrs.ids()
 
     def test_invariant_under_corpus_reordering(self, stopwords):
         forward = make_corpus(TWO_TOPIC_ROWS, stopwords)
         backward = make_corpus(list(reversed(TWO_TOPIC_ROWS)), stopwords)
         for doc_id in ("g1", "q2"):
-            a = find_neighbors(doc_id, forward, k=3, min_sim=0.0)
-            b = find_neighbors(doc_id, backward, k=3, min_sim=0.0)
+            a = TfidfSimilarity(forward).neighbors(doc_id, k=3, min_sim=0.0)
+            b = TfidfSimilarity(backward).neighbors(doc_id, k=3, min_sim=0.0)
             assert a.neighbors == b.neighbors
 
     def test_min_sim_and_k_monotonicity(self, stopwords):
