@@ -24,8 +24,8 @@ from .index import (InvertedIndex, build_index, load_index, save_index,
 from .porter import stem
 from .ranking import (RankedKeyphrase, build_enriched_graph, extract_pipeline,
                       pagerank, rank_keyphrases)
-from .similarity import (DocVector, NeighborSet, SimilarityProvider,
-                         TfidfSimilarity, compute_idf, cosine, vectorize)
+from .similarity import (DocVector, NeighborSet, TfidfSimilarity, compute_idf,
+                         cosine, vectorize)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "EvaluationReport", "IndexFileError", "InvertedIndex", "KpIndexError",
     "Layer", "NeighborSet", "NodeInfo", "Origin",
     "RankedKeyphrase", "SENTENCE_BREAK", "SemMultiGraph",
-    "SimilarityProvider", "TfidfSimilarity", "bridge_components",
+    "TfidfSimilarity", "bridge_components",
     "build_document_graph", "build_enriched_graph", "build_index",
     "compute_idf", "cosine", "default_stopwords",
     "evaluate_corpus", "expand_graph", "extract_candidates",

@@ -155,8 +155,6 @@ def run_index(args) -> int:
 
 
 def run_search(args) -> int:
-    if args.top < 1:
-        raise ConfigError("--top must be >= 1")
     index = load_index(args.index_path)
     results = search(index, args.query, top_n=args.top)
     with _open_output(args.output) as out:

@@ -20,7 +20,7 @@ import uuid
 from collections import Counter, defaultdict
 
 from .corpus import Corpus, SENTENCE_BREAK, index_stems, tokenize
-from .errors import IndexFileError
+from .errors import ConfigError, IndexFileError
 from .graph import Origin
 from .porter import stem as stem_token
 from .ranking import RankedKeyphrase
@@ -192,7 +192,10 @@ def search(index: InvertedIndex, query: str, top_n: int = 10,
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
     (including stopwords, which are never indexed) contribute nothing.
+    Raises ConfigError when top_n is below 1.
     """
+    if top_n < 1:
+        raise ConfigError("top_n (search --top) must be >= 1")
     if field_weights is None:
         field_weights = DEFAULT_FIELD_WEIGHTS
     terms = query_terms(query)

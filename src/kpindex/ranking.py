@@ -13,7 +13,7 @@ from .config import Config
 from .corpus import Corpus, preferred_surface
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
-from .similarity import SimilarityProvider, TfidfSimilarity
+from .similarity import TfidfSimilarity
 
 
 @dataclass
@@ -23,6 +23,16 @@ class RankedKeyphrase:
     score: float
     origin: Origin
     sources: list[str] = field(default_factory=list)
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum. The built-in sum() compensates its float
+    adds since Python 3.12, which would make the bytes depend on the
+    interpreter version."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
 
 
 def _power_iteration(g: SemMultiGraph, config: Config):
@@ -51,7 +61,7 @@ def _power_iteration(g: SemMultiGraph, config: Config):
         adjacency[j].append((i, w))
     for row in adjacency:
         row.sort()
-    total_weight = [sum(w for _, w in row) for row in adjacency]
+    total_weight = [_sum_in_order(w for _, w in row) for row in adjacency]
     rows = [[(j, w / total_weight[j]) for j, w in row] for row in adjacency]
 
     damping = config.damping
@@ -64,7 +74,7 @@ def _power_iteration(g: SemMultiGraph, config: Config):
             for j, q in row:
                 acc += q * scores[j]
             nxt.append(base + damping * acc)
-        delta = sum(abs(a - b) for a, b in zip(nxt, scores))
+        delta = _sum_in_order(abs(a - b) for a, b in zip(nxt, scores))
         scores = nxt
         yield scores, delta
         if delta <= config.tol:
@@ -84,7 +94,7 @@ def pagerank(g: SemMultiGraph, config: Config = Config()) -> dict[str, float]:
     scores = None
     for scores, _ in _power_iteration(g, config):
         pass
-    norm = sum(scores)
+    norm = _sum_in_order(scores)
     return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}
 
 
@@ -122,7 +132,7 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
 
 
 def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
-                         provider: SimilarityProvider | None = None) -> SemMultiGraph:
+                         provider: TfidfSimilarity | None = None) -> SemMultiGraph:
     """Document graph -> neighbor expansion -> component bridging."""
     candidates = corpus.candidates_for(doc_id, config.max_len)
     g = build_document_graph(corpus[doc_id], candidates, config)
@@ -136,7 +146,7 @@ def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
 
 
 def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
-                     provider: SimilarityProvider | None = None) -> list[RankedKeyphrase]:
+                     provider: TfidfSimilarity | None = None) -> list[RankedKeyphrase]:
     """Full per-document pipeline; deterministic for fixed (corpus, config).
 
     Pass a shared provider when processing many documents so tf-idf

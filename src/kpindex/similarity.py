@@ -1,15 +1,15 @@
 """Sparse document vectors and semantically-similar-document detection.
 
-The reference representation is stem-level tf-idf with cosine similarity.
-The provider interface is the extension point for richer representations
-(e.g. embedding centroids); everything downstream consumes NeighborSet
-values and never touches vectors directly.
+Documents are stem-level tf-idf vectors compared by cosine similarity.
+Neighbor search is exact: a walk over stem postings finds the documents
+that share a stem with the source, and only those are scored. Everything
+downstream consumes NeighborSet values and never touches vectors directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .corpus import Corpus, Document, index_stems
@@ -18,10 +18,10 @@ from .errors import CorpusError
 
 @dataclass
 class DocVector:
-    """L2-normalized sparse stem -> weight map; empty documents get norm 0."""
+    """L2-normalized sparse stem -> weight map; empty for a document with
+    no indexable stem."""
 
     weights: dict[str, float]
-    norm: float
 
 
 @dataclass
@@ -55,11 +55,11 @@ def vectorize(doc: Document, idf: dict[str, float]) -> DocVector:
     """tf * idf weights, L2-normalized. Stems missing from idf are skipped."""
     counts = Counter(s for s in doc.stems if s in idf)
     if not counts:
-        return DocVector({}, 0.0)
+        return DocVector({})
     weights = {t: c * idf[t] for t, c in sorted(counts.items())}
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
     normalized = {t: w / norm for t, w in weights.items()}
-    return DocVector(normalized, 1.0)
+    return DocVector(normalized)
 
 
 def cosine(a: DocVector, b: DocVector) -> float:
@@ -67,50 +67,66 @@ def cosine(a: DocVector, b: DocVector) -> float:
 
     fsum is correctly rounded, so the order of the terms cannot change it.
     """
-    if a.norm == 0.0 or b.norm == 0.0:
+    if not a.weights or not b.weights:
         return 0.0
     small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
         else (b.weights, a.weights)
     dot = math.fsum(w * large[t] for t, w in small.items() if t in large)
-    value = dot / (a.norm * b.norm)
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, dot))
 
 
-class SimilarityProvider:
-    """Interface for neighbor detection; implementations own their representation."""
-
-    def neighbors(self, doc_id: str, k: int, min_sim: float) -> NeighborSet:
-        raise NotImplementedError
-
-    def similarity(self, a: str, b: str) -> float:
-        raise NotImplementedError
-
-
-class TfidfSimilarity(SimilarityProvider):
-    """Exhaustive cosine search over tf-idf vectors built once per corpus."""
+class TfidfSimilarity:
+    """Exact k-nearest-neighbor search over tf-idf vectors built once per
+    corpus, with a stem -> document-id postings map to find candidates."""
 
     def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
         self.idf = compute_idf(corpus)
         self.vectors = {doc.id: vectorize(doc, self.idf) for doc in corpus}
-
-    def similarity(self, a: str, b: str) -> float:
-        return cosine(self.vectors[a], self.vectors[b])
+        postings: dict[str, list[str]] = defaultdict(list)
+        for doc_id, vec in self.vectors.items():
+            for t in vec.weights:
+                postings[t].append(doc_id)
+        # ids only: a weight is read from self.vectors, which keeps memory low
+        self.postings = {t: tuple(ids) for t, ids in postings.items()}
 
     def neighbors(self, doc_id: str, k: int, min_sim: float) -> NeighborSet:
+        """The k documents most similar to doc_id with cosine >= min_sim,
+        ranked by similarity, ties by id.
+
+        Walking the postings of the source's stems sums each dot product
+        term at a time with plain float adds, in an order that differs
+        from cosine's. Every term is a product of weights in [0, 1] and the
+        vectors have unit length, so that sum differs from the exact dot by
+        at most about n * 2**-53 for n shared stems, far below the 1e-9
+        margin: no document whose cosine reaches min_sim is dropped. The
+        survivors are rescored with cosine, whose fsum is correctly rounded,
+        so each similarity is the same float an exhaustive scan gives.
+        """
         if doc_id not in self.vectors:
             raise KeyError(f"unknown document id {doc_id}")
         if k < 0:
             raise ValueError("k must be >= 0")
         if not 0.0 <= min_sim <= 1.0:
             raise ValueError("min_sim must lie in [0, 1]")
-        source = self.vectors[doc_id]
+        vectors = self.vectors
+        source = vectors[doc_id]
+        approx: dict[str, float] = {}
+        for t, w in source.weights.items():
+            for other_id in self.postings[t]:
+                approx[other_id] = approx.get(other_id, 0.0) \
+                    + w * vectors[other_id].weights[t]
+        approx.pop(doc_id, None)
+        floor = min_sim - 1e-9
         scored = []
-        for other_id, vec in self.vectors.items():
-            if other_id == doc_id:
-                continue
-            sim = cosine(source, vec)
-            if sim >= min_sim:
-                scored.append((other_id, sim))
+        for other_id, dot in approx.items():
+            if dot >= floor:
+                sim = cosine(source, vectors[other_id])
+                if sim >= min_sim:
+                    scored.append((other_id, sim))
+        if min_sim == 0.0:
+            # documents sharing no stem with the source have cosine 0.0
+            scored.extend((other_id, 0.0) for other_id in vectors
+                          if other_id not in approx and other_id != doc_id)
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return NeighborSet(source=doc_id, neighbors=scored[:k], k=k, min_sim=min_sim)

@@ -1,9 +1,14 @@
+import builtins
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 from importlib import resources
 
 import pytest
 
+import kpindex
 from kpindex import cli
 from kpindex.cli import main
 
@@ -262,25 +267,44 @@ class TestEvaluateCommand:
         assert len(lines) == 2 + 2 * 3 * 2
 
 
+def compensated_sum(iterable, start=0):
+    """sum() that, like the built-in since Python 3.12, does not add floats
+    left to right: math.fsum, correctly rounded. Integer sums stay ints."""
+    items = [start, *iterable]
+    if any(isinstance(x, float) for x in items):
+        return math.fsum(items)
+    return builtins.sum(items)
+
+
+def use_compensated_sum(monkeypatch):
+    """Make every kpindex module's sum() the compensated one."""
+    for info in pkgutil.iter_modules(kpindex.__path__):
+        module = importlib.import_module(f"kpindex.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+
+GOLDEN_BYTES = [
+    ("extract",
+     "21b757b1d71916c0cbd8f258bff71eafa0e9e077c3c6039f2e624fb163af4706"),
+    ("evaluate",
+     "a8bb3d604b1a951856b8b1134719fc0a5c9ef22cb3e27dffa0972775c9de4821"),
+    ("evaluate --model tfidf",
+     "118f9ef133f67afc435b383a4329396884cc5c283717adf839bf2007b83e8993"),
+    ("evaluate --model no-expansion",
+     "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
+    ("neighbors",
+     "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
+    ("extract --k-neighbors 0",
+     "1855e4fdc9cc46c91895f040d142730130cb137842e884540ed2d278b0e82572"),
+]
+
+
 class TestGoldenOutput:
     """Output bytes on the bundled sample100 corpus with the default config."""
 
     SAMPLE = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
 
-    @pytest.mark.parametrize("command, sha256", [
-        ("extract",
-         "21b757b1d71916c0cbd8f258bff71eafa0e9e077c3c6039f2e624fb163af4706"),
-        ("evaluate",
-         "a8bb3d604b1a951856b8b1134719fc0a5c9ef22cb3e27dffa0972775c9de4821"),
-        ("evaluate --model tfidf",
-         "118f9ef133f67afc435b383a4329396884cc5c283717adf839bf2007b83e8993"),
-        ("evaluate --model no-expansion",
-         "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
-        ("neighbors",
-         "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
-        ("extract --k-neighbors 0",
-         "1855e4fdc9cc46c91895f040d142730130cb137842e884540ed2d278b0e82572"),
-    ])
+    @pytest.mark.parametrize("command, sha256", GOLDEN_BYTES)
     def test_sample100_bytes(self, tmp_path, command, sha256):
         """command is an argv prefix; the corpus and --output follow it."""
         out = tmp_path / "out"
@@ -297,3 +321,16 @@ class TestGoldenOutput:
         blob = b"".join((dots / name).read_bytes() for name in names)
         assert hashlib.sha256(blob).hexdigest() == (
             "7d70a465e9f7aeae79f9180230a8dc25faa1c103fbe840e09a34a0ceb6c7705f")
+
+    @pytest.mark.parametrize("command, sha256", GOLDEN_BYTES)
+    def test_sample100_bytes_under_compensated_sum(self, tmp_path, monkeypatch,
+                                                   command, sha256):
+        """The bytes do not depend on how sum() adds floats, so Python 3.12+
+        gives the golden bytes too."""
+        use_compensated_sum(monkeypatch)
+        self.test_sample100_bytes(tmp_path, command, sha256)
+
+    def test_sample100_dot_dump_bytes_under_compensated_sum(self, tmp_path,
+                                                            monkeypatch):
+        use_compensated_sum(monkeypatch)
+        self.test_sample100_dot_dump_bytes(tmp_path)

@@ -4,8 +4,9 @@ import pytest
 
 import kpindex.index as index_module
 
-from kpindex import (Config, IndexFileError, InvertedIndex, build_index,
-                     extract_pipeline, load_index, save_index, search)
+from kpindex import (Config, ConfigError, IndexFileError, InvertedIndex,
+                     build_index, extract_pipeline, load_index, save_index,
+                     search)
 from kpindex.index import (FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            query_terms)
 
@@ -205,6 +206,14 @@ class TestSearch:
         index = build_index(corpus, {})
         results = search(index, "graph")
         assert [doc_id for doc_id, _ in results] == ["x1", "x2"]
+
+    @pytest.mark.parametrize("top_n", [-1, 0])
+    def test_top_n_below_one_is_config_error(self, stopwords, top_n):
+        corpus = make_corpus(FIVE_DOC_ROWS, stopwords)
+        index = build_index(corpus, {})
+        assert search(index, "graph ranking", top_n=1)
+        with pytest.raises(ConfigError, match="top_n"):
+            search(index, "graph ranking", top_n=top_n)
 
     def test_query_terms_stemmed(self):
         assert query_terms("Ranking Networks!") == ["rank", "network"]

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kpindex.similarity as similarity_module
+
 from kpindex import (Corpus, CorpusError, DocVector, Document, TfidfSimilarity,
                      compute_idf, cosine, vectorize)
 
@@ -11,8 +13,9 @@ from conftest import make_corpus
 
 
 def vec(weights):
+    """A unit-length DocVector with the direction of weights."""
     norm = math.sqrt(sum(w * w for w in weights.values()))
-    return DocVector(weights, norm)
+    return DocVector({t: w / norm for t, w in weights.items()})
 
 
 class TestComputeIdf:
@@ -44,13 +47,12 @@ class TestVectorize:
     def test_stopwords_only(self, stopwords):
         doc = Document.build("a", "the", "of and.")
         v = vectorize(doc, {"graph": 1.0})
-        assert v.weights == {} and v.norm == 0.0
+        assert v == DocVector({})
 
     def test_repeated_stem_normalizes_to_unit(self):
         doc = Document.build("a", "graph", "graph.")
         v = vectorize(doc, {"graph": 1.0})
         assert v.weights == {"graph": 1.0}
-        assert v.norm == 1.0
 
     def test_identical_stem_multisets_identical_vectors(self, stopwords):
         d1 = Document.build("a", "graph ranking", "ranking graphs.")
@@ -61,8 +63,9 @@ class TestVectorize:
     def test_norm_consistent(self, stopwords):
         doc = Document.build("a", "graph ranking", "networks rank graphs.")
         v = vectorize(doc, {"graph": 1.0, "rank": 2.0, "network": 0.5})
-        recomputed = math.sqrt(sum(w * w for w in v.weights.values()))
-        assert abs(v.norm - recomputed) < 1e-9
+        assert len(v.weights) == 3
+        assert math.fsum(w * w for w in v.weights.values()) == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 class TestCosine:
@@ -79,7 +82,8 @@ class TestCosine:
         assert cosine(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_norm(self):
-        assert cosine(DocVector({}, 0.0), vec({"x": 1.0})) == 0.0
+        assert cosine(DocVector({}), vec({"x": 1.0})) == 0.0
+        assert cosine(vec({"x": 1.0}), DocVector({})) == 0.0
 
     @given(st.dictionaries(st.sampled_from("abcdefgh"),
                            st.floats(0.01, 10.0), max_size=6),
@@ -105,18 +109,19 @@ class TestCosine:
 
 def sorted_cosine(a, b):
     """cosine as it was when the dot product summed terms in sorted order."""
-    if a.norm == 0.0 or b.norm == 0.0:
+    if not a.weights or not b.weights:
         return 0.0
     small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
         else (b.weights, a.weights)
     dot = math.fsum(w * large[t] for t, w in sorted(small.items()) if t in large)
-    return min(1.0, max(0.0, dot / (a.norm * b.norm)))
+    return min(1.0, max(0.0, dot))
 
 
-def brute_force_neighbors(corpus, doc_id, k, min_sim):
-    provider = TfidfSimilarity(corpus)
-    scored = [(other.id, provider.similarity(doc_id, other.id))
-              for other in corpus if other.id != doc_id]
+def brute_force_neighbors(provider, doc_id, k, min_sim):
+    """The exhaustive scan: cosine against every other document."""
+    vectors = provider.vectors
+    scored = [(other_id, cosine(vectors[doc_id], vec))
+              for other_id, vec in vectors.items() if other_id != doc_id]
     scored = [(i, s) for i, s in scored if s >= min_sim]
     scored.sort(key=lambda p: (-p[1], p[0]))
     return scored[:k]
@@ -148,9 +153,10 @@ class TestFindNeighbors:
 
     def test_planted_topics(self, stopwords):
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
-        nbrs = TfidfSimilarity(corpus).neighbors("g1", k=2, min_sim=0.05)
+        provider = TfidfSimilarity(corpus)
+        nbrs = provider.neighbors("g1", k=2, min_sim=0.05)
         assert set(nbrs.ids()) == {"g2", "g3"}
-        assert nbrs.neighbors == brute_force_neighbors(corpus, "g1", 2, 0.05)
+        assert nbrs.neighbors == brute_force_neighbors(provider, "g1", 2, 0.05)
 
     def test_unknown_id(self, stopwords):
         provider = TfidfSimilarity(make_corpus(TWO_TOPIC_ROWS, stopwords))
@@ -194,4 +200,66 @@ class TestFindNeighbors:
         provider = TfidfSimilarity(corpus)
         for doc_id in ("d00", "d17", "d42", "d59"):
             got = provider.neighbors(doc_id, k=5, min_sim=0.1)
-            assert got.neighbors == brute_force_neighbors(corpus, doc_id, 5, 0.1)
+            assert got.neighbors == brute_force_neighbors(provider, doc_id, 5, 0.1)
+
+    def test_rescores_only_documents_sharing_a_stem(self, stopwords,
+                                                    monkeypatch):
+        corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
+        provider = TfidfSimilarity(corpus)
+        pairs = []
+
+        def counting_cosine(a, b):
+            pairs.append((a, b))
+            return cosine(a, b)
+        monkeypatch.setattr(similarity_module, "cosine", counting_cosine)
+        nbrs = provider.neighbors("g1", k=4, min_sim=0.05)
+        assert set(nbrs.ids()) == {"g2", "g3"}
+        assert len(pairs) < len(corpus) - 1
+
+
+WORDS = ["graph", "ranking", "nodes", "quantum", "gates", "states", "the",
+         "of", "and"]
+
+
+@st.composite
+def small_corpora(draw):
+    """Abstracts over a small vocabulary with stopwords, some duplicated,
+    plus one empty and one stopword-only document."""
+    texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=6)
+                          .map(" ".join), min_size=1, max_size=8))
+    copies = draw(st.lists(st.sampled_from(texts), max_size=2))
+    return texts + copies + ["", "the of and"]
+
+
+class TestNeighborsOracle:
+    @given(small_corpora(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_exhaustive_scan(self, stopwords, texts, data):
+        corpus = make_corpus([(f"d{i}", "", text)
+                              for i, text in enumerate(texts)], stopwords)
+        provider = TfidfSimilarity(corpus)
+        vectors = provider.vectors
+        # the corpus's own similarities put min_sim exactly on a boundary
+        pairwise = sorted({cosine(vectors[a], vectors[b])
+                           for a in vectors for b in vectors if a < b})
+        for doc_id in vectors:
+            k = data.draw(st.integers(0, len(vectors)), label="k")
+            min_sim = data.draw(st.sampled_from([0.0, 1.0] + pairwise),
+                                label="min_sim")
+            got = provider.neighbors(doc_id, k, min_sim)
+            assert got.neighbors == brute_force_neighbors(provider, doc_id,
+                                                          k, min_sim)
+
+    def test_margin_keeps_document_whose_walk_sum_rounds_low(self, stopwords):
+        corpus = make_corpus([("d0", "", "gates quantum graph states"),
+                              ("d1", "", "graph gates quantum"),
+                              ("d2", "", "graph")], stopwords)
+        provider = TfidfSimilarity(corpus)
+        source, other = provider.vectors["d0"], provider.vectors["d1"]
+        min_sim = cosine(source, other)
+        walk = 0.0
+        for t, w in source.weights.items():
+            if t in other.weights:
+                walk += w * other.weights[t]
+        assert walk < min_sim  # the plain sum lands one ulp low here
+        assert provider.neighbors("d0", 2, min_sim).neighbors == [("d1", min_sim)]
