@@ -80,20 +80,12 @@ class SemMultiGraph:
         pair = _pair(u, v)
         weights[pair] = weights.get(pair, 0.0) + weight
 
-    def edge(self, u: str, v: str, layer: Layer) -> Edge | None:
-        pair = _pair(u, v)
-        weight = self.weights[layer].get(pair)
-        return None if weight is None else Edge(*pair, layer, weight)
-
     def edges(self, layer: Layer | None = None) -> list[Edge]:
         """All edges in canonical (endpoint, layer) order."""
         edges = [Edge(u, v, lay, w) for lay in _layers(layer)
                  for (u, v), w in self.weights[lay].items()]
         edges.sort(key=itemgetter(0, 1))  # stable: DOCUMENT before DOMAIN
         return edges
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def edge_count(self, layer: Layer | None = None) -> int:
         return sum(len(self.weights[lay]) for lay in _layers(layer))

@@ -5,14 +5,23 @@ extracted keyphrases add postings in a KP_PRESENT or KP_ABSENT field
 according to their origin. Indexing the absent field is what lets a query
 match a document that never contains the query terms in its text.
 
+Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
+fields count 1.5x in term frequency and in document length). finalize(),
+which runs after both build_index and load_index, computes the average
+weighted length once and each document's length norm from it, so a query
+costs time in proportion to the postings of its terms, not to the number
+of documents.
+
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
+The length norms are derived data: they are not written to the file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import json
 import math
 import os
@@ -30,22 +39,29 @@ FIELD_KP_PRESENT = "kp_present"
 FIELD_KP_ABSENT = "kp_absent"
 FIELDS = (FIELD_TEXT, FIELD_KP_PRESENT, FIELD_KP_ABSENT)
 
-DEFAULT_FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5,
-                         FIELD_KP_ABSENT: 1.5}
+K1 = 1.2
+B = 0.75
+FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5, FIELD_KP_ABSENT: 1.5}
 
 _MAGIC = b"KPIX"
 _VERSION = 1
 
 
 class InvertedIndex:
-    """stem -> sorted (doc id, field, weight) postings plus document stats."""
+    """stem -> sorted (doc id, field, weight) postings plus document stats.
+
+    `norms` holds each document's BM25 length norm once finalize() has run;
+    adding a document or postings drops it again.
+    """
 
     def __init__(self, config: dict | None = None) -> None:
         self.postings: dict[str, list[tuple[str, str, float]]] = {}
         self.doc_lengths: dict[str, dict[str, float]] = {}
         self.config: dict = config or {}
+        self.norms: dict[str, float] | None = None
 
     def add_document(self, doc_id: str) -> None:
+        self.norms = None
         self.doc_lengths.setdefault(doc_id, {f: 0.0 for f in FIELDS})
 
     def add_postings(self, doc_id: str, field: str, counts: Counter) -> None:
@@ -59,25 +75,22 @@ class InvertedIndex:
             self.doc_lengths[doc_id][field] += count
 
     def finalize(self) -> "InvertedIndex":
-        """Sort postings into canonical (doc id, field) order."""
+        """Sort postings into canonical (doc id, field) order and compute
+        each document's length norm K1 * (1 - B + B * dl / avgdl)."""
         for term in self.postings:
             self.postings[term].sort(key=lambda p: (p[0], p[1]))
+        weighted = {doc_id: math.fsum(FIELD_WEIGHTS[f] * lengths[f]
+                                      for f in FIELDS)
+                    for doc_id, lengths in sorted(self.doc_lengths.items())}
+        avgdl = (math.fsum(weighted.values()) / len(weighted)
+                 if weighted else 0.0)
+        self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
+                                                   else 0.0))
+                      for doc_id, dl in weighted.items()}
         return self
 
     def num_documents(self) -> int:
         return len(self.doc_lengths)
-
-    def weighted_length(self, doc_id: str,
-                        field_weights: dict[str, float]) -> float:
-        lengths = self.doc_lengths[doc_id]
-        return math.fsum(field_weights[f] * lengths[f] for f in FIELDS)
-
-    def average_length(self, field_weights: dict[str, float]) -> float:
-        if not self.doc_lengths:
-            return 0.0
-        total = math.fsum(self.weighted_length(d, field_weights)
-                          for d in sorted(self.doc_lengths))
-        return total / len(self.doc_lengths)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InvertedIndex):
@@ -167,13 +180,18 @@ def load_index(path: str) -> InvertedIndex:
         field = "doc_lengths"
         index.doc_lengths = {doc_id: {f: float(lengths[f]) for f in FIELDS}
                              for doc_id, lengths in payload[field].items()}
+        for lengths in index.doc_lengths.values():
+            if not all(0.0 <= v < math.inf for v in lengths.values()):
+                raise ValueError("a field length is negative or not finite")
         field = "postings"
         index.postings = {term: [(p[0], p[1], float(p[2])) for p in plist]
                           for term, plist in payload[field].items()}
         for plist in index.postings.values():
-            for doc_id, posting_field, _ in plist:
+            for doc_id, posting_field, weight in plist:
                 if doc_id not in index.doc_lengths or posting_field not in FIELDS:
                     raise ValueError("posting names an unknown document or field")
+                if not 0.0 < weight < math.inf:
+                    raise ValueError("a posting weight is not finite and > 0")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError):
         raise IndexFileError(f"{path}: index payload field {field!r} is "
                              f"missing or malformed") from None
@@ -184,27 +202,24 @@ def query_terms(query: str) -> list[str]:
     return [stem_token(t) for t in tokenize(query) if t != SENTENCE_BREAK]
 
 
-def search(index: InvertedIndex, query: str, top_n: int = 10,
-           k1: float = 1.2, b: float = 0.75,
-           field_weights: dict[str, float] | None = None) -> list[tuple[str, float]]:
-    """BM25 over all fields; keyphrase fields count 1.5x in term frequency.
+def search(index: InvertedIndex, query: str,
+           top_n: int = 10) -> list[tuple[str, float]]:
+    """BM25 over all fields with K1, B and FIELD_WEIGHTS.
 
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
     (including stopwords, which are never indexed) contribute nothing.
-    Raises ConfigError when top_n is below 1.
+    Raises ConfigError when top_n is below 1, and ValueError when the
+    index was changed after its last finalize().
     """
     if top_n < 1:
         raise ConfigError("top_n (search --top) must be >= 1")
-    if field_weights is None:
-        field_weights = DEFAULT_FIELD_WEIGHTS
+    norms = index.norms
+    if norms is None:
+        raise ValueError("index has no length norms; call finalize() after "
+                         "adding documents or postings")
     terms = query_terms(query)
-    if not terms:
-        return []
     n = index.num_documents()
-    if n == 0:
-        return []
-    avgdl = index.average_length(field_weights)
     scores: dict[str, float] = defaultdict(float)
     for term in terms:
         plist = index.postings.get(term)
@@ -212,13 +227,10 @@ def search(index: InvertedIndex, query: str, top_n: int = 10,
             continue
         tf_weighted: dict[str, float] = defaultdict(float)
         for doc_id, field, weight in plist:
-            tf_weighted[doc_id] += field_weights[field] * weight
+            tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
         df = len(tf_weighted)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc_id in sorted(tf_weighted):
-            tf = tf_weighted[doc_id]
-            dl = index.weighted_length(doc_id, field_weights)
-            denom = tf + k1 * (1.0 - b + b * (dl / avgdl if avgdl > 0 else 0.0))
-            scores[doc_id] += idf * tf * (k1 + 1.0) / denom
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:top_n]
+        for doc_id, tf in tf_weighted.items():
+            scores[doc_id] += idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
+    return heapq.nsmallest(top_n, scores.items(),
+                           key=lambda item: (-item[1], item[0]))

@@ -299,6 +299,19 @@ GOLDEN_BYTES = [
 ]
 
 
+SAMPLE100_INDEX_SHA256 = (
+    "e5254d982094a4c32e374b7c97c635dcaba8baa912c9da093cb5fd7723d9dd9e")
+
+GOLDEN_SEARCH_BYTES = [
+    ("probabilistic term weighting",
+     "29330501c0a59e4f03a35ef1489d2b44fe44b8a97e3d28eb25d9b3eb0eb58cbc"),
+    ("neural machine translation",
+     "7a25395c3bc6de34f6fa4bb9733c87c6916df53c0281386f8cb7c40ae539e747"),
+    ("graph ranking of the unknown zyxwv",
+     "2ddeb9dd3ab1ec48c57b7894364486ccbbb370a70cc19aee739134769015d140"),
+]
+
+
 class TestGoldenOutput:
     """Output bytes on the bundled sample100 corpus with the default config."""
 
@@ -334,3 +347,18 @@ class TestGoldenOutput:
                                                             monkeypatch):
         use_compensated_sum(monkeypatch)
         self.test_sample100_dot_dump_bytes(tmp_path)
+
+    def test_sample100_index_and_search_bytes(self, tmp_path):
+        path = tmp_path / "c.kpix"
+        assert main(["index", self.SAMPLE, str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            SAMPLE100_INDEX_SHA256)
+        out = tmp_path / "out"
+        for query, sha256 in GOLDEN_SEARCH_BYTES:
+            assert main(["search", str(path), query, "--output", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_sample100_index_and_search_bytes_under_compensated_sum(
+            self, tmp_path, monkeypatch):
+        use_compensated_sum(monkeypatch)
+        self.test_sample100_index_and_search_bytes(tmp_path)

@@ -1,14 +1,18 @@
-from collections import Counter
+import math
+import os
+import tempfile
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpindex.index as index_module
 
 from kpindex import (Config, ConfigError, IndexFileError, InvertedIndex,
                      build_index, extract_pipeline, load_index, save_index,
                      search)
-from kpindex.index import (FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
-                           query_terms)
+from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
+                           FIELD_WEIGHTS, FIELDS, K1, query_terms)
 
 from conftest import make_corpus, write_payload
 
@@ -57,6 +61,11 @@ class TestBuildIndex:
             pairs = [(doc_id, field) for doc_id, field, _ in plist]
             assert pairs == sorted(pairs)
             assert len(pairs) == len(set(pairs))
+
+
+def text_lengths(text):
+    """Field lengths with `text` in TEXT and empty keyphrase fields."""
+    return {FIELD_TEXT: text, FIELD_KP_PRESENT: 0.0, FIELD_KP_ABSENT: 0.0}
 
 
 class TestPersistence:
@@ -140,6 +149,22 @@ class TestPersistence:
          "postings"),
         ({"doc_lengths": {"a": {"text": 1, "kp_present": 0, "kp_absent": 0}},
           "postings": {"x": [["a", "title", 1.0]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(math.nan)}, "postings": {}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(math.inf)}, "postings": {}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(-1.0)}, "postings": {}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", -math.inf]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", math.inf]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", math.nan]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", -5.0]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", 0.0]]}}, "postings"),
     ])
     def test_malformed_payload_names_field(self, tmp_path, payload, field):
         path = write_payload(tmp_path / "c.kpix", payload)
@@ -217,3 +242,105 @@ class TestSearch:
 
     def test_query_terms_stemmed(self):
         assert query_terms("Ranking Networks!") == ["rank", "network"]
+
+    def test_search_after_adding_postings_needs_finalize(self):
+        index = InvertedIndex()
+        index.add_postings("d1", FIELD_TEXT, Counter({"graph": 2}))
+        index.finalize()
+        assert [doc_id for doc_id, _ in search(index, "graph")] == ["d1"]
+        index.add_postings("d2", FIELD_TEXT, Counter({"graph": 1, "rank": 4}))
+        with pytest.raises(ValueError, match=r"finalize\(\)"):
+            search(index, "graph")
+        index.finalize()
+        assert search(index, "graph") == search_oracle(index, "graph")
+        index.add_document("d3")
+        with pytest.raises(ValueError, match=r"finalize\(\)"):
+            search(index, "rank")
+
+
+def weighted_length(index, doc_id):
+    lengths = index.doc_lengths[doc_id]
+    return math.fsum(FIELD_WEIGHTS[f] * lengths[f] for f in FIELDS)
+
+
+def average_length(index):
+    if not index.doc_lengths:
+        return 0.0
+    total = math.fsum(weighted_length(index, d)
+                      for d in sorted(index.doc_lengths))
+    return total / len(index.doc_lengths)
+
+
+def search_oracle(index, query, top_n=10):
+    """BM25 as search computed it before the length norms were precomputed:
+    the average length and every document length are recomputed per query."""
+    terms = query_terms(query)
+    if not terms:
+        return []
+    n = index.num_documents()
+    if n == 0:
+        return []
+    avgdl = average_length(index)
+    scores = defaultdict(float)
+    for term in terms:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        tf_weighted = defaultdict(float)
+        for doc_id, field, weight in plist:
+            tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
+        df = len(tf_weighted)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc_id in sorted(tf_weighted):
+            tf = tf_weighted[doc_id]
+            dl = weighted_length(index, doc_id)
+            denom = tf + K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0 else 0.0))
+            scores[doc_id] += idf * tf * (K1 + 1.0) / denom
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:top_n]
+
+
+# query words, their index stems, and two words that are never indexed
+WORDS = ["graph", "ranking", "networks", "index", "semantic"]
+STEMS = query_terms(" ".join(WORDS))
+QUERY_WORDS = WORDS + ["zebra", "the"]
+
+# per document, one stem -> count map per field; an all-empty document
+# has no postings and length zero
+documents = st.lists(
+    st.fixed_dictionaries({field: st.dictionaries(st.sampled_from(STEMS),
+                                                  st.integers(1, 4),
+                                                  max_size=4)
+                           for field in FIELDS}),
+    max_size=6)
+
+
+def random_index(docs):
+    index = InvertedIndex()
+    for i, fields in enumerate(docs):
+        doc_id = f"d{i}"
+        index.add_document(doc_id)
+        for field, counts in fields.items():
+            index.add_postings(doc_id, field, Counter(counts))
+    return index.finalize()
+
+
+class TestSearchOracle:
+    @given(documents, st.lists(st.sampled_from(QUERY_WORDS), max_size=6),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_query_scan(self, docs, words, data):
+        index = random_index(docs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            save_index(index, path)
+            loaded = load_index(path)
+        query = " ".join(words)
+        top_n = data.draw(st.integers(1, len(docs) + 1), label="top_n")
+        for ix in (index, loaded):
+            assert search(ix, query, top_n) == search_oracle(ix, query, top_n)
+
+    def test_zero_length_documents(self):
+        index = random_index([{field: {} for field in FIELDS}] * 3)
+        assert index.norms == {f"d{i}": K1 * (1.0 - B) for i in range(3)}
+        assert search(index, "graph") == []

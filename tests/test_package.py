@@ -36,6 +36,13 @@ def test_stage_reads_parameters_from_config(stage):
     assert sorted(set(params) & set(CONFIG_FIELDS)) == []
 
 
+def test_search_takes_no_bm25_parameters():
+    params = inspect.signature(kpindex.search).parameters
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("index", empty), ("query", empty), ("top_n", 10)]
+
+
 def changed_value(field: dataclasses.Field):
     """A valid value that differs from the field's default."""
     if field.name == "stopwords_path":
