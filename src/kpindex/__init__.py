@@ -24,14 +24,14 @@ from .index import (InvertedIndex, build_index, load_index, save_index,
 from .porter import stem
 from .ranking import (RankedKeyphrase, build_enriched_graph, extract_pipeline,
                       pagerank, rank_keyphrases)
-from .similarity import (DocVector, NeighborSet, TfidfSimilarity, compute_idf,
-                         cosine, vectorize)
+from .similarity import (NeighborSet, TfidfSimilarity, compute_idf, cosine,
+                         vectorize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Candidate", "Config", "ConfigError", "Corpus", "CorpusError",
-    "DataError", "DocVector", "Document", "EvaluationError",
+    "DataError", "Document", "EvaluationError",
     "EvaluationReport", "IndexFileError", "InvertedIndex", "KpIndexError",
     "Layer", "NeighborSet", "NodeInfo", "Origin",
     "RankedKeyphrase", "SENTENCE_BREAK", "SemMultiGraph",

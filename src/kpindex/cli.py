@@ -115,6 +115,11 @@ def _extract_all(corpus: Corpus, cfg: Config,
                  dot_dir: str | None = None) -> dict:
     provider = TfidfSimilarity(corpus) if cfg.k_neighbors > 0 else None
     if dot_dir is not None:
+        # each id names a file in dot_dir, so it must not leave dot_dir
+        for doc_id in sorted(corpus.ids()):
+            if "/" in doc_id or "\0" in doc_id or doc_id in (".", ".."):
+                raise DataError(f"document id {doc_id!r} is not a plain file "
+                                f"name, so --dot-dump cannot use it")
         Path(dot_dir).mkdir(parents=True, exist_ok=True)
     extracted = {}
     for doc_id in sorted(corpus.ids()):

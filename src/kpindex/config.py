@@ -7,6 +7,7 @@ change a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -51,6 +52,9 @@ class Config:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         return self
 
     def to_dict(self) -> dict:
@@ -104,4 +108,6 @@ def load_config(path: str | None) -> Config:
                 values[key] = _coerce(key, raw)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     return Config(**values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .errors import CorpusError
+from .errors import CorpusError, DataError
 from .porter import stem
 
 #: Marker separating sentences (and the title from the abstract) in the
@@ -205,8 +205,11 @@ def load_stopwords(path: str | None) -> frozenset[str]:
     """Stopwords from a one-token-per-line file, or the bundled default."""
     if path is None:
         return default_stopwords()
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return frozenset(line.strip() for line in fh if line.strip())
+    except UnicodeDecodeError:
+        raise DataError(f"stopwords file {path} is not valid UTF-8") from None
 
 
 def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
@@ -217,8 +220,12 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     naming the id for duplicates.
     """
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusError(f"line {lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:

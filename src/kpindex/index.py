@@ -6,11 +6,11 @@ according to their origin. Indexing the absent field is what lets a query
 match a document that never contains the query terms in its text.
 
 Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
-fields count 1.5x in term frequency and in document length). finalize(),
-which runs after both build_index and load_index, computes the average
-weighted length once and each document's length norm from it, so a query
-costs time in proportion to the postings of its terms, not to the number
-of documents.
+fields count 1.5x in term frequency and in document length). An index is
+complete once constructed: the constructor sorts the postings and derives
+the average weighted length and each document's length norm, whether the
+index was built or loaded, so a query costs time in proportion to the
+postings of its terms, not to the number of documents.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
@@ -21,6 +21,7 @@ The length norms are derived data: they are not written to the file.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import heapq
 import json
 import math
@@ -47,38 +48,24 @@ _MAGIC = b"KPIX"
 _VERSION = 1
 
 
+@dataclasses.dataclass
 class InvertedIndex:
-    """stem -> sorted (doc id, field, weight) postings plus document stats.
+    """stem -> (doc id, field, weight) postings plus each document's field
+    lengths.
 
-    `norms` holds each document's BM25 length norm once finalize() has run;
-    adding a document or postings drops it again.
+    The constructor sorts every postings list in place into (doc id, field)
+    order and sets `norms`, each document's BM25 length norm
+    K1 * (1 - B + B * dl / avgdl); no method changes an index afterwards.
     """
 
-    def __init__(self, config: dict | None = None) -> None:
-        self.postings: dict[str, list[tuple[str, str, float]]] = {}
-        self.doc_lengths: dict[str, dict[str, float]] = {}
-        self.config: dict = config or {}
-        self.norms: dict[str, float] | None = None
+    postings: dict[str, list[tuple[str, str, float]]]
+    doc_lengths: dict[str, dict[str, float]]
+    config: dict = dataclasses.field(default_factory=dict)
+    norms: dict[str, float] = dataclasses.field(init=False, compare=False)
 
-    def add_document(self, doc_id: str) -> None:
-        self.norms = None
-        self.doc_lengths.setdefault(doc_id, {f: 0.0 for f in FIELDS})
-
-    def add_postings(self, doc_id: str, field: str, counts: Counter) -> None:
-        if field not in FIELDS:
-            raise ValueError(f"unknown field {field!r}")
-        self.add_document(doc_id)
-        for term, count in counts.items():
-            if count <= 0:
-                continue
-            self.postings.setdefault(term, []).append((doc_id, field, float(count)))
-            self.doc_lengths[doc_id][field] += count
-
-    def finalize(self) -> "InvertedIndex":
-        """Sort postings into canonical (doc id, field) order and compute
-        each document's length norm K1 * (1 - B + B * dl / avgdl)."""
-        for term in self.postings:
-            self.postings[term].sort(key=lambda p: (p[0], p[1]))
+    def __post_init__(self) -> None:
+        for plist in self.postings.values():
+            plist.sort(key=lambda p: (p[0], p[1]))
         weighted = {doc_id: math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                       for f in FIELDS)
                     for doc_id, lengths in sorted(self.doc_lengths.items())}
@@ -87,17 +74,6 @@ class InvertedIndex:
         self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
                                                    else 0.0))
                       for doc_id, dl in weighted.items()}
-        return self
-
-    def num_documents(self) -> int:
-        return len(self.doc_lengths)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvertedIndex):
-            return NotImplemented
-        return (self.postings == other.postings
-                and self.doc_lengths == other.doc_lengths
-                and self.config == other.config)
 
 
 def build_index(corpus: Corpus,
@@ -108,23 +84,22 @@ def build_index(corpus: Corpus,
     `keyphrases` maps document ids to their ranked extraction output; a
     missing id simply gets no keyphrase postings.
     """
-    index = InvertedIndex(config)
+    postings: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
+    doc_lengths: dict[str, dict[str, float]] = {}
     for doc_id in sorted(corpus.ids()):
-        doc = corpus[doc_id]
-        index.add_document(doc_id)
-        text_counts = Counter(index_stems(doc, corpus.stopwords,
-                                          corpus.stopword_stems))
-        index.add_postings(doc_id, FIELD_TEXT, text_counts)
-        kp_counts = {FIELD_KP_PRESENT: Counter(), FIELD_KP_ABSENT: Counter()}
+        counts = {field: Counter() for field in FIELDS}
+        counts[FIELD_TEXT].update(index_stems(corpus[doc_id], corpus.stopwords,
+                                              corpus.stopword_stems))
         for rk in keyphrases.get(doc_id, []):
             field = (FIELD_KP_PRESENT if rk.origin is Origin.PRESENT
                      else FIELD_KP_ABSENT)
-            for term in rk.key.split(" "):
-                kp_counts[field][term] += 1
-        for field, counts in kp_counts.items():
-            if counts:
-                index.add_postings(doc_id, field, counts)
-    return index.finalize()
+            counts[field].update(rk.key.split(" "))
+        for field, field_counts in counts.items():
+            for term, count in field_counts.items():
+                postings[term].append((doc_id, field, float(count)))
+        doc_lengths[doc_id] = {field: float(sum(field_counts.values()))
+                               for field, field_counts in counts.items()}
+    return InvertedIndex(dict(postings), doc_lengths, config or {})
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
@@ -175,27 +150,32 @@ def load_index(path: str) -> InvertedIndex:
         raise IndexFileError(f"{path}: corrupt index payload") from None
     if not isinstance(payload, dict):
         raise IndexFileError(f"{path}: corrupt index payload")
-    index = InvertedIndex(payload.get("config", {}))
     try:
+        field = "config"
+        config = payload.get(field, {})
+        if not isinstance(config, dict):
+            raise TypeError("config is not an object")
         field = "doc_lengths"
-        index.doc_lengths = {doc_id: {f: float(lengths[f]) for f in FIELDS}
-                             for doc_id, lengths in payload[field].items()}
-        for lengths in index.doc_lengths.values():
+        doc_lengths = {doc_id: {f: float(lengths[f]) for f in FIELDS}
+                       for doc_id, lengths in payload[field].items()}
+        for lengths in doc_lengths.values():
             if not all(0.0 <= v < math.inf for v in lengths.values()):
                 raise ValueError("a field length is negative or not finite")
         field = "postings"
-        index.postings = {term: [(p[0], p[1], float(p[2])) for p in plist]
-                          for term, plist in payload[field].items()}
-        for plist in index.postings.values():
+        postings = {term: [(d, f, float(w)) for d, f, w in rows]
+                    for term, rows in payload[field].items()}
+        for plist in postings.values():
+            if len({(p[0], p[1]) for p in plist}) < len(plist):
+                raise ValueError("a term lists a (doc id, field) twice")
             for doc_id, posting_field, weight in plist:
-                if doc_id not in index.doc_lengths or posting_field not in FIELDS:
+                if doc_id not in doc_lengths or posting_field not in FIELDS:
                     raise ValueError("posting names an unknown document or field")
                 if not 0.0 < weight < math.inf:
                     raise ValueError("a posting weight is not finite and > 0")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError):
         raise IndexFileError(f"{path}: index payload field {field!r} is "
                              f"missing or malformed") from None
-    return index.finalize()
+    return InvertedIndex(postings, doc_lengths, config)
 
 
 def query_terms(query: str) -> list[str]:
@@ -209,17 +189,13 @@ def search(index: InvertedIndex, query: str,
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
     (including stopwords, which are never indexed) contribute nothing.
-    Raises ConfigError when top_n is below 1, and ValueError when the
-    index was changed after its last finalize().
+    Raises ConfigError when top_n is below 1.
     """
     if top_n < 1:
         raise ConfigError("top_n (search --top) must be >= 1")
     norms = index.norms
-    if norms is None:
-        raise ValueError("index has no length norms; call finalize() after "
-                         "adding documents or postings")
     terms = query_terms(query)
-    n = index.num_documents()
+    n = len(index.doc_lengths)
     scores: dict[str, float] = defaultdict(float)
     for term in terms:
         plist = index.postings.get(term)

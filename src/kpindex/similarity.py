@@ -1,6 +1,7 @@
 """Sparse document vectors and semantically-similar-document detection.
 
-Documents are stem-level tf-idf vectors compared by cosine similarity.
+Documents are stem-level tf-idf vectors, plain L2-normalized
+stem -> weight dicts, compared by cosine similarity.
 Neighbor search is exact: a walk over stem postings finds the documents
 that share a stem with the source, and only those are scored. Everything
 downstream consumes NeighborSet values and never touches vectors directly.
@@ -17,14 +18,6 @@ from .errors import CorpusError
 
 
 @dataclass
-class DocVector:
-    """L2-normalized sparse stem -> weight map; empty for a document with
-    no indexable stem."""
-
-    weights: dict[str, float]
-
-
-@dataclass
 class NeighborSet:
     """Ranked semantically similar documents for one source document."""
 
@@ -35,9 +28,6 @@ class NeighborSet:
 
     def __len__(self) -> int:
         return len(self.neighbors)
-
-    def ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.neighbors]
 
 
 def compute_idf(corpus: Corpus) -> dict[str, float]:
@@ -51,26 +41,25 @@ def compute_idf(corpus: Corpus) -> dict[str, float]:
     return {t: math.log(1.0 + n / d) for t, d in df.items()}
 
 
-def vectorize(doc: Document, idf: dict[str, float]) -> DocVector:
-    """tf * idf weights, L2-normalized. Stems missing from idf are skipped."""
+def vectorize(doc: Document, idf: dict[str, float]) -> dict[str, float]:
+    """tf * idf weights, L2-normalized; empty for a document with no stem
+    in idf."""
     counts = Counter(s for s in doc.stems if s in idf)
     if not counts:
-        return DocVector({})
+        return {}
     weights = {t: c * idf[t] for t, c in sorted(counts.items())}
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-    normalized = {t: w / norm for t, w in weights.items()}
-    return DocVector(normalized)
+    return {t: w / norm for t, w in weights.items()}
 
 
-def cosine(a: DocVector, b: DocVector) -> float:
+def cosine(a: dict[str, float], b: dict[str, float]) -> float:
     """Cosine similarity in [0, 1]; 0 whenever either vector is empty.
 
     fsum is correctly rounded, so the order of the terms cannot change it.
     """
-    if not a.weights or not b.weights:
+    if not a or not b:
         return 0.0
-    small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
-        else (b.weights, a.weights)
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = math.fsum(w * large[t] for t, w in small.items() if t in large)
     return min(1.0, max(0.0, dot))
 
@@ -80,12 +69,11 @@ class TfidfSimilarity:
     corpus, with a stem -> document-id postings map to find candidates."""
 
     def __init__(self, corpus: Corpus) -> None:
-        self.corpus = corpus
-        self.idf = compute_idf(corpus)
-        self.vectors = {doc.id: vectorize(doc, self.idf) for doc in corpus}
+        idf = compute_idf(corpus)
+        self.vectors = {doc.id: vectorize(doc, idf) for doc in corpus}
         postings: dict[str, list[str]] = defaultdict(list)
         for doc_id, vec in self.vectors.items():
-            for t in vec.weights:
+            for t in vec:
                 postings[t].append(doc_id)
         # ids only: a weight is read from self.vectors, which keeps memory low
         self.postings = {t: tuple(ids) for t, ids in postings.items()}
@@ -112,10 +100,10 @@ class TfidfSimilarity:
         vectors = self.vectors
         source = vectors[doc_id]
         approx: dict[str, float] = {}
-        for t, w in source.weights.items():
+        for t, w in source.items():
             for other_id in self.postings[t]:
                 approx[other_id] = approx.get(other_id, 0.0) \
-                    + w * vectors[other_id].weights[t]
+                    + w * vectors[other_id][t]
         approx.pop(doc_id, None)
         floor = min_sim - 1e-9
         scored = []

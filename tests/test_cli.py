@@ -93,6 +93,23 @@ class TestExtract:
         assert sorted(p.name for p in dot_dir.iterdir()) == ["a.dot", "b.dot"]
         assert "document:" in (dot_dir / "a.dot").read_text()
 
+    @pytest.mark.parametrize("doc_id", ["../escape/x", "sub/x", "a\0b",
+                                        ".", ".."])
+    def test_dot_dump_rejects_id_that_is_not_a_file_name(self, tmp_path,
+                                                          capsys, doc_id):
+        records = TWO_DOC_RECORDS + [{"id": doc_id, "title": "Graph ranking",
+                                      "abstract": "Graph ranking."}]
+        path = write_jsonl(tmp_path / "c.jsonl", records)
+        dot_dir = tmp_path / "dots"
+        code, out, err = run(["extract", path, "--dot-dump", str(dot_dir)],
+                             capsys)
+        assert code == 2
+        assert out == "" and repr(doc_id) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+        code, out, _ = run(["extract", path], capsys)
+        assert code == 0
+        assert json.dumps(doc_id) in out
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -158,6 +175,48 @@ class TestExitCodes:
         code, _, err = run(["extract", path, "--damping", "1.5"], capsys)
         assert code == 1
         assert "damping" in err
+
+    @pytest.mark.parametrize("flag", ["--beta", "--lambda-domain",
+                                      "--gamma-absent"])
+    def test_infinite_weight_is_config_error(self, tmp_path, capsys, flag):
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, flag, "inf"], capsys)
+        assert code == 1
+        assert out == "" and flag[2:].replace("-", "_") in err
+
+    def test_infinite_weight_in_config_file_is_config_error(self, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = inf\n")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and "beta must be finite" in err
+
+    def test_corpus_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, TWO_DOC_RECORDS)
+        path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+        code, out, err = run(["extract", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "line 3" in err and "UTF-8" in err
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"beta = 2.0\n# caf\xe9\n")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and str(cfg) in err and "UTF-8" in err
+
+    def test_stopwords_file_not_utf8_is_data_error(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\n\xc3\n")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--stopwords", str(stop)],
+                             capsys)
+        assert code == 2
+        assert out == "" and str(stop) in err and "UTF-8" in err
 
 
 class TestConfigPrecedence:

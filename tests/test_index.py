@@ -136,7 +136,7 @@ class TestPersistence:
                             lambda *args: FailingFile(open(*args)),
                             raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_index(InvertedIndex({"other": True}), str(path))
+            save_index(InvertedIndex({}, {}, {"other": True}), str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.kpix"]
 
@@ -165,6 +165,12 @@ class TestPersistence:
           "postings": {"x": [["a", "text", -5.0]]}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
           "postings": {"x": [["a", "text", 0.0]]}}, "postings"),
+        ({"config": 5, "doc_lengths": {}, "postings": {}}, "config"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", 1.0, 2.0]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(2.0)},
+          "postings": {"x": [["a", "text", 1.0], ["a", "text", 1.0]]}},
+         "postings"),
     ])
     def test_malformed_payload_names_field(self, tmp_path, payload, field):
         path = write_payload(tmp_path / "c.kpix", payload)
@@ -195,16 +201,21 @@ class TestSearch:
             assert results[0][0] == doc_id
 
     def test_scores_invariant_to_posting_insertion_order(self):
-        a = InvertedIndex()
-        b = InvertedIndex()
         counts = {"d1": Counter({"graph": 2, "rank": 1}),
                   "d2": Counter({"graph": 1, "text": 3})}
-        for doc_id in ("d1", "d2"):
-            a.add_postings(doc_id, FIELD_TEXT, counts[doc_id])
-        for doc_id in ("d2", "d1"):
-            b.add_postings(doc_id, FIELD_TEXT, counts[doc_id])
-        a.finalize()
-        b.finalize()
+
+        def index_in_order(doc_ids):
+            postings = defaultdict(list)
+            for doc_id in doc_ids:
+                for term, count in counts[doc_id].items():
+                    postings[term].append((doc_id, FIELD_TEXT, float(count)))
+            return InvertedIndex(
+                dict(postings),
+                {doc_id: text_lengths(float(counts[doc_id].total()))
+                 for doc_id in doc_ids})
+
+        a = index_in_order(("d1", "d2"))
+        b = index_in_order(("d2", "d1"))
         assert search(a, "graph text") == search(b, "graph text")
 
     def test_vocabulary_mismatch_demonstration(self, two_doc_corpus):
@@ -243,20 +254,6 @@ class TestSearch:
     def test_query_terms_stemmed(self):
         assert query_terms("Ranking Networks!") == ["rank", "network"]
 
-    def test_search_after_adding_postings_needs_finalize(self):
-        index = InvertedIndex()
-        index.add_postings("d1", FIELD_TEXT, Counter({"graph": 2}))
-        index.finalize()
-        assert [doc_id for doc_id, _ in search(index, "graph")] == ["d1"]
-        index.add_postings("d2", FIELD_TEXT, Counter({"graph": 1, "rank": 4}))
-        with pytest.raises(ValueError, match=r"finalize\(\)"):
-            search(index, "graph")
-        index.finalize()
-        assert search(index, "graph") == search_oracle(index, "graph")
-        index.add_document("d3")
-        with pytest.raises(ValueError, match=r"finalize\(\)"):
-            search(index, "rank")
-
 
 def weighted_length(index, doc_id):
     lengths = index.doc_lengths[doc_id]
@@ -277,7 +274,7 @@ def search_oracle(index, query, top_n=10):
     terms = query_terms(query)
     if not terms:
         return []
-    n = index.num_documents()
+    n = len(index.doc_lengths)
     if n == 0:
         return []
     avgdl = average_length(index)
@@ -316,13 +313,16 @@ documents = st.lists(
 
 
 def random_index(docs):
-    index = InvertedIndex()
+    postings = defaultdict(list)
+    doc_lengths = {}
     for i, fields in enumerate(docs):
         doc_id = f"d{i}"
-        index.add_document(doc_id)
         for field, counts in fields.items():
-            index.add_postings(doc_id, field, Counter(counts))
-    return index.finalize()
+            for term, count in counts.items():
+                postings[term].append((doc_id, field, float(count)))
+        doc_lengths[doc_id] = {field: float(sum(counts.values()))
+                               for field, counts in fields.items()}
+    return InvertedIndex(dict(postings), doc_lengths)
 
 
 class TestSearchOracle:

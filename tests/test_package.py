@@ -1,10 +1,11 @@
 import dataclasses
 import inspect
+import math
 
 import pytest
 
 import kpindex
-from kpindex import Config, cli, evaluation, graph, ranking
+from kpindex import Config, ConfigError, cli, evaluation, graph, ranking
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
 
@@ -20,6 +21,14 @@ COMMAND_ARGS = {"extract": ["c.jsonl"], "index": ["c.jsonl", "c.kpix"],
 def test_all_names_resolve():
     missing = [name for name in kpindex.__all__ if not hasattr(kpindex, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Config)
+                                  if f.type == "float"])
+def test_float_field_must_be_finite(name, value):
+    with pytest.raises(ConfigError, match=name):
+        Config(**{name: value})
 
 
 def test_config_is_frozen():
@@ -64,3 +73,16 @@ def test_every_config_field_has_a_flag(command, name):
     cfg = cli._effective_config(args)
     assert getattr(cfg, name) == value
     assert cfg == Config().replace(**{name: value})
+
+
+def test_index_is_built_only_by_its_constructor():
+    params = inspect.signature(kpindex.InvertedIndex).parameters
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default is empty) for p in params.values()] == [
+        ("postings", True), ("doc_lengths", True), ("config", False)]
+    for name in ("add_document", "add_postings", "finalize"):
+        assert not hasattr(kpindex.InvertedIndex, name)
+
+
+def test_vectors_are_plain_dicts():
+    assert not hasattr(kpindex, "DocVector")

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import kpindex.similarity as similarity_module
 
-from kpindex import (Corpus, CorpusError, DocVector, Document, TfidfSimilarity,
+from kpindex import (Corpus, CorpusError, Document, TfidfSimilarity,
                      compute_idf, cosine, vectorize)
 
 from conftest import make_corpus
 
 
 def vec(weights):
-    """A unit-length DocVector with the direction of weights."""
+    """A unit-length vector with the direction of weights."""
     norm = math.sqrt(sum(w * w for w in weights.values()))
-    return DocVector({t: w / norm for t, w in weights.items()})
+    return {t: w / norm for t, w in weights.items()}
 
 
 class TestComputeIdf:
@@ -47,24 +47,24 @@ class TestVectorize:
     def test_stopwords_only(self, stopwords):
         doc = Document.build("a", "the", "of and.")
         v = vectorize(doc, {"graph": 1.0})
-        assert v == DocVector({})
+        assert v == {}
 
     def test_repeated_stem_normalizes_to_unit(self):
         doc = Document.build("a", "graph", "graph.")
         v = vectorize(doc, {"graph": 1.0})
-        assert v.weights == {"graph": 1.0}
+        assert v == {"graph": 1.0}
 
     def test_identical_stem_multisets_identical_vectors(self, stopwords):
         d1 = Document.build("a", "graph ranking", "ranking graphs.")
         d2 = Document.build("b", "ranking graphs", "graph ranking.")
         idf = {"graph": 1.3, "rank": 0.7}
-        assert vectorize(d1, idf).weights == vectorize(d2, idf).weights
+        assert vectorize(d1, idf) == vectorize(d2, idf)
 
     def test_norm_consistent(self, stopwords):
         doc = Document.build("a", "graph ranking", "networks rank graphs.")
         v = vectorize(doc, {"graph": 1.0, "rank": 2.0, "network": 0.5})
-        assert len(v.weights) == 3
-        assert math.fsum(w * w for w in v.weights.values()) == \
+        assert len(v) == 3
+        assert math.fsum(w * w for w in v.values()) == \
             pytest.approx(1.0, abs=1e-12)
 
 
@@ -82,8 +82,8 @@ class TestCosine:
         assert cosine(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_norm(self):
-        assert cosine(DocVector({}), vec({"x": 1.0})) == 0.0
-        assert cosine(vec({"x": 1.0}), DocVector({})) == 0.0
+        assert cosine({}, vec({"x": 1.0})) == 0.0
+        assert cosine(vec({"x": 1.0}), {}) == 0.0
 
     @given(st.dictionaries(st.sampled_from("abcdefgh"),
                            st.floats(0.01, 10.0), max_size=6),
@@ -109,10 +109,9 @@ class TestCosine:
 
 def sorted_cosine(a, b):
     """cosine as it was when the dot product summed terms in sorted order."""
-    if not a.weights or not b.weights:
+    if not a or not b:
         return 0.0
-    small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) \
-        else (b.weights, a.weights)
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = math.fsum(w * large[t] for t, w in sorted(small.items()) if t in large)
     return min(1.0, max(0.0, dot))
 
@@ -155,7 +154,7 @@ class TestFindNeighbors:
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
         provider = TfidfSimilarity(corpus)
         nbrs = provider.neighbors("g1", k=2, min_sim=0.05)
-        assert set(nbrs.ids()) == {"g2", "g3"}
+        assert set([nid for nid, _ in nbrs.neighbors]) == {"g2", "g3"}
         assert nbrs.neighbors == brute_force_neighbors(provider, "g1", 2, 0.05)
 
     def test_unknown_id(self, stopwords):
@@ -168,7 +167,7 @@ class TestFindNeighbors:
         provider = TfidfSimilarity(corpus)
         for doc in corpus:
             nbrs = provider.neighbors(doc.id, k=10, min_sim=0.0)
-            assert doc.id not in nbrs.ids()
+            assert doc.id not in [nid for nid, _ in nbrs.neighbors]
 
     def test_invariant_under_corpus_reordering(self, stopwords):
         forward = make_corpus(TWO_TOPIC_ROWS, stopwords)
@@ -183,9 +182,11 @@ class TestFindNeighbors:
         provider = TfidfSimilarity(corpus)
         base = provider.neighbors("g1", k=4, min_sim=0.0)
         stricter = provider.neighbors("g1", k=4, min_sim=0.3)
-        assert set(stricter.ids()) <= set(base.ids())
+        assert set([nid for nid, _ in stricter.neighbors]) <= \
+            set([nid for nid, _ in base.neighbors])
         wider = provider.neighbors("g1", k=6, min_sim=0.0)
-        assert set(base.ids()) <= set(wider.ids())
+        assert set([nid for nid, _ in base.neighbors]) <= \
+            set([nid for nid, _ in wider.neighbors])
 
     def test_agrees_with_brute_force_on_random_corpus(self, stopwords):
         rng = random.Random(7)
@@ -213,7 +214,7 @@ class TestFindNeighbors:
             return cosine(a, b)
         monkeypatch.setattr(similarity_module, "cosine", counting_cosine)
         nbrs = provider.neighbors("g1", k=4, min_sim=0.05)
-        assert set(nbrs.ids()) == {"g2", "g3"}
+        assert set([nid for nid, _ in nbrs.neighbors]) == {"g2", "g3"}
         assert len(pairs) < len(corpus) - 1
 
 
@@ -258,8 +259,8 @@ class TestNeighborsOracle:
         source, other = provider.vectors["d0"], provider.vectors["d1"]
         min_sim = cosine(source, other)
         walk = 0.0
-        for t, w in source.weights.items():
-            if t in other.weights:
-                walk += w * other.weights[t]
+        for t, w in source.items():
+            if t in other:
+                walk += w * other[t]
         assert walk < min_sim  # the plain sum lands one ulp low here
         assert provider.neighbors("d0", 2, min_sim).neighbors == [("d1", min_sim)]
