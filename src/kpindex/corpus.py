@@ -54,6 +54,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def phrase_stems(text: str) -> list[str]:
+    """The stems of a phrase or query: tokenize, drop sentence breaks, stem."""
+    return [stem(t) for t in tokenize(text) if t != SENTENCE_BREAK]
+
+
 @dataclass
 class Document:
     id: str

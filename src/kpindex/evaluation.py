@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .config import Config
-from .corpus import Corpus, Document, SENTENCE_BREAK, index_stems, tokenize
+from .corpus import Corpus, Document, index_stems, phrase_stems
 from .errors import EvaluationError
-from .porter import stem
 from .similarity import compute_idf
 
 SCOPES = ("all", "present", "absent")
@@ -26,8 +25,8 @@ K_VALUES = (5, 10)
 
 
 def normalize_phrase(phrase: str) -> str:
-    """Canonical key for a raw phrase: tokenize, stem, join with spaces."""
-    return " ".join(stem(t) for t in tokenize(phrase) if t != SENTENCE_BREAK)
+    """Canonical key for a raw phrase: its stems joined with spaces."""
+    return " ".join(phrase_stems(phrase))
 
 
 def _occurs_contiguously(doc: Document, key: str) -> bool:

@@ -1,23 +1,24 @@
 """Candidate co-occurrence multigraph with document and domain edge layers.
 
-Each target document gets one undirected multigraph. PRESENT nodes are the
-document's own candidates, linked by DOCUMENT edges (within-window
-co-occurrence counts). Neighbor documents contribute a second, parallel
-DOMAIN layer: similarity-scaled co-occurrence evidence between present
-candidates, plus new ABSENT nodes for candidates that only the neighbors
-contain. A pair of nodes can carry at most one edge per layer.
+Each target document gets one undirected multigraph: a node map plus one
+weight map per edge layer. PRESENT nodes are the document's own
+candidates, linked by DOCUMENT edges (within-window co-occurrence counts).
+Neighbor documents contribute a second, parallel DOMAIN layer:
+similarity-scaled co-occurrence evidence between present candidates, plus
+new ABSENT nodes for candidates that only the neighbors contain. A pair of
+nodes can carry at most one edge per layer. A node records only what the
+ranking reports: its origin, its source documents and its display surface,
+which is chosen when the node is added.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import NamedTuple
 
 from .config import Config
-from .corpus import Corpus, Candidate, Document
+from .corpus import Corpus, Candidate, Document, preferred_surface
 from .similarity import NeighborSet
 
 
@@ -31,23 +32,11 @@ class Origin(Enum):
     ABSENT = "absent"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeInfo:
     origin: Origin
-    source_docs: set[str] = field(default_factory=set)
-    surfaces: Counter = field(default_factory=Counter)
-    first_offset: dict[str, int] = field(default_factory=dict)
-
-
-class Edge(NamedTuple):
-    u: str
-    v: str
-    layer: Layer
-    weight: float
-
-
-def _pair(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u < v else (v, u)
+    sources: tuple[str, ...]  # sorted source document ids
+    surface: str
 
 
 def _layers(layer: Layer | None) -> tuple[Layer, ...]:
@@ -57,35 +46,13 @@ def _layers(layer: Layer | None) -> tuple[Layer, ...]:
 class SemMultiGraph:
     """Undirected multigraph over candidate keys, two weighted edge layers.
 
-    Each layer is one map from a sorted key pair to its accumulated weight.
+    Each layer is one map from a sorted key pair to its weight.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, NodeInfo] = {}
         self.weights: dict[Layer, dict[tuple[str, str], float]] = {
             Layer.DOCUMENT: {}, Layer.DOMAIN: {}}
-
-    def add_node(self, key: str, info: NodeInfo) -> None:
-        self.nodes[key] = info
-
-    def add_edge(self, u: str, v: str, layer: Layer, weight: float) -> None:
-        """Accumulate weight onto the (pair, layer) edge; self-loops rejected."""
-        if u == v:
-            raise ValueError(f"self-loop on {u!r}")
-        if weight <= 0:
-            raise ValueError("edge weight must be positive")
-        if u not in self.nodes or v not in self.nodes:
-            raise KeyError("both endpoints must be nodes")
-        weights = self.weights[layer]
-        pair = _pair(u, v)
-        weights[pair] = weights.get(pair, 0.0) + weight
-
-    def edges(self, layer: Layer | None = None) -> list[Edge]:
-        """All edges in canonical (endpoint, layer) order."""
-        edges = [Edge(u, v, lay, w) for lay in _layers(layer)
-                 for (u, v), w in self.weights[lay].items()]
-        edges.sort(key=itemgetter(0, 1))  # stable: DOCUMENT before DOMAIN
-        return edges
 
     def edge_count(self, layer: Layer | None = None) -> int:
         return sum(len(self.weights[lay]) for lay in _layers(layer))
@@ -130,13 +97,8 @@ def build_document_graph(doc: Document, candidates: dict[str, Candidate],
     """
     g = SemMultiGraph()
     for key in sorted(candidates):
-        cand = candidates[key]
-        g.add_node(key, NodeInfo(
-            origin=Origin.PRESENT,
-            source_docs={doc.id},
-            surfaces=Counter(cand.surfaces),
-            first_offset=dict(cand.first_offset),
-        ))
+        g.nodes[key] = NodeInfo(Origin.PRESENT, (doc.id,),
+                                candidates[key].best_surface())
     g.weights[Layer.DOCUMENT] = {
         pair: float(c)
         for pair, c in window_pairs(candidates, config.window).items()}
@@ -222,15 +184,14 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
         if not links:
             continue
         surfaces: Counter = Counter()
-        for nid in sorted(contributors[key]):
-            cand = neighbor_cands[nid].get(key)
-            if cand is not None:
-                surfaces.update(cand.surfaces)
-        g.add_node(key, NodeInfo(origin=Origin.ABSENT,
-                                 source_docs=set(contributors[key]),
-                                 surfaces=surfaces))
-        for other in sorted(links):
-            g.add_edge(key, other, Layer.DOMAIN, links[other])
+        for nid in contributors[key]:
+            surfaces.update(neighbor_cands[nid][key].surfaces)
+        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])),
+                                preferred_surface(surfaces))
+        for other, weight in links.items():
+            if weight <= 0:
+                raise ValueError("edge weight must be positive")
+            domain[(key, other) if key < other else (other, key)] = weight
         linkable.add(key)
         admitted += 1
     return g
@@ -287,13 +248,15 @@ def bridge_components(g: SemMultiGraph,
 
 def to_dot(g: SemMultiGraph, name: str = "candidates") -> str:
     """DOT rendering for debugging: nodes tagged by origin, edges by layer:weight."""
-    lines = [f'graph "{name}" {{']
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{']
     for key in sorted(g.nodes):
         info = g.nodes[key]
         lines.append(f'  "{key}" [label="{key}\\n({info.origin.value})"];')
-    for edge in g.edges():
-        lines.append(
-            f'  "{edge.u}" -- "{edge.v}" '
-            f'[label="{edge.layer.value}:{edge.weight:g}"];')
+    # "document" sorts before "domain": per pair, the DOCUMENT edge comes first
+    edges = sorted((u, v, layer.value, w) for layer, weights in g.weights.items()
+                   for (u, v), w in weights.items())
+    for u, v, layer, w in edges:
+        lines.append(f'  "{u}" -- "{v}" [label="{layer}:{w:g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,10 +29,9 @@ import os
 import uuid
 from collections import Counter, defaultdict
 
-from .corpus import Corpus, SENTENCE_BREAK, index_stems, tokenize
+from .corpus import Corpus, index_stems, phrase_stems
 from .errors import ConfigError, IndexFileError
 from .graph import Origin
-from .porter import stem as stem_token
 from .ranking import RankedKeyphrase
 
 FIELD_TEXT = "text"
@@ -44,6 +43,7 @@ K1 = 1.2
 B = 0.75
 FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5, FIELD_KP_ABSENT: 1.5}
 
+_NUMBER = (int, float)  # what JSON numbers parse to; bool is excluded
 _MAGIC = b"KPIX"
 _VERSION = 1
 
@@ -130,6 +130,12 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 
 def load_index(path: str) -> InvertedIndex:
+    """Read an index file; IndexFileError names the payload field at fault.
+
+    Every length and weight must be a JSON number, each length map must
+    name exactly FIELDS, and each field length must equal the fsum of that
+    document's posting weights in the field, as build_index writes it.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -156,30 +162,42 @@ def load_index(path: str) -> InvertedIndex:
         if not isinstance(config, dict):
             raise TypeError("config is not an object")
         field = "doc_lengths"
-        doc_lengths = {doc_id: {f: float(lengths[f]) for f in FIELDS}
-                       for doc_id, lengths in payload[field].items()}
-        for lengths in doc_lengths.values():
-            if not all(0.0 <= v < math.inf for v in lengths.values()):
-                raise ValueError("a field length is negative or not finite")
+        doc_lengths = {}
+        for doc_id, lengths in payload[field].items():
+            if lengths.keys() != set(FIELDS):
+                raise ValueError("a length map does not name exactly FIELDS")
+            if not all(type(v) in _NUMBER and 0.0 <= v < math.inf
+                       for v in lengths.values()):
+                raise ValueError("a field length is not a finite number >= 0")
+            doc_lengths[doc_id] = {f: float(lengths[f]) for f in FIELDS}
         field = "postings"
-        postings = {term: [(d, f, float(w)) for d, f, w in rows]
-                    for term, rows in payload[field].items()}
-        for plist in postings.values():
+        postings = {}
+        # each document's posting weights per field, for the length check
+        weights = {doc_id: {f: [] for f in FIELDS} for doc_id in doc_lengths}
+        for term, rows in payload[field].items():
+            plist = postings[term] = []
+            for doc_id, posting_field, weight in rows:
+                if type(weight) not in _NUMBER or not 0.0 < weight < math.inf:
+                    raise ValueError("a posting weight is not a finite number > 0")
+                # KeyError for an unknown document or field
+                weights[doc_id][posting_field].append(weight)
+                plist.append((doc_id, posting_field, float(weight)))
             if len({(p[0], p[1]) for p in plist}) < len(plist):
                 raise ValueError("a term lists a (doc id, field) twice")
-            for doc_id, posting_field, weight in plist:
-                if doc_id not in doc_lengths or posting_field not in FIELDS:
-                    raise ValueError("posting names an unknown document or field")
-                if not 0.0 < weight < math.inf:
-                    raise ValueError("a posting weight is not finite and > 0")
+        field = "doc_lengths"
+        for doc_id, by_field in weights.items():
+            for f, values in by_field.items():
+                if math.fsum(values) != doc_lengths[doc_id][f]:
+                    raise ValueError("a field length is not the sum of its "
+                                     "posting weights")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError):
         raise IndexFileError(f"{path}: index payload field {field!r} is "
                              f"missing or malformed") from None
     return InvertedIndex(postings, doc_lengths, config)
 
 
-def query_terms(query: str) -> list[str]:
-    return [stem_token(t) for t in tokenize(query) if t != SENTENCE_BREAK]
+#: A query is normalized exactly as evaluation normalizes a phrase.
+query_terms = phrase_stems
 
 
 def search(index: InvertedIndex, query: str,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import Config
-from .corpus import Corpus, preferred_surface
+from .corpus import Corpus
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
 from .similarity import TfidfSimilarity
@@ -98,14 +98,6 @@ def pagerank(g: SemMultiGraph, config: Config = Config()) -> dict[str, float]:
     return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}
 
 
-def _best_surface(info) -> str:
-    if info.origin is Origin.PRESENT:
-        # most frequent surface; ties go to the earliest occurrence
-        return preferred_surface(info.surfaces, info.first_offset)
-    # absent: most frequent across source documents, ties lexicographic
-    return preferred_surface(info.surfaces)
-
-
 def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
                     config: Config = Config()) -> list[RankedKeyphrase]:
     """Apply the origin factor, sort, truncate to top_n, attach surfaces.
@@ -122,10 +114,10 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
             continue
         rows.append(RankedKeyphrase(
             key=key,
-            surface=_best_surface(info) or key,
+            surface=info.surface,
             score=final,
             origin=info.origin,
-            sources=sorted(info.source_docs),
+            sources=list(info.sources),
         ))
     rows.sort(key=lambda r: (-r.score, r.key))
     return rows[:config.top_n]

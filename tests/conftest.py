@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpindex import Corpus, Document, default_stopwords
+from kpindex.corpus import Corpus, Document, default_stopwords
 
 
 @pytest.fixture(scope="session")

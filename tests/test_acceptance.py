@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 import kpindex
-from kpindex import (Config, Corpus, Document, build_document_graph,
-                     build_index, default_stopwords, evaluate_corpus,
-                     extract_pipeline, load_corpus, load_index, pagerank,
-                     rank_keyphrases, search, split_present_absent,
-                     weakly_connected_components)
+from kpindex import (Config, Corpus, build_index, evaluate_corpus,
+                     extract_pipeline, load_corpus, load_index, search)
+from kpindex.corpus import Document, default_stopwords
+from kpindex.evaluation import split_present_absent
+from kpindex.graph import build_document_graph, weakly_connected_components
+from kpindex.ranking import pagerank, rank_keyphrases
 from kpindex.similarity import TfidfSimilarity
 
 from conftest import make_corpus, write_jsonl

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpindex import (Corpus, CorpusError, Document, SENTENCE_BREAK,
-                     extract_candidates, load_corpus, tokenize)
+from kpindex.corpus import (Corpus, Document, SENTENCE_BREAK,
+                            extract_candidates, load_corpus, tokenize)
+from kpindex.errors import CorpusError
 from kpindex.porter import stem
 
 from conftest import write_jsonl

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpindex import (Config, Document, EvaluationError, evaluate_corpus,
-                     f_at_k, normalize_phrase, split_present_absent,
-                     tfidf_baseline)
+from kpindex import Config, evaluate_corpus, normalize_phrase
+from kpindex.corpus import Document
+from kpindex.errors import EvaluationError
+from kpindex.evaluation import f_at_k, split_present_absent, tfidf_baseline
 
 from conftest import make_corpus
 

@@ -4,11 +4,13 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kpindex import (Candidate, Config, Document, Layer, NodeInfo, Origin,
-                     SemMultiGraph, bridge_components, build_document_graph,
-                     expand_graph, extract_candidates, to_dot,
-                     weakly_connected_components)
-from kpindex.graph import window_pairs
+from kpindex import Config
+from kpindex.corpus import (Candidate, Document, extract_candidates,
+                            preferred_surface)
+from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
+                           bridge_components, build_document_graph,
+                           expand_graph, to_dot, weakly_connected_components,
+                           window_pairs)
 from kpindex.similarity import NeighborSet
 
 from conftest import make_corpus
@@ -21,19 +23,28 @@ def unigram(key, starts):
     return cand
 
 
+def add_weight(g, u, v, layer, w):
+    """Accumulate w onto the sorted pair's weight in one layer."""
+    weights = g.weights[layer]
+    pair = (u, v) if u < v else (v, u)
+    weights[pair] = weights.get(pair, 0.0) + w
+
+
 def graph_of(nodes, edges):
     g = SemMultiGraph()
     for key in nodes:
-        g.add_node(key, NodeInfo(origin=Origin.PRESENT, source_docs={"d"},
-                                 surfaces=Counter({key: 1}),
-                                 first_offset={key: 0}))
+        g.nodes[key] = NodeInfo(Origin.PRESENT, ("d",), key)
     for u, v, layer, w in edges:
-        g.add_edge(u, v, layer, w)
+        add_weight(g, u, v, layer, w)
     return g
 
 
-def edge_snapshot(g):
-    return [tuple(e) for e in g.edges()]
+def edge_snapshot(g, layer=None):
+    """(u, v, layer, weight) per edge, by pair, DOCUMENT before DOMAIN."""
+    layers = list(Layer) if layer is None else [layer]
+    return sorted(((u, v, lay, w) for lay in layers
+                   for (u, v), w in g.weights[lay].items()),
+                  key=lambda e: (e[0], e[1], e[2].value))
 
 
 def count_window_pairs(starts_a, starts_b, window):
@@ -164,21 +175,20 @@ class TestExpandGraph:
         assert len(absent) == 1
         key = absent[0]
         assert key not in present_before
-        domain_edges = [e for e in g.edges(Layer.DOMAIN)
-                        if key in (e.u, e.v)]
+        domain_edges = [pair for pair in g.weights[Layer.DOMAIN]
+                        if key in pair]
         assert len(domain_edges) >= 1
-        assert g.nodes[key].source_docs == {"b"}
+        assert g.nodes[key].sources == ("b",)
 
     def test_never_deletes_and_never_touches_document_layer(self, stopwords):
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a")
         nodes_before = set(g.nodes)
-        doc_edges_before = [(e.u, e.v, e.weight) for e in g.edges(Layer.DOCUMENT)]
+        doc_edges_before = edge_snapshot(g, Layer.DOCUMENT)
         nbrs = NeighborSet("a", [("b", 0.7)], k=1, min_sim=0.0)
         expand_graph(g, nbrs, corpus, Config(absent_quota=5))
         assert nodes_before <= set(g.nodes)
-        assert [(e.u, e.v, e.weight)
-                for e in g.edges(Layer.DOCUMENT)] == doc_edges_before
+        assert edge_snapshot(g, Layer.DOCUMENT) == doc_edges_before
 
     def test_domain_weights_monotone_in_similarity(self, stopwords):
         corpus = self.fixture(stopwords)
@@ -187,7 +197,7 @@ class TestExpandGraph:
             g = present_graph_for(corpus, "a")
             nbrs = NeighborSet("a", [("b", sim)], k=1, min_sim=0.0)
             expand_graph(g, nbrs, corpus, Config(absent_quota=0))
-            weights[sim] = {(e.u, e.v): e.weight for e in g.edges(Layer.DOMAIN)}
+            weights[sim] = dict(g.weights[Layer.DOMAIN])
         assert weights[0.3].keys() == weights[0.9].keys()
         for pair in weights[0.3]:
             assert weights[0.3][pair] <= weights[0.6][pair] <= weights[0.9][pair]
@@ -225,7 +235,7 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
     for nid, sim in active:
         for (a, b), c in neighbor_pairs[nid].items():
             if a in present_set and b in present_set:
-                g.add_edge(a, b, Layer.DOMAIN, lambda_domain * sim * c)
+                add_weight(g, a, b, Layer.DOMAIN, lambda_domain * sim * c)
     if absent_quota == 0:
         return g
     scores = defaultdict(float)
@@ -257,11 +267,10 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
             cand = neighbor_cands[nid].get(key)
             if cand is not None:
                 surfaces.update(cand.surfaces)
-        g.add_node(key, NodeInfo(origin=Origin.ABSENT,
-                                 source_docs=set(contributors[key]),
-                                 surfaces=surfaces))
+        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])),
+                                preferred_surface(surfaces))
         for other in sorted(links):
-            g.add_edge(key, other, Layer.DOMAIN, links[other])
+            add_weight(g, key, other, Layer.DOMAIN, links[other])
         admitted.append(key)
     return g
 
@@ -377,26 +386,16 @@ class TestBridgeComponents:
 
 
 class TestGraphStructure:
-    def test_self_loops_rejected(self):
-        g = graph_of("ab", [])
-        with pytest.raises(ValueError):
-            g.add_edge("a", "a", Layer.DOCUMENT, 1.0)
-
-    def test_parallel_layers_allowed_but_accumulated_within_layer(self):
-        g = graph_of("ab", [])
-        g.add_edge("a", "b", Layer.DOCUMENT, 1.0)
-        g.add_edge("a", "b", Layer.DOMAIN, 0.5)
-        g.add_edge("a", "b", Layer.DOMAIN, 0.25)
-        assert g.edge_count() == 2
-        assert g.weights[Layer.DOMAIN][("a", "b")] == 0.75
-
-    def test_positive_weights_enforced(self):
-        g = graph_of("ab", [])
-        with pytest.raises(ValueError):
-            g.add_edge("a", "b", Layer.DOCUMENT, 0.0)
-
     def test_dot_dump_mentions_layers_and_origins(self):
         g = graph_of("ab", [("a", "b", Layer.DOCUMENT, 2.0)])
         dot = to_dot(g, name="t")
         assert "document:2" in dot
         assert "(present)" in dot
+
+    @pytest.mark.parametrize("name, header", [
+        ('x"y', 'graph "x\\"y" {'),
+        ("x\\", 'graph "x\\\\" {'),
+        ('a\\"b', 'graph "a\\\\\\"b" {'),
+    ])
+    def test_dot_dump_escapes_graph_name(self, name, header):
+        assert to_dot(graph_of("a", []), name=name).splitlines()[0] == header

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import kpindex.index as index_module
 
-from kpindex import (Config, ConfigError, IndexFileError, InvertedIndex,
-                     build_index, extract_pipeline, load_index, save_index,
-                     search)
+from kpindex import (Config, ConfigError, build_index, extract_pipeline,
+                     load_index, save_index, search)
+from kpindex.errors import IndexFileError
 from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
-                           FIELD_WEIGHTS, FIELDS, K1, query_terms)
+                           FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
+                           query_terms)
 
 from conftest import make_corpus, write_payload
 
@@ -171,11 +172,38 @@ class TestPersistence:
         ({"doc_lengths": {"a": text_lengths(2.0)},
           "postings": {"x": [["a", "text", 1.0], ["a", "text", 1.0]]}},
          "postings"),
+        ({"doc_lengths": {"a": {**text_lengths(1.0), "title": 0.0}},
+          "postings": {"x": [["a", "text", 1.0]]}}, "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths("1")},
+          "postings": {"x": [["a", "text", 1.0]]}}, "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(True)},
+          "postings": {"x": [["a", "text", 1.0]]}}, "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", "1"]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", True]]}}, "postings"),
+        ({"doc_lengths": {"a": text_lengths(1.0)}, "postings": {}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(2.0), "b": text_lengths(500.0)},
+          "postings": {"graph": [["a", "text", 2.0], ["b", "text", 1.0]]}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", 0.5]], "y": [["a", "text", 0.25]]}},
+         "doc_lengths"),
     ])
     def test_malformed_payload_names_field(self, tmp_path, payload, field):
         path = write_payload(tmp_path / "c.kpix", payload)
         with pytest.raises(IndexFileError, match=f"'{field}'"):
             load_index(path)
+
+    def test_lengths_that_sum_the_postings_load(self, tmp_path):
+        path = write_payload(tmp_path / "c.kpix", {
+            "doc_lengths": {"a": text_lengths(3), "b": text_lengths(0.75)},
+            "postings": {"graph": [["a", "text", 2], ["b", "text", 0.5]],
+                         "rank": [["a", "text", 1], ["b", "text", 0.25]]}})
+        index = load_index(path)
+        assert index.doc_lengths["a"] == text_lengths(3.0)
+        assert sorted(doc_id for doc_id, _ in search(index, "graph")) == ["a", "b"]
 
 
 FIVE_DOC_ROWS = [

@@ -6,6 +6,7 @@ import pytest
 
 import kpindex
 from kpindex import Config, ConfigError, cli, evaluation, graph, ranking
+from kpindex.index import InvertedIndex
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
 
@@ -21,6 +22,14 @@ COMMAND_ARGS = {"extract": ["c.jsonl"], "index": ["c.jsonl", "c.kpix"],
 def test_all_names_resolve():
     missing = [name for name in kpindex.__all__ if not hasattr(kpindex, name)]
     assert missing == []
+
+
+def test_all_is_the_documented_api():
+    assert sorted(kpindex.__all__) == [
+        "Config", "ConfigError", "Corpus", "DataError", "KpIndexError",
+        "TfidfSimilarity", "build_index", "evaluate_corpus",
+        "extract_pipeline", "load_corpus", "load_index", "normalize_phrase",
+        "save_index", "search"]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -76,13 +85,23 @@ def test_every_config_field_has_a_flag(command, name):
 
 
 def test_index_is_built_only_by_its_constructor():
-    params = inspect.signature(kpindex.InvertedIndex).parameters
+    params = inspect.signature(InvertedIndex).parameters
     empty = inspect.Parameter.empty
     assert [(p.name, p.default is empty) for p in params.values()] == [
         ("postings", True), ("doc_lengths", True), ("config", False)]
     for name in ("add_document", "add_postings", "finalize"):
-        assert not hasattr(kpindex.InvertedIndex, name)
+        assert not hasattr(InvertedIndex, name)
 
 
 def test_vectors_are_plain_dicts():
     assert not hasattr(kpindex, "DocVector")
+
+
+def test_graph_node_records_only_what_ranking_reads():
+    assert [f.name for f in dataclasses.fields(graph.NodeInfo)] == [
+        "origin", "sources", "surface"]
+    for name in ("add_node", "add_edge", "edges"):
+        assert not hasattr(graph.SemMultiGraph, name)
+    for name in ("Edge", "_pair"):
+        assert not hasattr(graph, name)
+    assert not hasattr(ranking, "_best_surface")

@@ -1,18 +1,19 @@
 import json
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kpindex import (Config, ConfigError, Layer, NodeInfo, Origin,
-                     SemMultiGraph, build_document_graph, extract_pipeline,
-                     pagerank, rank_keyphrases)
-from kpindex.ranking import _power_iteration
+from kpindex import Config, ConfigError, extract_pipeline
+from kpindex.corpus import Candidate, Document
+from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
+                           build_document_graph, expand_graph)
+from kpindex.ranking import _power_iteration, pagerank, rank_keyphrases
+from kpindex.similarity import NeighborSet
 
 from conftest import make_corpus
-from test_graph import graph_of
+from test_graph import edge_snapshot, graph_of
 
 
 def linear_solve_scores(g, damping):
@@ -21,9 +22,9 @@ def linear_solve_scores(g, damping):
     n = len(keys)
     idx = {k: i for i, k in enumerate(keys)}
     weights = {}
-    for e in g.edges():
-        pair = (idx[e.u], idx[e.v])
-        weights[pair] = weights.get(pair, 0.0) + e.weight
+    for u, v, _, w in edge_snapshot(g):
+        pair = (idx[u], idx[v])
+        weights[pair] = weights.get(pair, 0.0) + w
     total = np.zeros(n)
     for (i, j), w in weights.items():
         total[i] += w
@@ -43,9 +44,9 @@ def pair_weights_oracle(g):
     """Per-pair DOCUMENT + DOMAIN sums that PageRank read before its rows
     were integer-indexed; kept as the oracle of the row layout."""
     summed = {}
-    for edge in g.edges():
-        pair = (edge.u, edge.v)
-        summed[pair] = summed.get(pair, 0.0) + edge.weight
+    for u, v, _, w in edge_snapshot(g):
+        pair = (u, v)
+        summed[pair] = summed.get(pair, 0.0) + w
     return [(u, v, w) for (u, v), w in sorted(summed.items())]
 
 
@@ -105,10 +106,9 @@ def random_graph(rng, max_nodes=8):
 
 def scale_edges(g, factor):
     scaled = SemMultiGraph()
-    for key, info in g.nodes.items():
-        scaled.add_node(key, info)
-    for e in g.edges():
-        scaled.add_edge(e.u, e.v, e.layer, e.weight * factor)
+    scaled.nodes.update(g.nodes)
+    for layer, weights in g.weights.items():
+        scaled.weights[layer] = {pair: w * factor for pair, w in weights.items()}
     return scaled
 
 
@@ -226,17 +226,15 @@ class TestPowerIterationOracle:
         assert pagerank(g, params) == {k: s / norm for k, s in zip(keys, last)}
 
 
-def node(origin, surfaces, first_offset=None, sources=("d",)):
-    return NodeInfo(origin=origin, source_docs=set(sources),
-                    surfaces=Counter(surfaces),
-                    first_offset=first_offset or {})
+def node(origin, surface, sources=("d",)):
+    return NodeInfo(origin, tuple(sources), surface)
 
 
 class TestRankKeyphrases:
     def build(self):
         g = SemMultiGraph()
-        g.add_node("p", node(Origin.PRESENT, {"p": 1}, {"p": 0}))
-        g.add_node("q", node(Origin.ABSENT, {"q": 1}, sources=("n1",)))
+        g.nodes["p"] = node(Origin.PRESENT, "p")
+        g.nodes["q"] = node(Origin.ABSENT, "q", sources=("n1",))
         return g
 
     def test_gamma_zero_drops_absent(self):
@@ -248,7 +246,7 @@ class TestRankKeyphrases:
     def test_no_absent_nodes_preserves_raw_order(self):
         g = SemMultiGraph()
         for k in "abc":
-            g.add_node(k, node(Origin.PRESENT, {k: 1}, {k: 0}))
+            g.nodes[k] = node(Origin.PRESENT, k)
         scores = {"a": 0.2, "b": 0.5, "c": 0.3}
         ranked = rank_keyphrases(g, scores, Config(gamma_absent=0.0))
         assert [r.key for r in ranked] == ["b", "c", "a"]
@@ -264,29 +262,32 @@ class TestRankKeyphrases:
     def test_truncation_and_tie_break(self):
         g = SemMultiGraph()
         for k in ("k1", "k2", "k3"):
-            g.add_node(k, node(Origin.PRESENT, {k: 1}, {k: 0}))
+            g.nodes[k] = node(Origin.PRESENT, k)
         ranked = rank_keyphrases(g, {"k1": 0.4, "k2": 0.4, "k3": 0.2},
                                  Config(top_n=2))
         assert [r.key for r in ranked] == ["k1", "k2"]
 
     def test_present_surface_most_frequent_then_earliest(self):
-        g = SemMultiGraph()
-        g.add_node("network", node(Origin.PRESENT,
-                                   {"networks": 2, "network": 1},
-                                   {"networks": 5, "network": 2}))
-        ranked = rank_keyphrases(g, {"network": 1.0}, Config())
-        assert ranked[0].surface == "networks"
-        g2 = SemMultiGraph()
-        g2.add_node("network", node(Origin.PRESENT,
-                                    {"networks": 1, "network": 1},
-                                    {"networks": 5, "network": 2}))
-        ranked2 = rank_keyphrases(g2, {"network": 1.0}, Config())
-        assert ranked2[0].surface == "network"
+        def surface_of(occurrences):
+            cand = Candidate(key="network", length=1)
+            for start, surface in occurrences:
+                cand.add(start, surface)
+            g = build_document_graph(Document.build("d", "", ""),
+                                     {"network": cand})
+            return rank_keyphrases(g, {"network": 1.0}, Config())[0].surface
 
-    def test_absent_surface_tie_breaks_lexicographically(self):
-        g = SemMultiGraph()
-        g.add_node("rank", node(Origin.ABSENT, {"ranking": 1, "ranked": 1},
-                                sources=("n1", "n2")))
+        assert surface_of([(2, "network"), (5, "networks"),
+                           (8, "networks")]) == "networks"
+        assert surface_of([(2, "network"), (5, "networks")]) == "network"
+
+    def test_absent_surface_tie_breaks_lexicographically(self, stopwords):
+        corpus = make_corpus([("a", "Graph", ""),
+                              ("n1", "", "graph ranking."),
+                              ("n2", "", "graph ranked.")], stopwords)
+        g = build_document_graph(corpus["a"], corpus.candidates_for("a"))
+        nbrs = NeighborSet("a", [("n1", 0.5), ("n2", 0.5)], k=2, min_sim=0.0)
+        expand_graph(g, nbrs, corpus, Config(absent_quota=5))
+        assert g.nodes["rank"].origin is Origin.ABSENT
         ranked = rank_keyphrases(g, {"rank": 1.0}, Config())
         assert ranked[0].surface == "ranked"
         assert ranked[0].sources == ["n1", "n2"]

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import kpindex.similarity as similarity_module
 
-from kpindex import (Corpus, CorpusError, Document, TfidfSimilarity,
-                     compute_idf, cosine, vectorize)
+from kpindex import Corpus, TfidfSimilarity
+from kpindex.corpus import Document
+from kpindex.errors import CorpusError
+from kpindex.similarity import compute_idf, cosine, vectorize
 
 from conftest import make_corpus
 
