@@ -110,8 +110,6 @@ class Candidate:
 def preferred_surface(surfaces: Counter, first_offset: dict[str, int] | None = None) -> str:
     """Most frequent surface form; ties go to the earliest occurrence when
     offsets are known, then lexicographic."""
-    if not surfaces:
-        return ""
     offsets = first_offset or {}
     return min(surfaces, key=lambda s: (-surfaces[s], offsets.get(s, 1 << 60), s))
 

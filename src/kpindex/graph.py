@@ -110,17 +110,20 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     """Enrich the document graph in place with neighbor evidence.
 
     (a) For every pair of PRESENT keys co-occurring in a neighbor with
-        similarity s, accumulate a DOMAIN edge of lambda_domain * s * count.
+        similarity s, accumulate a DOMAIN edge of lambda_domain * s * count;
+        the neighbor's other keys do not change a PRESENT pair's count.
     (b) Score candidates that occur only in neighbors by sum(s_i * freq_i),
         admit up to absent_quota of them as ABSENT nodes (best score first,
         ties by key), wiring each to PRESENT and previously admitted ABSENT
         nodes with the same DOMAIN weight rule. A candidate that would end
         up with no positive-weight edge is skipped, since every ABSENT node
-        must stay connected to the rest of the graph.
+        must stay connected to the rest of the graph. Only the candidates
+        admission reaches are counted, by a start -> keys map per neighbor.
 
     Weights accumulate neighbor by neighbor in neighbor order, so float
-    sums are reproducible. The DOCUMENT layer is never touched. With
-    lambda_domain == 0 or no neighbors the graph is returned unchanged.
+    sums are reproducible; no reader depends on DOMAIN insertion order.
+    The DOCUMENT layer is never touched. With lambda_domain == 0 or no
+    neighbors the graph is returned unchanged.
     """
     window, lambda_domain = config.window, config.lambda_domain
     absent_quota = config.absent_quota
@@ -133,60 +136,56 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
 
-    # (a) domain evidence between present candidates; (b) needs, per
-    # neighbor, the partners of every non-present key: {key: {other: count}}
+    # (a) domain evidence between present candidates
     domain = g.weights[Layer.DOMAIN]
-    partners: dict[str, dict[str, dict[str, int]]] = {}
     for nid, sim in active:
         scale = lambda_domain * sim
-        view: dict[str, dict[str, int]] = defaultdict(dict)
-        for pair, c in window_pairs(neighbor_cands[nid], window).items():
-            a, b = pair
-            a_present = a in present_set
-            b_present = b in present_set
-            if a_present and b_present:
-                weight = scale * c
-                if weight <= 0:
-                    raise ValueError("edge weight must be positive")
-                domain[pair] = domain.get(pair, 0.0) + weight
-                continue
-            if not a_present:
-                view[a][b] = c
-            if not b_present:
-                view[b][a] = c
-        partners[nid] = view
+        shared = {key: cand for key, cand in neighbor_cands[nid].items()
+                  if key in present_set}
+        for pair, c in window_pairs(shared, window).items():
+            weight = scale * c
+            if weight <= 0:
+                raise ValueError("edge weight must be positive")
+            domain[pair] = domain.get(pair, 0.0) + weight
 
     # (b) absent-candidate admission
     if absent_quota == 0:
         return g
     scores: dict[str, float] = defaultdict(float)
-    contributors: dict[str, set[str]] = defaultdict(set)
     for nid, sim in active:
         for key, cand in neighbor_cands[nid].items():
-            if key in present_set:
-                continue
-            scores[key] += sim * cand.frequency
-            contributors[key].add(nid)
+            if key not in present_set:
+                scores[key] += sim * cand.frequency
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
     linkable = set(present)  # PRESENT plus the ABSENT keys admitted so far
+    keys_at: dict[str, dict[int, list[str]]] = {}  # nid -> start -> keys
     admitted = 0
-    for key, score in ranked:
+    for key, _ in ranked:  # every score is positive: sim > 0, frequency >= 1
         if admitted >= absent_quota:
             break
-        if score <= 0:
-            break
         links: dict[str, float] = {}
+        sources, surfaces = [], Counter()
         for nid, sim in active:
-            for other, c in partners[nid].get(key, {}).items():
-                if other in linkable:
-                    links[other] = links.get(other, 0.0) + lambda_domain * sim * c
+            cands = neighbor_cands[nid]
+            if key not in cands:
+                continue
+            sources.append(nid)
+            surfaces.update(cands[key].surfaces)
+            if nid not in keys_at:
+                keys_at[nid] = defaultdict(list)
+                for other, cand in cands.items():
+                    for start, _ in cand.occurrences:
+                        keys_at[nid][start].append(other)
+            counts: Counter = Counter(
+                other for start, _ in cands[key].occurrences
+                for at in range(start - window, start + window + 1)
+                for other in keys_at[nid].get(at, ()) if other in linkable)
+            for other, c in counts.items():
+                links[other] = links.get(other, 0.0) + lambda_domain * sim * c
         if not links:
             continue
-        surfaces: Counter = Counter()
-        for nid in contributors[key]:
-            surfaces.update(neighbor_cands[nid][key].surfaces)
-        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])),
+        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(sources)),
                                 preferred_surface(surfaces))
         for other, weight in links.items():
             if weight <= 0:

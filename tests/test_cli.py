@@ -355,6 +355,9 @@ GOLDEN_BYTES = [
      "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
     ("extract --k-neighbors 0",
      "1855e4fdc9cc46c91895f040d142730130cb137842e884540ed2d278b0e82572"),
+    # admits many ABSENT nodes; the default config admits few
+    ("extract --min-sim 0 --absent-quota 40 --window 4",
+     "802c56f4c0f8c7effef402a2127f7aa0fba881895ffd451f32f9d09b8849fd59"),
 ]
 
 

@@ -1,17 +1,18 @@
 import random
 from collections import Counter, defaultdict
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kpindex import Config
 from kpindex.corpus import (Candidate, Document, extract_candidates,
-                            preferred_surface)
+                            load_corpus, preferred_surface)
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
                            expand_graph, to_dot, weakly_connected_components,
                            window_pairs)
-from kpindex.similarity import NeighborSet
+from kpindex.similarity import NeighborSet, TfidfSimilarity
 
 from conftest import make_corpus
 
@@ -180,6 +181,23 @@ class TestExpandGraph:
         assert len(domain_edges) >= 1
         assert g.nodes[key].sources == ("b",)
 
+    def test_candidate_without_linkable_partner_is_skipped(self, stopwords):
+        # in b, "neural"/"model" start at 1 and 2, "graph" at 4: with
+        # window 1 no absent key co-occurs with a present one
+        corpus = make_corpus([
+            ("a", "Graph ranking", ""),
+            ("b", "", "neural model. graph ranking."),
+        ], stopwords)
+        g = present_graph_for(corpus, "a", window=1)
+        nbrs = NeighborSet("a", [("b", 0.8)], k=1, min_sim=0.0)
+        expand_graph(g, nbrs, corpus, Config(window=1, absent_quota=3))
+        assert g.keys_with_origin(Origin.ABSENT) == []
+        # with window 2, "model" links to "graph" and the others to "model"
+        g = present_graph_for(corpus, "a", window=2)
+        expand_graph(g, nbrs, corpus, Config(window=2, absent_quota=3))
+        assert g.keys_with_origin(Origin.ABSENT) == [
+            "model", "neural", "neural model"]
+
     def test_never_deletes_and_never_touches_document_layer(self, stopwords):
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a")
@@ -220,9 +238,10 @@ class TestExpandGraph:
 
 def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
                         max_len=3):
-    """expand_graph as it was before absent admission read partner views:
-    every admission candidate looks up its pair with each PRESENT and
-    previously admitted key. Kept as the oracle of the fast path."""
+    """Reference expand_graph: full window pairs over each neighbor's
+    candidates, and every admission candidate looks up its pair with each
+    PRESENT and previously admitted key. Kept as the oracle of the fast
+    path."""
     if lambda_domain == 0 or not nbrs.neighbors:
         return g
     present = g.keys_with_origin(Origin.PRESENT)
@@ -277,7 +296,7 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
 
 WORDS = ["graph", "ranking", "semantic", "index", "neural", "model",
          "query", "text", "search", "cluster", "the", "of"]
-abstracts = st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+abstracts = st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
                      min_size=1, max_size=4).map(
     lambda sentences: " ".join(" ".join(s) + "." for s in sentences))
 
@@ -286,8 +305,11 @@ class TestExpandGraphOracle:
     @given(st.lists(abstracts, min_size=2, max_size=4),
            st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
                     min_size=3, max_size=3),
-           st.integers(1, 6), st.sampled_from([0.5, 1.0, 2.5]),
-           st.integers(0, 4))
+           st.integers(1, 12), st.sampled_from([0.5, 1.0, 2.5]),
+           st.integers(0, 12))
+    # "neural" has no linkable key within the window: admission skips it
+    @example(texts=["graph.", "neural. the of the graph."],
+             sims=[0.7, 0.0, 0.0], window=1, lambda_domain=1.0, quota=2)
     @settings(max_examples=150, deadline=None)
     def test_matches_partner_free_admission(self, stopwords, texts, sims,
                                             window, lambda_domain, quota):
@@ -302,10 +324,27 @@ class TestExpandGraphOracle:
                            corpus, config)
         want = expand_graph_oracle(present_graph_for(corpus, "d0", window),
                                    nbrs, corpus, window, lambda_domain, quota)
-        assert got.nodes.keys() == want.nodes.keys()
-        for key, info in want.nodes.items():
-            assert got.nodes[key] == info
+        assert got.nodes == want.nodes
         assert got.weights == want.weights
+
+    @pytest.mark.parametrize("quota, window", [(10, 10), (40, 4)])
+    def test_matches_oracle_on_sample100(self, quota, window):
+        corpus = load_corpus(str(resources.files("kpindex").joinpath(
+            "data/sample100.jsonl")))
+        provider = TfidfSimilarity(corpus)
+        config = Config(absent_quota=quota, window=window)
+        admitted = 0
+        for doc in list(corpus)[:30]:
+            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0)
+            got = expand_graph(present_graph_for(corpus, doc.id, window),
+                               nbrs, corpus, config)
+            want = expand_graph_oracle(present_graph_for(corpus, doc.id, window),
+                                       nbrs, corpus, window,
+                                       config.lambda_domain, quota)
+            assert got.nodes == want.nodes
+            assert got.weights == want.weights
+            admitted += len(got.keys_with_origin(Origin.ABSENT))
+        assert admitted > 0
 
 
 def oracle_components(keys, pairs):

@@ -5,7 +5,9 @@ import math
 import pytest
 
 import kpindex
-from kpindex import Config, ConfigError, cli, evaluation, graph, ranking
+from kpindex import (Config, ConfigError, cli, evaluation, graph, ranking,
+                     similarity)
+from kpindex.corpus import Corpus, Document, default_stopwords
 from kpindex.index import InvertedIndex
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
@@ -94,7 +96,12 @@ def test_index_is_built_only_by_its_constructor():
 
 
 def test_vectors_are_plain_dicts():
-    assert not hasattr(kpindex, "DocVector")
+    assert not hasattr(similarity, "DocVector")
+    corpus = Corpus([Document.build("a", "Graph ranking", "Graph models."),
+                     Document.build("b", "", "")], default_stopwords())
+    vectors = similarity.TfidfSimilarity(corpus).vectors
+    assert vectors.keys() == {"a", "b"}
+    assert all(type(v) is dict for v in vectors.values())
 
 
 def test_graph_node_records_only_what_ranking_reads():
