@@ -82,26 +82,26 @@ class Document:
 class Candidate:
     """A stemmed n-gram keyphrase candidate and where it occurred.
 
-    The key (stems joined by single spaces) is the canonical identity;
-    surfaces collects the distinct surface forms with their counts, and
-    first_offset remembers the earliest start of each surface so display
-    ties can be broken by first occurrence.
+    The key (stems joined by single spaces) is the canonical identity of
+    an n-gram of length tokens; starts holds each occurrence's token
+    offset, surfaces the distinct surface forms with their counts, and
+    first_offset the earliest start of each surface for display ties.
     """
 
     key: str
     length: int
-    occurrences: list[tuple[int, int]] = field(default_factory=list)
+    starts: list[int] = field(default_factory=list)
     surfaces: Counter = field(default_factory=Counter)
     first_offset: dict[str, int] = field(default_factory=dict)
 
     def add(self, start: int, surface: str) -> None:
-        self.occurrences.append((start, self.length))
+        self.starts.append(start)
         self.surfaces[surface] += 1
         self.first_offset.setdefault(surface, start)
 
     @property
     def frequency(self) -> int:
-        return len(self.occurrences)
+        return len(self.starts)
 
     def best_surface(self) -> str:
         return preferred_surface(self.surfaces, self.first_offset)

@@ -19,6 +19,7 @@ from enum import Enum
 
 from .config import Config
 from .corpus import Corpus, Candidate, Document, preferred_surface
+from .errors import ConfigError
 from .similarity import NeighborSet
 
 
@@ -39,10 +40,6 @@ class NodeInfo:
     surface: str
 
 
-def _layers(layer: Layer | None) -> tuple[Layer, ...]:
-    return tuple(Layer) if layer is None else (layer,)
-
-
 class SemMultiGraph:
     """Undirected multigraph over candidate keys, two weighted edge layers.
 
@@ -54,8 +51,8 @@ class SemMultiGraph:
         self.weights: dict[Layer, dict[tuple[str, str], float]] = {
             Layer.DOCUMENT: {}, Layer.DOMAIN: {}}
 
-    def edge_count(self, layer: Layer | None = None) -> int:
-        return sum(len(self.weights[lay]) for lay in _layers(layer))
+    def edge_count(self, layer: Layer) -> int:
+        return len(self.weights[layer])
 
     def keys_with_origin(self, origin: Origin) -> list[str]:
         return sorted(k for k, info in self.nodes.items() if info.origin is origin)
@@ -71,7 +68,7 @@ def window_pairs(candidates: dict[str, Candidate],
     window's end index only moves forward.
     """
     occurrences = sorted((start, key) for key, cand in candidates.items()
-                         for start, _ in cand.occurrences)
+                         for start in cand.starts)
     starts = [start for start, _ in occurrences]
     keys = [key for _, key in occurrences]
     counts: dict[tuple[str, str], int] = {}
@@ -130,8 +127,7 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     if lambda_domain == 0 or not nbrs.neighbors:
         return g
 
-    present = g.keys_with_origin(Origin.PRESENT)
-    present_set = set(present)
+    present = set(g.keys_with_origin(Origin.PRESENT))
     active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
@@ -141,11 +137,11 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     for nid, sim in active:
         scale = lambda_domain * sim
         shared = {key: cand for key, cand in neighbor_cands[nid].items()
-                  if key in present_set}
+                  if key in present}
         for pair, c in window_pairs(shared, window).items():
             weight = scale * c
             if weight <= 0:
-                raise ValueError("edge weight must be positive")
+                raise ConfigError("lambda_domain is too small: a weight rounds to 0")
             domain[pair] = domain.get(pair, 0.0) + weight
 
     # (b) absent-candidate admission
@@ -154,7 +150,7 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     scores: dict[str, float] = defaultdict(float)
     for nid, sim in active:
         for key, cand in neighbor_cands[nid].items():
-            if key not in present_set:
+            if key not in present:
                 scores[key] += sim * cand.frequency
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
@@ -175,10 +171,10 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
             if nid not in keys_at:
                 keys_at[nid] = defaultdict(list)
                 for other, cand in cands.items():
-                    for start, _ in cand.occurrences:
+                    for start in cand.starts:
                         keys_at[nid][start].append(other)
             counts: Counter = Counter(
-                other for start, _ in cands[key].occurrences
+                other for start in cands[key].starts
                 for at in range(start - window, start + window + 1)
                 for other in keys_at[nid].get(at, ()) if other in linkable)
             for other, c in counts.items():
@@ -189,59 +185,44 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
                                 preferred_surface(surfaces))
         for other, weight in links.items():
             if weight <= 0:
-                raise ValueError("edge weight must be positive")
+                raise ConfigError("lambda_domain is too small: a weight rounds to 0")
             domain[(key, other) if key < other else (other, key)] = weight
         linkable.add(key)
         admitted += 1
     return g
 
 
-def weakly_connected_components(g: SemMultiGraph,
-                                layer: Layer | None = None) -> list[set[str]]:
-    """Connected components treating all (or one layer's) edges as undirected.
-
-    Canonical order: components sorted by their smallest member key.
-    """
-    adjacency: dict[str, set[str]] = {k: set() for k in g.nodes}
-    for lay in _layers(layer):
-        for u, v in g.weights[lay]:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(g.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency[node]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
 def bridge_components(g: SemMultiGraph,
                       config: Config = Config()) -> SemMultiGraph:
     """Boost DOMAIN edges that bridge distinct DOCUMENT-layer components.
 
-    Every DOMAIN edge whose endpoints fall in different components of the
-    DOCUMENT-layer-only graph has its weight multiplied by beta; all other
-    weights are untouched. beta == 1 is the identity.
+    Components come from the DOCUMENT weight map alone: a stack walk labels
+    each key on a DOCUMENT edge with the first key reached in its
+    component, and any other node (every ABSENT node, an isolated PRESENT
+    one) labels itself, which no label can equal. Only label equality is
+    read, so the map's order cannot reach the output. A DOMAIN edge whose
+    endpoints have different labels is multiplied by beta; all other
+    weights are untouched (beta == 1 is the identity).
     """
-    beta = config.beta
-    component_of: dict[str, int] = {}
-    for idx, comp in enumerate(weakly_connected_components(g, Layer.DOCUMENT)):
-        for key in comp:
-            component_of[key] = idx
+    adjacency: dict[str, list[str]] = defaultdict(list)
+    for u, v in g.weights[Layer.DOCUMENT]:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    label: dict[str, str] = {}
+    for root in adjacency:
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in label:
+                    label[nxt] = root
+                    stack.append(nxt)
     domain = g.weights[Layer.DOMAIN]
     for u, v in domain:
-        if component_of[u] != component_of[v]:
-            domain[u, v] *= beta
+        if label.get(u, u) != label.get(v, v):
+            domain[u, v] *= config.beta
     return g
 
 

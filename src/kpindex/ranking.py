@@ -7,10 +7,12 @@ one knob controlling how present and absent keyphrases interleave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .config import Config
 from .corpus import Corpus
+from .errors import ConfigError
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
 from .similarity import TfidfSimilarity
@@ -62,6 +64,8 @@ def _power_iteration(g: SemMultiGraph, config: Config):
     for row in adjacency:
         row.sort()
     total_weight = [_sum_in_order(w for _, w in row) for row in adjacency]
+    if not all(map(math.isfinite, total_weight)):
+        raise ConfigError("lambda_domain or beta is too large: a weight total is inf")
     rows = [[(j, w / total_weight[j]) for j, w in row] for row in adjacency]
 
     damping = config.damping

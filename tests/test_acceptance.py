@@ -19,13 +19,13 @@ from kpindex import (Config, Corpus, build_index, evaluate_corpus,
                      extract_pipeline, load_corpus, load_index, search)
 from kpindex.corpus import Document, default_stopwords
 from kpindex.evaluation import split_present_absent
-from kpindex.graph import build_document_graph, weakly_connected_components
+from kpindex.graph import build_document_graph
 from kpindex.ranking import pagerank, rank_keyphrases
 from kpindex.similarity import TfidfSimilarity
 
 from conftest import make_corpus, write_jsonl
 from synth import build_synthetic_records
-from test_graph import graph_of, oracle_components
+from test_graph import assert_bridged_like_oracle, random_layered_graph
 from test_ranking import linear_solve_scores, random_graph, scale_edges
 from test_evaluation import EXPECTED, f1, fixed_model
 
@@ -118,23 +118,13 @@ def test_criterion_2_pagerank_numerics():
 
 
 def test_criterion_3_wcc_against_transitive_closure():
-    with criterion(3, "100 random graphs (<= 50 nodes): components equal "
-                      "the transitive-closure oracle exactly"):
-        from kpindex.graph import Layer
+    with criterion(3, "100 random graphs (<= 50 nodes): bridging scales "
+                      "exactly the DOMAIN edges between components of the "
+                      "transitive-closure oracle"):
         rng = random.Random(77)
         for _ in range(100):
-            n = rng.randint(1, 50)
-            keys = [f"n{i:02d}" for i in range(n)]
-            pairs = set()
-            if n >= 2:
-                for _ in range(rng.randint(0, 2 * n)):
-                    u, v = rng.sample(keys, 2)
-                    pairs.add((min(u, v), max(u, v)))
-            edges = [(u, v, rng.choice([Layer.DOCUMENT, Layer.DOMAIN]),
-                      rng.uniform(0.1, 4.0)) for u, v in sorted(pairs)]
-            g = graph_of(keys, edges)
-            got = [frozenset(c) for c in weakly_connected_components(g)]
-            assert got == oracle_components(keys, sorted(pairs))
+            g = random_layered_graph(rng, 50, 4.0)
+            assert_bridged_like_oracle(g, 2.0)
 
 
 def test_criterion_4_absent_gold_fraction():

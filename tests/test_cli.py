@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pkgutil
+import random
 from importlib import resources
 
 import pytest
@@ -32,6 +33,9 @@ GOLD_RECORDS = [
      "abstract": "Deep neural networks learn representations.",
      "keyphrases": ["neural networks", "deep learning"]},
 ]
+
+
+SAMPLE100 = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
 
 
 def run(argv, capsys):
@@ -209,6 +213,17 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and str(cfg) in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("value", ["5e-324", "1e308"])
+    def test_extreme_lambda_domain_is_config_error(self, capsys, value):
+        """5e-324 rounds a DOMAIN weight to 0; 1e308 overflows a node's
+        total edge weight to inf, which would write NaN scores."""
+        code, out, err = run(["extract", SAMPLE100, "--lambda-domain", value],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "lambda_domain" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_stopwords_file_not_utf8_is_data_error(self, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
         stop.write_bytes(b"the\n\xc3\n")
@@ -374,22 +389,34 @@ GOLDEN_SEARCH_BYTES = [
 ]
 
 
+def assert_golden_bytes(tmp_path, corpus, command, sha256):
+    """command is an argv prefix; the corpus and --output follow it."""
+    out = tmp_path / "out"
+    assert main(command.split() + [corpus, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestGoldenOutput:
     """Output bytes on the bundled sample100 corpus with the default config."""
 
-    SAMPLE = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
-
     @pytest.mark.parametrize("command, sha256", GOLDEN_BYTES)
     def test_sample100_bytes(self, tmp_path, command, sha256):
-        """command is an argv prefix; the corpus and --output follow it."""
-        out = tmp_path / "out"
-        argv = command.split() + [self.SAMPLE, "--output", str(out)]
-        assert main(argv) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        assert_golden_bytes(tmp_path, SAMPLE100, command, sha256)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("command, sha256", GOLDEN_BYTES)
+    def test_sample100_bytes_do_not_depend_on_line_order(self, tmp_path,
+                                                         command, sha256, seed):
+        with open(SAMPLE100, "rb") as fh:
+            lines = fh.readlines()
+        random.Random(seed).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_bytes(b"".join(lines))
+        assert_golden_bytes(tmp_path, str(shuffled), command, sha256)
 
     def test_sample100_dot_dump_bytes(self, tmp_path):
         dots = tmp_path / "dots"
-        assert main(["extract", self.SAMPLE, "--output", str(tmp_path / "out"),
+        assert main(["extract", SAMPLE100, "--output", str(tmp_path / "out"),
                      "--dot-dump", str(dots)]) == 0
         names = sorted(p.name for p in dots.iterdir())
         assert len(names) == 100
@@ -412,7 +439,7 @@ class TestGoldenOutput:
 
     def test_sample100_index_and_search_bytes(self, tmp_path):
         path = tmp_path / "c.kpix"
-        assert main(["index", self.SAMPLE, str(path)]) == 0
+        assert main(["index", SAMPLE100, str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             SAMPLE100_INDEX_SHA256)
         out = tmp_path / "out"

@@ -145,11 +145,12 @@ class TestExtractCandidates:
         doc = Document.build("d", "Graph ranking",
                              "Graph ranking ranks graphs. Graph models rank.")
         for cand in extract_candidates(doc, 3, stopwords).values():
-            starts = [s for s, _ in cand.occurrences]
-            assert starts == sorted(starts)
-            for start, length in cand.occurrences:
-                assert 0 <= start and start + length <= len(doc.tokens)
-                span = doc.tokens[start:start + length]
+            assert cand.starts == sorted(cand.starts)
+            assert cand.frequency == len(cand.starts)
+            assert cand.length == len(cand.key.split(" "))
+            for start in cand.starts:
+                assert 0 <= start and start + cand.length <= len(doc.tokens)
+                span = doc.tokens[start:start + cand.length]
                 assert SENTENCE_BREAK not in span
 
     def test_restemming_surfaces_reproduces_key(self, stopwords):
@@ -170,7 +171,7 @@ class TestExtractCandidates:
         second = extract_candidates(doc, 3, stop)
         assert set(first) == set(second)
         for key in first:
-            assert first[key].occurrences == second[key].occurrences
+            assert first[key].starts == second[key].starts
             assert first[key].surfaces == second[key].surfaces
 
 
@@ -191,11 +192,10 @@ class TestKeyOccurrences:
                              "Graph ranking helps. Ranking graphs scores rank.")
         cands = extract_candidates(doc, 3, stopwords)
         for key, cand in cands.items():
-            starts = [s for s, _ in cand.occurrences]
-            assert valid_span_starts(doc, key, stopwords) == starts
+            assert valid_span_starts(doc, key, stopwords) == cand.starts
 
     def test_stopword_positions_do_not_match(self):
         doc = doc_from_tokens(["the", "graph"])
         cands = extract_candidates(doc, 3, frozenset({"the"}))
         assert "the graph" not in cands
-        assert [s for s, _ in cands["graph"].occurrences] == [1]
+        assert cands["graph"].starts == [1]

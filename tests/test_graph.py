@@ -5,13 +5,12 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kpindex import Config
+from kpindex import Config, ConfigError
 from kpindex.corpus import (Candidate, Document, extract_candidates,
                             load_corpus, preferred_surface)
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
-                           expand_graph, to_dot, weakly_connected_components,
-                           window_pairs)
+                           expand_graph, to_dot, window_pairs)
 from kpindex.similarity import NeighborSet, TfidfSimilarity
 
 from conftest import make_corpus
@@ -60,7 +59,7 @@ class TestBuildDocumentGraph:
     def test_single_candidate(self):
         g = build_document_graph(DOC, {"x": unigram("x", [0])}, Config(window=10))
         assert len(g.nodes) == 1
-        assert g.edge_count() == 0
+        assert g.edge_count(Layer.DOCUMENT) == g.edge_count(Layer.DOMAIN) == 0
 
     def test_pair_within_window(self):
         cands = {"a": unigram("a", [0]), "b": unigram("b", [5])}
@@ -152,6 +151,18 @@ class TestExpandGraph:
         expand_graph(g, nbrs, corpus, Config(lambda_domain=0.0))
         assert edge_snapshot(g) == before
 
+    @pytest.mark.parametrize("target, quota", [("Graph ranking", 0),
+                                               ("Graph", 3)])
+    def test_weight_underflow_is_config_error(self, stopwords, target, quota):
+        """A PRESENT pair (quota 0) or an ABSENT admission (a lone PRESENT
+        key) whose weight rounds to 0 names lambda_domain."""
+        corpus = make_corpus([("a", target, ""),
+                              ("b", "", "graph ranking model.")], stopwords)
+        nbrs = NeighborSet("a", [("b", 0.5)], k=1, min_sim=0.0)
+        with pytest.raises(ConfigError, match="lambda_domain"):
+            expand_graph(present_graph_for(corpus, "a"), nbrs, corpus,
+                         Config(lambda_domain=5e-324, absent_quota=quota))
+
     def test_domain_edge_weight_is_lambda_sim_count(self, stopwords):
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a", window=2)
@@ -226,12 +237,12 @@ class TestExpandGraph:
             ("b", "", "graph ranking uses spectral partitioning of clusters."),
         ], stopwords)
         g = present_graph_for(corpus, "a")
-        before = len(weakly_connected_components(g))
+        before = len(all_layer_components(g))
         nbrs = NeighborSet("a", [("b", 0.9)], k=1, min_sim=0.0)
         expand_graph(g, nbrs, corpus, Config(absent_quota=3))
-        mid = len(weakly_connected_components(g))
+        mid = len(all_layer_components(g))
         bridge_components(g, Config(beta=2.0))
-        after = len(weakly_connected_components(g))
+        after = len(all_layer_components(g))
         assert mid <= before
         assert after == mid
 
@@ -366,39 +377,46 @@ def oracle_components(keys, pairs):
     return sorted({frozenset(v) for v in reach.values()}, key=min)
 
 
-class TestWeaklyConnectedComponents:
-    def test_two_pairs(self):
-        g = graph_of("abcd", [("a", "b", Layer.DOCUMENT, 1.0),
-                              ("c", "d", Layer.DOCUMENT, 1.0)])
-        assert weakly_connected_components(g) == [{"a", "b"}, {"c", "d"}]
+def all_layer_components(g):
+    """Components of the graph with both layers' edges taken as undirected."""
+    pairs = sorted(set(g.weights[Layer.DOCUMENT]) | set(g.weights[Layer.DOMAIN]))
+    return oracle_components(list(g.nodes), pairs)
 
-    def test_empty_graph(self):
-        assert weakly_connected_components(SemMultiGraph()) == []
 
-    def test_transitivity(self):
-        g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
-                             ("b", "c", Layer.DOMAIN, 1.0)])
-        assert weakly_connected_components(g) == [{"a", "b", "c"}]
+def random_layered_graph(rng, max_nodes, max_weight):
+    """Random pairs over up to max_nodes keys, each on a random layer; about
+    a fifth of the keys are ABSENT and so get DOMAIN edges only."""
+    n = rng.randint(1, max_nodes)
+    keys = [f"n{i:02d}" for i in range(n)]
+    absent = {key for key in keys if rng.random() < 0.2}
+    pairs = set()
+    if n >= 2:
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(keys, 2)
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, Layer.DOMAIN if {u, v} & absent
+              else rng.choice([Layer.DOCUMENT, Layer.DOMAIN]),
+              rng.uniform(0.1, max_weight)) for u, v in sorted(pairs)]
+    g = graph_of(keys, edges)
+    for key in absent:
+        g.nodes[key] = NodeInfo(Origin.ABSENT, ("x",), key)
+    return g
 
-    def test_isolated_nodes_are_singletons(self):
-        g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0)])
-        assert weakly_connected_components(g) == [{"a", "b"}, {"c"}]
 
-    def test_matches_transitive_closure_oracle(self):
-        rng = random.Random(42)
-        for _ in range(25):
-            n = rng.randint(1, 20)
-            keys = [f"n{i:02d}" for i in range(n)]
-            pairs = set()
-            if n >= 2:
-                for _ in range(rng.randint(0, 2 * n)):
-                    u, v = rng.sample(keys, 2)
-                    pairs.add((min(u, v), max(u, v)))
-            edges = [(u, v, rng.choice([Layer.DOCUMENT, Layer.DOMAIN]),
-                      rng.uniform(0.1, 3.0)) for u, v in sorted(pairs)]
-            g = graph_of(keys, edges)
-            got = [frozenset(c) for c in weakly_connected_components(g)]
-            assert got == oracle_components(keys, sorted(pairs))
+def assert_bridged_like_oracle(g, beta):
+    """bridge_components multiplies by beta exactly the DOMAIN edges whose
+    endpoints lie in different oracle_components of the DOCUMENT pairs,
+    and changes nothing else."""
+    components = oracle_components(list(g.nodes), sorted(g.weights[Layer.DOCUMENT]))
+    component_of = {key: comp for comp in components for key in comp}
+    want = {(u, v): w * beta if component_of[u] != component_of[v] else w
+            for (u, v), w in g.weights[Layer.DOMAIN].items()}
+    document = dict(g.weights[Layer.DOCUMENT])
+    nodes = dict(g.nodes)
+    assert bridge_components(g, Config(beta=beta)) is g
+    assert g.weights[Layer.DOMAIN] == want
+    assert g.weights[Layer.DOCUMENT] == document
+    assert g.nodes == nodes
 
 
 class TestBridgeComponents:
@@ -422,6 +440,61 @@ class TestBridgeComponents:
         before = edge_snapshot(g)
         bridge_components(g, Config(beta=1.0))
         assert edge_snapshot(g) == before
+
+    def test_two_pairs(self):
+        g = graph_of("abcd", [("a", "b", Layer.DOCUMENT, 1.0),
+                              ("c", "d", Layer.DOCUMENT, 1.0),
+                              ("a", "b", Layer.DOMAIN, 0.5),
+                              ("b", "c", Layer.DOMAIN, 0.5),
+                              ("a", "d", Layer.DOMAIN, 0.5)])
+        bridge_components(g, Config(beta=3.0))
+        assert g.weights[Layer.DOMAIN] == {
+            ("a", "b"): 0.5, ("b", "c"): 1.5, ("a", "d"): 1.5}
+
+    def test_domain_path_does_not_merge_components(self):
+        g = graph_of("abc", [("a", "b", Layer.DOMAIN, 0.5),
+                             ("b", "c", Layer.DOMAIN, 0.25)])
+        bridge_components(g, Config(beta=2.0))
+        assert g.weights[Layer.DOMAIN] == {("a", "b"): 1.0, ("b", "c"): 0.5}
+
+    def test_transitivity(self):
+        # a-b-c is one DOCUMENT chain, so the a-c DOMAIN edge bridges nothing
+        g = graph_of("abcd", [("a", "b", Layer.DOCUMENT, 1.0),
+                              ("b", "c", Layer.DOCUMENT, 1.0),
+                              ("a", "c", Layer.DOMAIN, 0.5),
+                              ("c", "d", Layer.DOMAIN, 0.5)])
+        bridge_components(g, Config(beta=2.0))
+        assert g.weights[Layer.DOMAIN] == {("a", "c"): 0.5, ("c", "d"): 1.0}
+
+    def test_absent_node_is_its_own_component(self):
+        g = graph_of("ab", [("a", "b", Layer.DOCUMENT, 1.0),
+                            ("a", "x", Layer.DOMAIN, 0.5),
+                            ("b", "x", Layer.DOMAIN, 0.25),
+                            ("x", "y", Layer.DOMAIN, 1.0)])
+        for key in "xy":
+            g.nodes[key] = NodeInfo(Origin.ABSENT, ("b",), key)
+        bridge_components(g, Config(beta=2.0))
+        assert g.weights[Layer.DOMAIN] == {
+            ("a", "x"): 1.0, ("b", "x"): 0.5, ("x", "y"): 2.0}
+
+    def test_isolated_nodes_are_singletons(self):
+        # c is PRESENT but on no DOCUMENT edge
+        g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
+                             ("a", "b", Layer.DOMAIN, 0.5),
+                             ("b", "c", Layer.DOMAIN, 0.5)])
+        bridge_components(g, Config(beta=2.0))
+        assert g.weights[Layer.DOMAIN] == {("a", "b"): 0.5, ("b", "c"): 1.0}
+
+    def test_empty_graph(self):
+        g = bridge_components(SemMultiGraph(), Config(beta=2.0))
+        assert g.nodes == {}
+        assert g.weights == {Layer.DOCUMENT: {}, Layer.DOMAIN: {}}
+
+    def test_matches_transitive_closure_oracle(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            assert_bridged_like_oracle(random_layered_graph(rng, 20, 3.0),
+                                       rng.choice([1.0, 1.5, 2.0, 7.0]))
 
 
 class TestGraphStructure:

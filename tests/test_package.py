@@ -7,7 +7,7 @@ import pytest
 import kpindex
 from kpindex import (Config, ConfigError, cli, evaluation, graph, ranking,
                      similarity)
-from kpindex.corpus import Corpus, Document, default_stopwords
+from kpindex.corpus import Candidate, Corpus, Document, default_stopwords
 from kpindex.index import InvertedIndex
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
@@ -109,6 +109,10 @@ def test_graph_node_records_only_what_ranking_reads():
         "origin", "sources", "surface"]
     for name in ("add_node", "add_edge", "edges"):
         assert not hasattr(graph.SemMultiGraph, name)
-    for name in ("Edge", "_pair"):
+    for name in ("Edge", "_pair", "weakly_connected_components", "_layers"):
         assert not hasattr(graph, name)
     assert not hasattr(ranking, "_best_surface")
+    fields = [f.name for f in dataclasses.fields(Candidate)]
+    assert "starts" in fields and "occurrences" not in fields
+    layer = inspect.signature(graph.SemMultiGraph.edge_count).parameters["layer"]
+    assert layer.default is inspect.Parameter.empty

@@ -121,6 +121,12 @@ class TestPagerank:
         with pytest.raises(ConfigError, match="damping"):
             Config(damping=1.5)
 
+    def test_infinite_weight_total_is_config_error(self):
+        g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1e308),
+                             ("a", "c", Layer.DOMAIN, 1e308)])
+        with pytest.raises(ConfigError, match="lambda_domain or beta"):
+            pagerank(g)
+
     def test_single_node(self):
         scores = pagerank(graph_of("a", []))
         assert scores["a"] == pytest.approx(1.0, abs=1e-12)
