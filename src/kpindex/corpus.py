@@ -10,6 +10,7 @@ sentence break, grouped under their stem-sequence key.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,6 +24,10 @@ from .porter import stem
 #: token separators.
 SENTENCE_BREAK = "<s>"
 
+#: A run of alphanumeric characters and hyphens, or a sentence-final mark.
+#: `[^\W_]` is exactly `str.isalnum` and `\s` exactly `str.isspace`.
+_TOKEN = re.compile(r"(?:[^\W_]|-)+|[.!?](?=\s|\Z)")
+
 
 def tokenize(text: str) -> list[str]:
     """Split raw text into lowercase tokens plus sentence-break markers.
@@ -31,26 +36,22 @@ def tokenize(text: str) -> list[str]:
     hyphens; anything else separates tokens. A marker is emitted for
     ".", "!" or "?" followed by whitespace or end of text. Tokens with
     no alphanumeric character are dropped.
+
+    A token is lowercased one character at a time, so no character's
+    lowercase depends on its neighbors ("ΟΣ" gives "οσ", not "ος").
     """
     tokens: list[str] = []
-    buf: list[str] = []
-
-    def flush() -> None:
-        if buf:
-            tok = "".join(buf).strip("-")
+    for run in _TOKEN.findall(text):
+        if run in ".!?":
+            tokens.append(SENTENCE_BREAK)
+        elif run.isascii():
+            tok = run.lower().strip("-")
+            if tok:
+                tokens.append(tok)
+        else:
+            tok = "".join([c.lower() for c in run]).strip("-")
             if any(c.isalnum() for c in tok):
                 tokens.append(tok)
-            buf.clear()
-
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch.isalnum() or ch == "-":
-            buf.append(ch.lower())
-            continue
-        flush()
-        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
-            tokens.append(SENTENCE_BREAK)
-    flush()
     return tokens
 
 
@@ -83,13 +84,12 @@ class Candidate:
     """A stemmed n-gram keyphrase candidate and where it occurred.
 
     The key (stems joined by single spaces) is the canonical identity of
-    an n-gram of length tokens; starts holds each occurrence's token
-    offset, surfaces the distinct surface forms with their counts, and
-    first_offset the earliest start of each surface for display ties.
+    an n-gram; starts holds each occurrence's token offset, surfaces the
+    distinct surface forms with their counts, and first_offset the
+    earliest start of each surface for display ties.
     """
 
     key: str
-    length: int
     starts: list[int] = field(default_factory=list)
     surfaces: Counter = field(default_factory=Counter)
     first_offset: dict[str, int] = field(default_factory=dict)
@@ -139,7 +139,7 @@ def extract_candidates(doc: Document, max_len: int = 3,
             key = " ".join(stems[i:j])
             cand = cands.get(key)
             if cand is None:
-                cand = cands[key] = Candidate(key=key, length=n)
+                cand = cands[key] = Candidate(key=key)
             cand.add(i, " ".join(toks[i:j]))
     return cands
 

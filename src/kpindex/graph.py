@@ -115,7 +115,9 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
         nodes with the same DOMAIN weight rule. A candidate that would end
         up with no positive-weight edge is skipped, since every ABSENT node
         must stay connected to the rest of the graph. Only the candidates
-        admission reaches are counted, by a start -> keys map per neighbor.
+        admission reaches are counted, by a start -> keys map per neighbor;
+        the offsets walked stay inside the neighbor's tokens, so a window
+        longer than the neighbor costs no more than its length.
 
     Weights accumulate neighbor by neighbor in neighbor order, so float
     sums are reproducible; no reader depends on DOMAIN insertion order.
@@ -173,9 +175,11 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
                 for other, cand in cands.items():
                     for start in cand.starts:
                         keys_at[nid][start].append(other)
+            end = len(corpus[nid].tokens)  # no start lies outside [0, end)
             counts: Counter = Counter(
                 other for start in cands[key].starts
-                for at in range(start - window, start + window + 1)
+                for at in range(max(start - window, 0),
+                                min(start + window + 1, end))
                 for other in keys_at[nid].get(at, ()) if other in linkable)
             for other, c in counts.items():
                 links[other] = links.get(other, 0.0) + lambda_domain * sim * c

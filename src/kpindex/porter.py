@@ -8,7 +8,13 @@ bit-for-bit across environments.
 Words of length <= 2 are returned unchanged. Hyphenated tokens are stemmed
 part by part ("graph-based" -> "graph-base"), since the tokenizer keeps
 internal hyphens.
+
+``stem`` is a pure function, so it is memoized: a corpus has far fewer
+distinct tokens than tokens, and each distinct one is stemmed once. The
+cache is bounded so that a long-lived process stays a few MB.
 """
+
+from functools import lru_cache
 
 _VOWELS = "aeiou"
 
@@ -204,6 +210,7 @@ def _stem_word(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)
 def stem(token: str) -> str:
     """Stem a lowercase token; hyphen-separated parts are stemmed independently."""
     if "-" in token:

@@ -9,6 +9,56 @@ from kpindex.porter import stem
 from conftest import write_jsonl
 
 
+def tokenize_oracle(text):
+    """The character loop that the one-regex tokenize replaced; kept as its
+    oracle."""
+    tokens = []
+    buf = []
+
+    def flush():
+        if buf:
+            tok = "".join(buf).strip("-")
+            if any(c.isalnum() for c in tok):
+                tokens.append(tok)
+            buf.clear()
+
+    n = len(text)
+    for i, ch in enumerate(text):
+        if ch.isalnum() or ch == "-":
+            buf.append(ch.lower())
+            continue
+        flush()
+        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            tokens.append(SENTENCE_BREAK)
+    flush()
+    return tokens
+
+
+# Separators, sentence marks, Unicode whitespace, letters whose lowercase
+# differs by context or is longer than one character, a superscript digit
+# and combining marks.
+TRICKY = st.text(alphabet=list(
+    "aZ9-_.!?,' \t\n\x0b\x1c\x85\xa0\u2028\u3000"
+    "\u03a3\u03c3\u03c2\u039f\u0130\u0131\xdf\u1e9e\xb2\u0663\u2167\u212a"
+    "\u0301\u0307\u20dd"), max_size=60)
+
+
+class TestTokenizeOracle:
+    @given(st.one_of(st.text(max_size=200), TRICKY))
+    @settings(max_examples=400)
+    def test_equals_character_loop(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    def test_lowercases_per_character(self):
+        assert tokenize("ΟΣ") == tokenize_oracle("ΟΣ") == ["οσ"]
+
+    @pytest.mark.parametrize("sep", ["", " ", ". "])
+    def test_every_code_point(self, sep):
+        for block in range(0, 0x110000, 4096):
+            text = sep.join(map(chr, range(block, block + 4096)))
+            assert tokenize(text) == tokenize_oracle(text), hex(block)
+
+
 class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
@@ -136,7 +186,7 @@ class TestExtractCandidates:
         doc = Document.build("d", "Ranking graphs",
                              "The ranked graphs of documents. Results matter!")
         cands = extract_candidates(doc, 3, stopwords)
-        unigrams = {k for k, c in cands.items() if c.length == 1}
+        unigrams = {k for k in cands if len(k.split(" ")) == 1}
         expected = {s for t, s in zip(doc.tokens, doc.stems)
                     if t != SENTENCE_BREAK and t not in stopwords}
         assert unigrams == expected
@@ -147,10 +197,11 @@ class TestExtractCandidates:
         for cand in extract_candidates(doc, 3, stopwords).values():
             assert cand.starts == sorted(cand.starts)
             assert cand.frequency == len(cand.starts)
-            assert cand.length == len(cand.key.split(" "))
+            length = len(cand.key.split(" "))
             for start in cand.starts:
-                assert 0 <= start and start + cand.length <= len(doc.tokens)
-                span = doc.tokens[start:start + cand.length]
+                assert 0 <= start and start + length <= len(doc.tokens)
+                assert " ".join(doc.stems[start:start + length]) == cand.key
+                span = doc.tokens[start:start + length]
                 assert SENTENCE_BREAK not in span
 
     def test_restemming_surfaces_reproduces_key(self, stopwords):

@@ -17,7 +17,7 @@ from conftest import make_corpus
 
 
 def unigram(key, starts):
-    cand = Candidate(key=key, length=1)
+    cand = Candidate(key=key)
     for s in starts:
         cand.add(s, key)
     return cand
@@ -355,6 +355,27 @@ class TestExpandGraphOracle:
             assert got.nodes == want.nodes
             assert got.weights == want.weights
             admitted += len(got.keys_with_origin(Origin.ABSENT))
+        assert admitted > 0
+
+    def test_window_beyond_every_document_changes_nothing(self, tmp_path):
+        # 10**4 tokens is longer than any sample100 document, so a larger
+        # window reaches no further; admission must not walk the difference.
+        lines = resources.files("kpindex").joinpath(
+            "data/sample100.jsonl").read_text("utf-8").splitlines()[:10]
+        path = tmp_path / "first10.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus = load_corpus(str(path))
+        provider = TfidfSimilarity(corpus)
+        admitted = 0
+        for doc in corpus:
+            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0)
+            wide, widest = (
+                expand_graph(present_graph_for(corpus, doc.id, window),
+                             nbrs, corpus, Config(window=window))
+                for window in (10**4, 10**9))
+            assert widest.nodes == wide.nodes
+            assert widest.weights == wide.weights
+            admitted += len(wide.keys_with_origin(Origin.ABSENT))
         assert admitted > 0
 
 

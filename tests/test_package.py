@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import inspect
 import math
+import sys
+from importlib import resources
 
 import pytest
 
@@ -114,5 +117,25 @@ def test_graph_node_records_only_what_ranking_reads():
     assert not hasattr(ranking, "_best_surface")
     fields = [f.name for f in dataclasses.fields(Candidate)]
     assert "starts" in fields and "occurrences" not in fields
+    assert "length" not in fields
     layer = inspect.signature(graph.SemMultiGraph.edge_count).parameters["layer"]
     assert layer.default is inspect.Parameter.empty
+
+
+def test_package_imports_only_the_standard_library():
+    """pyproject.toml declares no dependencies; every import in the package
+    is relative or a standard-library module."""
+    outside = []
+    for module in resources.files("kpindex").iterdir():
+        if not module.name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(module.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{module.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

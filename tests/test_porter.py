@@ -2,6 +2,7 @@
 each verified by hand-tracing the rules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpindex.porter import stem
 
@@ -89,3 +90,18 @@ def test_idempotent_on_evaluation_vocabulary():
 def test_deterministic():
     words = [w for w, _ in REFERENCE]
     assert [stem(w) for w in words] == [stem(w) for w in words]
+
+
+WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14)
+
+
+@given(st.one_of(WORDS, st.lists(WORDS, min_size=2, max_size=4).map("-".join)))
+@settings(max_examples=300)
+def test_memoized_stem_equals_uncached(word):
+    first = stem(word)
+    assert first == stem.__wrapped__(word)
+    assert stem(word) == first  # a cache hit answers the same
+
+
+def test_memo_is_bounded():
+    assert stem.cache_info().maxsize == 1 << 16

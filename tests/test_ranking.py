@@ -275,7 +275,7 @@ class TestRankKeyphrases:
 
     def test_present_surface_most_frequent_then_earliest(self):
         def surface_of(occurrences):
-            cand = Candidate(key="network", length=1)
+            cand = Candidate(key="network")
             for start, surface in occurrences:
                 cand.add(start, surface)
             g = build_document_graph(Document.build("d", "", ""),
