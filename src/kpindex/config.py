@@ -1,8 +1,8 @@
 """Run configuration: defaults, key=value config files, flag overrides.
 
 Precedence is fixed: built-in defaults < config file < command-line flags.
-Unknown keys are rejected rather than ignored so typos cannot silently
-change a run.
+Unknown and repeated keys are rejected rather than ignored or overridden
+so typos cannot silently change a run.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def load_config(path: str | None) -> Config:
                 key = key.strip()
                 if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
                 values[key] = _coerce(key, raw)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None

@@ -219,8 +219,9 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     """Load a JSON Lines corpus: one object per line with id, title, abstract
     and an optional keyphrases array.
 
-    Raises CorpusError naming the offending line for malformed records and
-    naming the id for duplicates.
+    Raises CorpusError naming the offending line for malformed records,
+    naming the id for duplicates and naming the path when the file holds
+    no record.
     """
     docs: list[Document] = []
     with open(path, "rb") as fh:
@@ -249,6 +250,8 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
                 raise CorpusError(f"line {lineno}: keyphrases must be an array of strings")
             docs.append(Document.build(record["id"], record["title"],
                                        record["abstract"], gold))
+    if not docs:
+        raise CorpusError(f"empty corpus: {path} holds no record")
     if stopwords is None:
         stopwords = default_stopwords()
     return Corpus(docs, stopwords)

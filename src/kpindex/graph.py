@@ -3,12 +3,12 @@
 Each target document gets one undirected multigraph: a node map plus one
 weight map per edge layer. PRESENT nodes are the document's own
 candidates, linked by DOCUMENT edges (within-window co-occurrence counts).
-Neighbor documents contribute a second, parallel DOMAIN layer:
-similarity-scaled co-occurrence evidence between present candidates, plus
-new ABSENT nodes for candidates that only the neighbors contain. A pair of
-nodes can carry at most one edge per layer. A node records only what the
-ranking reports: its origin, its source documents and its display surface,
-which is chosen when the node is added.
+Neighbor documents contribute new ABSENT nodes for candidates that only
+they contain, and a second, parallel DOMAIN layer: similarity-scaled
+co-occurrence counts between the graph's nodes. A pair of nodes can carry
+at most one edge per layer. A node records only what the ranking reports:
+its origin, its source documents and its display surface, which is chosen
+when the node is added.
 """
 
 from __future__ import annotations
@@ -106,94 +106,84 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
                  config: Config = Config()) -> SemMultiGraph:
     """Enrich the document graph in place with neighbor evidence.
 
-    (a) For every pair of PRESENT keys co-occurring in a neighbor with
-        similarity s, accumulate a DOMAIN edge of lambda_domain * s * count;
-        the neighbor's other keys do not change a PRESENT pair's count.
-    (b) Score candidates that occur only in neighbors by sum(s_i * freq_i),
-        admit up to absent_quota of them as ABSENT nodes (best score first,
-        ties by key), wiring each to PRESENT and previously admitted ABSENT
-        nodes with the same DOMAIN weight rule. A candidate that would end
-        up with no positive-weight edge is skipped, since every ABSENT node
-        must stay connected to the rest of the graph. Only the candidates
-        admission reaches are counted, by a start -> keys map per neighbor;
-        the offsets walked stay inside the neighbor's tokens, so a window
-        longer than the neighbor costs no more than its length.
+    (1) Admission decides which nodes exist. Candidates that occur only
+        in neighbors are scored by sum(s_i * freq_i) over the neighbors
+        with similarity s_i > 0, and up to absent_quota of them become
+        ABSENT nodes, best score first, ties by key. A candidate is
+        admitted only if, in some neighbor that contains it, one of its
+        occurrences starts within the window of an occurrence of a key
+        already in the graph (PRESENT or admitted earlier), so every
+        ABSENT node ends up on a DOMAIN edge. The offsets this yes/no
+        test walks stay inside the neighbor's tokens, so a window longer
+        than the neighbor costs no more than its length.
+    (2) window_pairs then weighs every DOMAIN edge: for each neighbor, in
+        neighbor order, it counts the occurrence pairs between the
+        neighbor's candidates that are graph nodes, and each pair adds
+        lambda_domain * s * count. A neighbor's other keys do not change
+        a pair's count.
 
-    Weights accumulate neighbor by neighbor in neighbor order, so float
-    sums are reproducible; no reader depends on DOMAIN insertion order.
-    The DOCUMENT layer is never touched. With lambda_domain == 0 or no
-    neighbors the graph is returned unchanged.
+    Every weight sums in neighbor order, so float sums are reproducible;
+    no reader depends on DOMAIN insertion order. The DOCUMENT layer is
+    never touched. With lambda_domain == 0 or no neighbors the graph is
+    returned unchanged.
     """
     window, lambda_domain = config.window, config.lambda_domain
-    absent_quota = config.absent_quota
     if lambda_domain == 0 or not nbrs.neighbors:
         return g
 
-    present = set(g.keys_with_origin(Origin.PRESENT))
     active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
+    if config.absent_quota > 0:
+        _admit_absent(g, active, neighbor_cands, corpus, config)
 
-    # (a) domain evidence between present candidates
     domain = g.weights[Layer.DOMAIN]
     for nid, sim in active:
         scale = lambda_domain * sim
-        shared = {key: cand for key, cand in neighbor_cands[nid].items()
-                  if key in present}
-        for pair, c in window_pairs(shared, window).items():
+        nodes = {key: cand for key, cand in neighbor_cands[nid].items()
+                 if key in g.nodes}
+        for pair, c in window_pairs(nodes, window).items():
             weight = scale * c
             if weight <= 0:
                 raise ConfigError("lambda_domain is too small: a weight rounds to 0")
             domain[pair] = domain.get(pair, 0.0) + weight
+    return g
 
-    # (b) absent-candidate admission
-    if absent_quota == 0:
-        return g
+
+def _admit_absent(g: SemMultiGraph, active: list[tuple[str, float]],
+                  neighbor_cands: dict[str, dict[str, Candidate]],
+                  corpus: Corpus, config: Config) -> None:
+    """Add expand_graph's ABSENT nodes to g.nodes; no edge is written."""
+    window = config.window
     scores: dict[str, float] = defaultdict(float)
     for nid, sim in active:
         for key, cand in neighbor_cands[nid].items():
-            if key not in present:
+            if key not in g.nodes:
                 scores[key] += sim * cand.frequency
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
-    linkable = set(present)  # PRESENT plus the ABSENT keys admitted so far
-    keys_at: dict[str, dict[int, list[str]]] = {}  # nid -> start -> keys
+    linked = {nid: {start for key, cand in cands.items() if key in g.nodes
+                    for start in cand.starts}
+              for nid, cands in neighbor_cands.items()}  # graph keys' starts
     admitted = 0
     for key, _ in ranked:  # every score is positive: sim > 0, frequency >= 1
-        if admitted >= absent_quota:
+        if admitted >= config.absent_quota:
             break
-        links: dict[str, float] = {}
-        sources, surfaces = [], Counter()
-        for nid, sim in active:
-            cands = neighbor_cands[nid]
-            if key not in cands:
-                continue
-            sources.append(nid)
-            surfaces.update(cands[key].surfaces)
-            if nid not in keys_at:
-                keys_at[nid] = defaultdict(list)
-                for other, cand in cands.items():
-                    for start in cand.starts:
-                        keys_at[nid][start].append(other)
-            end = len(corpus[nid].tokens)  # no start lies outside [0, end)
-            counts: Counter = Counter(
-                other for start in cands[key].starts
-                for at in range(max(start - window, 0),
-                                min(start + window + 1, end))
-                for other in keys_at[nid].get(at, ()) if other in linkable)
-            for other, c in counts.items():
-                links[other] = links.get(other, 0.0) + lambda_domain * sim * c
-        if not links:
+        sources = [nid for nid, _ in active if key in neighbor_cands[nid]]
+        if not any(at in linked[nid]
+                   for nid in sources
+                   for start in neighbor_cands[nid][key].starts
+                   for at in range(max(start - window, 0),
+                                   min(start + window + 1,
+                                       len(corpus[nid].tokens)))):
             continue
+        surfaces = Counter()
+        for nid in sources:
+            surfaces.update(neighbor_cands[nid][key].surfaces)
+            linked[nid].update(neighbor_cands[nid][key].starts)
         g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(sources)),
                                 preferred_surface(surfaces))
-        for other, weight in links.items():
-            if weight <= 0:
-                raise ConfigError("lambda_domain is too small: a weight rounds to 0")
-            domain[(key, other) if key < other else (other, key)] = weight
-        linkable.add(key)
         admitted += 1
-    return g
 
 
 def bridge_components(g: SemMultiGraph,

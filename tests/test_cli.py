@@ -156,6 +156,22 @@ class TestExitCodes:
         code, _, err = run(["extract", str(tmp_path / "missing.jsonl")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("k_neighbors", [[], ["--k-neighbors", "0"]])
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    @pytest.mark.parametrize("command", ["extract", "index", "neighbors",
+                                         "evaluate"])
+    def test_corpus_without_records_is_data_error(self, tmp_path, capsys,
+                                                  command, text, k_neighbors):
+        path = tmp_path / "c.jsonl"
+        path.write_text(text)
+        extra = [str(tmp_path / "c.kpix")] if command == "index" else []
+        code, out, err = run([command, str(path), *extra, *k_neighbors],
+                             capsys)
+        assert code == 2
+        assert out == "" and not (tmp_path / "c.kpix").exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "empty corpus" in err and str(path) in err
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k_neighbors = 3\nbogus_knob = 7\n")
@@ -163,6 +179,14 @@ class TestExitCodes:
         code, _, err = run(["extract", path, "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus_knob" in err
+
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = 4\n# later\nwindow = 12\n")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and f"{cfg}:3" in err and "'window'" in err
 
     @pytest.mark.parametrize("top", ["-1", "0"])
     def test_search_top_below_one_is_config_error(self, tmp_path, capsys, top):
@@ -373,6 +397,9 @@ GOLDEN_BYTES = [
     # admits many ABSENT nodes; the default config admits few
     ("extract --min-sim 0 --absent-quota 40 --window 4",
      "802c56f4c0f8c7effef402a2127f7aa0fba881895ffd451f32f9d09b8849fd59"),
+    # neighbors' candidates are unigrams too, so expansion reads max_len
+    ("extract --max-len 1 --min-sim 0",
+     "3660aebbd5a8d4c7981e3a82f0a23883bd5c45fdb613d09cef752adc8b87bc7c"),
 ]
 
 

@@ -123,9 +123,10 @@ class TestCooccurrenceIn:
         assert ("graph", "rank") not in pairs
 
 
-def present_graph_for(corpus, doc_id, window=10):
-    cands = corpus.candidates_for(doc_id, 3)
-    return build_document_graph(corpus[doc_id], cands, Config(window=window))
+def present_graph_for(corpus, doc_id, window=10, max_len=3):
+    cands = corpus.candidates_for(doc_id, max_len)
+    return build_document_graph(corpus[doc_id], cands,
+                                Config(window=window, max_len=max_len))
 
 
 class TestExpandGraph:
@@ -317,24 +318,27 @@ class TestExpandGraphOracle:
            st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
                     min_size=3, max_size=3),
            st.integers(1, 12), st.sampled_from([0.5, 1.0, 2.5]),
-           st.integers(0, 12))
+           st.integers(0, 12), st.integers(1, 3))
     # "neural" has no linkable key within the window: admission skips it
     @example(texts=["graph.", "neural. the of the graph."],
-             sims=[0.7, 0.0, 0.0], window=1, lambda_domain=1.0, quota=2)
+             sims=[0.7, 0.0, 0.0], window=1, lambda_domain=1.0, quota=2,
+             max_len=3)
     @settings(max_examples=150, deadline=None)
     def test_matches_partner_free_admission(self, stopwords, texts, sims,
-                                            window, lambda_domain, quota):
+                                            window, lambda_domain, quota,
+                                            max_len):
         corpus = make_corpus([(f"d{i}", "", text)
                               for i, text in enumerate(texts)], stopwords)
         nbrs = NeighborSet("d0", [(f"d{i}", sim) for i, sim in
                                   zip(range(1, len(texts)), sims)],
                            k=3, min_sim=0.0)
         config = Config(window=window, lambda_domain=lambda_domain,
-                        absent_quota=quota)
-        got = expand_graph(present_graph_for(corpus, "d0", window), nbrs,
-                           corpus, config)
-        want = expand_graph_oracle(present_graph_for(corpus, "d0", window),
-                                   nbrs, corpus, window, lambda_domain, quota)
+                        absent_quota=quota, max_len=max_len)
+        got = expand_graph(present_graph_for(corpus, "d0", window, max_len),
+                           nbrs, corpus, config)
+        want = expand_graph_oracle(
+            present_graph_for(corpus, "d0", window, max_len), nbrs, corpus,
+            window, lambda_domain, quota, max_len)
         assert got.nodes == want.nodes
         assert got.weights == want.weights
 
