@@ -4,7 +4,9 @@ A document is indexed on its title and abstract only. Both fields are
 tokenized into a single stream with a sentence-break marker between the
 fields and after sentence-final punctuation; stems align 1:1 with tokens.
 Candidates are stopword-free n-grams (default n <= 3) that never cross a
-sentence break, grouped under their stem-sequence key.
+sentence break, grouped under their stem-sequence key. A candidate is just
+the list of token offsets where its key starts; its surface forms are read
+back from the tokens (surface_counts) only when a graph node is made.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ def tokenize(text: str) -> list[str]:
     no alphanumeric character are dropped.
 
     A token is lowercased one character at a time, so no character's
-    lowercase depends on its neighbors ("ΟΣ" gives "οσ", not "ος").
+    lowercase depends on its neighbors ("ΟΣ" gives "οσ", not "ος"). "İ"
+    (U+0130) lowercases to a plain "i": its Unicode lowercase adds a
+    combining dot, which is no token character, so tokenizing the joined
+    tokens again would split the word.
     """
     tokens: list[str] = []
     for run in _TOKEN.findall(text):
@@ -49,7 +54,7 @@ def tokenize(text: str) -> list[str]:
             if tok:
                 tokens.append(tok)
         else:
-            tok = "".join([c.lower() for c in run]).strip("-")
+            tok = "".join([c.lower() for c in run.replace("\u0130", "i")]).strip("-")
             if any(c.isalnum() for c in tok):
                 tokens.append(tok)
     return tokens
@@ -79,39 +84,22 @@ class Document:
                    tokens=tokens, stems=stems)
 
 
-@dataclass
-class Candidate:
-    """A stemmed n-gram keyphrase candidate and where it occurred.
-
-    The key (stems joined by single spaces) is the canonical identity of
-    an n-gram; starts holds each occurrence's token offset, surfaces the
-    distinct surface forms with their counts, and first_offset the
-    earliest start of each surface for display ties.
-    """
-
-    key: str
-    starts: list[int] = field(default_factory=list)
-    surfaces: Counter = field(default_factory=Counter)
-    first_offset: dict[str, int] = field(default_factory=dict)
-
-    def add(self, start: int, surface: str) -> None:
-        self.starts.append(start)
-        self.surfaces[surface] += 1
-        self.first_offset.setdefault(surface, start)
-
-    @property
-    def frequency(self) -> int:
-        return len(self.starts)
-
-    def best_surface(self) -> str:
-        return preferred_surface(self.surfaces, self.first_offset)
+def surface_counts(doc: Document, key: str, starts: list[int]) -> Counter:
+    """The surface forms of one candidate of `doc`, read from its tokens at
+    the key's starts, counted in order of first occurrence."""
+    n = key.count(" ") + 1
+    return Counter(" ".join(doc.tokens[s:s + n]) for s in starts)
 
 
-def preferred_surface(surfaces: Counter, first_offset: dict[str, int] | None = None) -> str:
-    """Most frequent surface form; ties go to the earliest occurrence when
-    offsets are known, then lexicographic."""
-    offsets = first_offset or {}
-    return min(surfaces, key=lambda s: (-surfaces[s], offsets.get(s, 1 << 60), s))
+def most_frequent_surface(doc: Document, key: str, starts: list[int]) -> str:
+    """The key's most frequent surface in doc; ties go to the earliest
+    occurrence, which most_common keeps first."""
+    return surface_counts(doc, key, starts).most_common(1)[0][0]
+
+
+def preferred_surface(surfaces: Counter) -> str:
+    """Most frequent surface form; ties go to the lexicographically least."""
+    return min(surfaces, key=lambda s: (-surfaces[s], s))
 
 
 def _blocked(token: str, stopwords: frozenset[str]) -> bool:
@@ -119,15 +107,16 @@ def _blocked(token: str, stopwords: frozenset[str]) -> bool:
 
 
 def extract_candidates(doc: Document, max_len: int = 3,
-                       stopwords: frozenset[str] = frozenset()) -> dict[str, Candidate]:
-    """All stopword-free n-grams of length 1..max_len, keyed by stem sequence.
+                       stopwords: frozenset[str] = frozenset()) -> dict[str, list[int]]:
+    """All stopword-free n-grams of length 1..max_len: each stem-sequence
+    key maps to the ascending token offsets where it starts.
 
     No occurrence crosses a sentence break. Deterministic for a fixed
     (document, max_len, stopwords) input.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    cands: dict[str, Candidate] = {}
+    cands: dict[str, list[int]] = {}
     toks, stems = doc.tokens, doc.stems
     for i in range(len(toks)):
         if _blocked(toks[i], stopwords):
@@ -136,11 +125,7 @@ def extract_candidates(doc: Document, max_len: int = 3,
             j = i + n
             if j > len(toks) or _blocked(toks[j - 1], stopwords):
                 break
-            key = " ".join(stems[i:j])
-            cand = cands.get(key)
-            if cand is None:
-                cand = cands[key] = Candidate(key=key)
-            cand.add(i, " ".join(toks[i:j]))
+            cands.setdefault(" ".join(stems[i:j]), []).append(i)
     return cands
 
 
@@ -168,7 +153,7 @@ class Corpus:
             self._docs[doc.id] = doc
         self.stopwords = frozenset(stopwords)
         self.stopword_stems = frozenset(stem(w) for w in self.stopwords)
-        self._candidate_cache: dict[tuple[str, int], dict[str, Candidate]] = {}
+        self._candidate_cache: dict[tuple[str, int], dict[str, list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -188,8 +173,10 @@ class Corpus:
     def ids(self) -> list[str]:
         return list(self._docs)
 
-    def candidates_for(self, doc_id: str, max_len: int = 3) -> dict[str, Candidate]:
-        """Candidate extraction memoized per (document, max_len); treat as read-only."""
+    def candidates_for(self, doc_id: str, max_len: int = 3) -> dict[str, list[int]]:
+        """extract_candidates memoized per (document, max_len): each key maps
+        to its start offsets only, and surfaces are read from the document's
+        tokens when a graph node is made. Treat as read-only."""
         cache_key = (doc_id, max_len)
         got = self._candidate_cache.get(cache_key)
         if got is None:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .config import Config
-from .corpus import Corpus, Document, index_stems, phrase_stems
+from .corpus import (Corpus, Document, index_stems, most_frequent_surface,
+                     phrase_stems)
 from .errors import EvaluationError
 from .similarity import compute_idf
 
@@ -221,7 +222,8 @@ def tfidf_baseline(doc: Document, corpus: Corpus, config: Config = Config(),
     """Candidates ranked by the summed tf*idf of their stems; ties by key.
 
     Returns surface forms so downstream normalization stems each phrase
-    exactly once, same as gold.
+    exactly once, same as gold. A key's surface is chosen as for a
+    PRESENT node.
     """
     if idf is None:
         idf = compute_idf(corpus)
@@ -232,4 +234,5 @@ def tfidf_baseline(doc: Document, corpus: Corpus, config: Config = Config(),
         score = math.fsum(tf[s] * idf.get(s, 0.0) for s in key.split(" "))
         scored.append((key, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return [candidates[key].best_surface() for key, _ in scored[:config.top_n]]
+    return [most_frequent_surface(doc, key, candidates[key])
+            for key, _ in scored[:config.top_n]]

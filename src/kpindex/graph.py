@@ -6,9 +6,10 @@ candidates, linked by DOCUMENT edges (within-window co-occurrence counts).
 Neighbor documents contribute new ABSENT nodes for candidates that only
 they contain, and a second, parallel DOMAIN layer: similarity-scaled
 co-occurrence counts between the graph's nodes. A pair of nodes can carry
-at most one edge per layer. A node records only what the ranking reports:
-its origin, its source documents and its display surface, which is chosen
-when the node is added.
+at most one edge per layer. Candidates arrive as start offsets only; a
+node records only what the ranking reports: its origin, its source
+documents and its display surface, which is read from the source
+documents' tokens when the node is added.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import Config
-from .corpus import Corpus, Candidate, Document, preferred_surface
+from .corpus import (Corpus, Document, most_frequent_surface,
+                     preferred_surface, surface_counts)
 from .errors import ConfigError
 from .similarity import NeighborSet
 
@@ -58,7 +60,7 @@ class SemMultiGraph:
         return sorted(k for k, info in self.nodes.items() if info.origin is origin)
 
 
-def window_pairs(candidates: dict[str, Candidate],
+def window_pairs(candidates: dict[str, list[int]],
                  window: int) -> dict[tuple[str, str], int]:
     """Occurrence pairs of distinct keys whose start offsets differ by at
     most `window`, counted per sorted key pair.
@@ -67,8 +69,8 @@ def window_pairs(candidates: dict[str, Candidate],
     is paired only with the later ones still inside its window; the
     window's end index only moves forward.
     """
-    occurrences = sorted((start, key) for key, cand in candidates.items()
-                         for start in cand.starts)
+    occurrences = sorted((start, key) for key, starts in candidates.items()
+                         for start in starts)
     starts = [start for start, _ in occurrences]
     keys = [key for _, key in occurrences]
     counts: dict[tuple[str, str], int] = {}
@@ -85,7 +87,7 @@ def window_pairs(candidates: dict[str, Candidate],
     return counts
 
 
-def build_document_graph(doc: Document, candidates: dict[str, Candidate],
+def build_document_graph(doc: Document, candidates: dict[str, list[int]],
                          config: Config = Config()) -> SemMultiGraph:
     """One PRESENT node per candidate; DOCUMENT edges weighted by the number
     of occurrence pairs whose start offsets differ by at most config.window.
@@ -95,7 +97,7 @@ def build_document_graph(doc: Document, candidates: dict[str, Candidate],
     g = SemMultiGraph()
     for key in sorted(candidates):
         g.nodes[key] = NodeInfo(Origin.PRESENT, (doc.id,),
-                                candidates[key].best_surface())
+                                most_frequent_surface(doc, key, candidates[key]))
     g.weights[Layer.DOCUMENT] = {
         pair: float(c)
         for pair, c in window_pairs(candidates, config.window).items()}
@@ -140,7 +142,7 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     domain = g.weights[Layer.DOMAIN]
     for nid, sim in active:
         scale = lambda_domain * sim
-        nodes = {key: cand for key, cand in neighbor_cands[nid].items()
+        nodes = {key: starts for key, starts in neighbor_cands[nid].items()
                  if key in g.nodes}
         for pair, c in window_pairs(nodes, window).items():
             weight = scale * c
@@ -151,19 +153,19 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
 
 
 def _admit_absent(g: SemMultiGraph, active: list[tuple[str, float]],
-                  neighbor_cands: dict[str, dict[str, Candidate]],
+                  neighbor_cands: dict[str, dict[str, list[int]]],
                   corpus: Corpus, config: Config) -> None:
     """Add expand_graph's ABSENT nodes to g.nodes; no edge is written."""
     window = config.window
     scores: dict[str, float] = defaultdict(float)
     for nid, sim in active:
-        for key, cand in neighbor_cands[nid].items():
+        for key, starts in neighbor_cands[nid].items():
             if key not in g.nodes:
-                scores[key] += sim * cand.frequency
+                scores[key] += sim * len(starts)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
-    linked = {nid: {start for key, cand in cands.items() if key in g.nodes
-                    for start in cand.starts}
+    linked = {nid: {start for key, starts in cands.items() if key in g.nodes
+                    for start in starts}
               for nid, cands in neighbor_cands.items()}  # graph keys' starts
     admitted = 0
     for key, _ in ranked:  # every score is positive: sim > 0, frequency >= 1
@@ -172,15 +174,16 @@ def _admit_absent(g: SemMultiGraph, active: list[tuple[str, float]],
         sources = [nid for nid, _ in active if key in neighbor_cands[nid]]
         if not any(at in linked[nid]
                    for nid in sources
-                   for start in neighbor_cands[nid][key].starts
+                   for start in neighbor_cands[nid][key]
                    for at in range(max(start - window, 0),
                                    min(start + window + 1,
                                        len(corpus[nid].tokens)))):
             continue
         surfaces = Counter()
         for nid in sources:
-            surfaces.update(neighbor_cands[nid][key].surfaces)
-            linked[nid].update(neighbor_cands[nid][key].starts)
+            starts = neighbor_cands[nid][key]
+            surfaces.update(surface_counts(corpus[nid], key, starts))
+            linked[nid].update(starts)
         g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(sources)),
                                 preferred_surface(surfaces))
         admitted += 1

@@ -388,6 +388,10 @@ GOLDEN_BYTES = [
      "a8bb3d604b1a951856b8b1134719fc0a5c9ef22cb3e27dffa0972775c9de4821"),
     ("evaluate --model tfidf",
      "118f9ef133f67afc435b383a4329396884cc5c283717adf839bf2007b83e8993"),
+    ("evaluate --csv",
+     "ce4098221eaf2cdec27d08cc1085ecc5b843732904ed084a9eb7a78635fadad5"),
+    ("evaluate --model tfidf --csv",
+     "808e7a7208fcab8708d277fca82378b8d96da684bf21d1f0513c1cce906d131b"),
     ("evaluate --model no-expansion",
      "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
     ("neighbors",

@@ -5,6 +5,7 @@ from kpindex import Config, evaluate_corpus, normalize_phrase
 from kpindex.corpus import Document
 from kpindex.errors import EvaluationError
 from kpindex.evaluation import f_at_k, split_present_absent, tfidf_baseline
+from kpindex.graph import build_document_graph
 
 from conftest import make_corpus
 
@@ -185,6 +186,17 @@ class TestEvaluateCorpus:
         b = evaluate_corpus(toy_gold_corpus, fixed_model).to_dict()
         assert a == b
 
+    def test_own_surface_with_dotted_capital_i_matches_its_gold(self, stopwords):
+        """A surface read from the tokens normalizes to the gold's key even
+        when the text holds "İ" (U+0130)."""
+        corpus = make_corpus([("a", "İstanbul networks",
+                               "Traffic in İstanbul networks.",
+                               ["İstanbul networks"])], stopwords)
+        g = build_document_graph(corpus["a"], corpus.candidates_for("a"))
+        surface = g.nodes[normalize_phrase("İstanbul networks")].surface
+        report = evaluate_corpus(corpus, lambda doc: [surface])
+        assert report.macro["all"][5].f1 == 1.0
+
     def test_csv_rows_cover_every_scope_and_k(self, toy_gold_corpus):
         report = evaluate_corpus(toy_gold_corpus, fixed_model)
         rows = report.csv_rows()
@@ -207,6 +219,15 @@ class TestTfidfBaseline:
         ], stopwords)
         ranked = tfidf_baseline(corpus["d1"], corpus, Config(top_n=5))
         assert ranked.index("zeta") < ranked.index("graph")
+
+    def test_surface_is_the_present_node_surface(self, stopwords):
+        """Most frequent surface, as build_document_graph's PRESENT node."""
+        corpus = make_corpus([("a", "Networks", "Networks grow. Network.")],
+                             stopwords)
+        ranked = tfidf_baseline(corpus["a"], corpus, Config(max_len=1))
+        g = build_document_graph(corpus["a"], corpus.candidates_for("a", 1))
+        assert ranked == ["networks", "grow"]
+        assert ranked[0] == g.nodes["network"].surface
 
     def test_deterministic_under_corpus_reordering(self, stopwords):
         rows = [("d1", "Graph ranking", "Graph ranking text."),

@@ -6,21 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kpindex import Config, ConfigError
-from kpindex.corpus import (Candidate, Document, extract_candidates,
-                            load_corpus, preferred_surface)
+from kpindex.corpus import (Document, extract_candidates, load_corpus,
+                            preferred_surface, surface_counts)
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
                            expand_graph, to_dot, window_pairs)
 from kpindex.similarity import NeighborSet, TfidfSimilarity
 
 from conftest import make_corpus
-
-
-def unigram(key, starts):
-    cand = Candidate(key=key)
-    for s in starts:
-        cand.add(s, key)
-    return cand
 
 
 def add_weight(g, u, v, layer, w):
@@ -52,27 +45,28 @@ def count_window_pairs(starts_a, starts_b, window):
     return sum(1 for a in starts_a for b in starts_b if abs(a - b) <= window)
 
 
-DOC = Document.build("d", "", "")
+# a token at every start offset the tests below use
+DOC = Document.build("d", "", " ".join(["word"] * 31))
 
 
 class TestBuildDocumentGraph:
     def test_single_candidate(self):
-        g = build_document_graph(DOC, {"x": unigram("x", [0])}, Config(window=10))
+        g = build_document_graph(DOC, {"x": [0]}, Config(window=10))
         assert len(g.nodes) == 1
         assert g.edge_count(Layer.DOCUMENT) == g.edge_count(Layer.DOMAIN) == 0
 
     def test_pair_within_window(self):
-        cands = {"a": unigram("a", [0]), "b": unigram("b", [5])}
+        cands = {"a": [0], "b": [5]}
         g = build_document_graph(DOC, cands, Config(window=10))
         assert g.weights[Layer.DOCUMENT].get(("a", "b")) == 1.0
 
     def test_multiple_occurrence_pairs(self):
-        cands = {"a": unigram("a", [0, 3]), "b": unigram("b", [5])}
+        cands = {"a": [0, 3], "b": [5]}
         g = build_document_graph(DOC, cands, Config(window=10))
         assert g.weights[Layer.DOCUMENT][("a", "b")] == 2.0
 
     def test_pair_outside_window_gets_no_edge(self):
-        cands = {"a": unigram("a", [0]), "b": unigram("b", [30])}
+        cands = {"a": [0], "b": [30]}
         g = build_document_graph(DOC, cands, Config(window=10))
         assert ("a", "b") not in g.weights[Layer.DOCUMENT]
 
@@ -88,7 +82,7 @@ class TestWindowPairs:
     @example({"a": {0}, "b": {0}}, 1)  # distinct keys sharing a start
     @example({"a": {0, 3}, "b": {3, 6}}, 3)  # pairs exactly window apart
     def test_matches_pairwise_oracle(self, starts, window):
-        cands = {key: unigram(key, sorted(s)) for key, s in starts.items()}
+        cands = {key: sorted(s) for key, s in starts.items()}
         keys = sorted(cands)
         expected = {}
         for i, a in enumerate(keys):
@@ -272,10 +266,10 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
     scores = defaultdict(float)
     contributors = defaultdict(set)
     for nid, sim in active:
-        for key, cand in neighbor_cands[nid].items():
+        for key, starts in neighbor_cands[nid].items():
             if key in present_set:
                 continue
-            scores[key] += sim * cand.frequency
+            scores[key] += sim * len(starts)
             contributors[key].add(nid)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     admitted = []
@@ -295,9 +289,9 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
             continue
         surfaces = Counter()
         for nid in sorted(contributors[key]):
-            cand = neighbor_cands[nid].get(key)
-            if cand is not None:
-                surfaces.update(cand.surfaces)
+            starts = neighbor_cands[nid].get(key)
+            if starts is not None:
+                surfaces.update(surface_counts(corpus[nid], key, starts))
         g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])),
                                 preferred_surface(surfaces))
         for other in sorted(links):

@@ -10,7 +10,8 @@ import pytest
 import kpindex
 from kpindex import (Config, ConfigError, cli, evaluation, graph, ranking,
                      similarity)
-from kpindex.corpus import Candidate, Corpus, Document, default_stopwords
+from kpindex import corpus as corpus_module
+from kpindex.corpus import Corpus, Document, default_stopwords
 from kpindex.index import InvertedIndex
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
@@ -115,11 +116,21 @@ def test_graph_node_records_only_what_ranking_reads():
     for name in ("Edge", "_pair", "weakly_connected_components", "_layers"):
         assert not hasattr(graph, name)
     assert not hasattr(ranking, "_best_surface")
-    fields = [f.name for f in dataclasses.fields(Candidate)]
-    assert "starts" in fields and "occurrences" not in fields
-    assert "length" not in fields
     layer = inspect.signature(graph.SemMultiGraph.edge_count).parameters["layer"]
     assert layer.default is inspect.Parameter.empty
+
+
+def test_candidates_are_start_offsets():
+    """A candidate is the list of offsets where its key starts; surfaces
+    and lengths are read from the tokens, so no record type holds them."""
+    assert not hasattr(corpus_module, "Candidate")
+    corpus = Corpus([Document.build("a", "Graph ranking", "Graph models.")],
+                    default_stopwords())
+    cands = corpus.candidates_for("a")
+    assert type(cands) is dict
+    assert cands["graph"] == [0, 3]
+    assert all(type(starts) is list and all(type(s) is int for s in starts)
+               for starts in cands.values())
 
 
 def test_package_imports_only_the_standard_library():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kpindex import Config, ConfigError, extract_pipeline
-from kpindex.corpus import Candidate, Document
+from kpindex.corpus import Document, extract_candidates
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            build_document_graph, expand_graph)
 from kpindex.ranking import _power_iteration, pagerank, rank_keyphrases
@@ -274,17 +274,15 @@ class TestRankKeyphrases:
         assert [r.key for r in ranked] == ["k1", "k2"]
 
     def test_present_surface_most_frequent_then_earliest(self):
-        def surface_of(occurrences):
-            cand = Candidate(key="network")
-            for start, surface in occurrences:
-                cand.add(start, surface)
-            g = build_document_graph(Document.build("d", "", ""),
-                                     {"network": cand})
+        def surface_of(abstract):
+            doc = Document.build("d", "", abstract)
+            g = build_document_graph(doc, extract_candidates(doc, 1))
             return rank_keyphrases(g, {"network": 1.0}, Config())[0].surface
 
-        assert surface_of([(2, "network"), (5, "networks"),
-                           (8, "networks")]) == "networks"
-        assert surface_of([(2, "network"), (5, "networks")]) == "network"
+        assert surface_of("network. networks. networks.") == "networks"
+        assert surface_of("network. networks.") == "network"
+        # earliest, not lexicographically least
+        assert surface_of("networks. network.") == "networks"
 
     def test_absent_surface_tie_breaks_lexicographically(self, stopwords):
         corpus = make_corpus([("a", "Graph", ""),
