@@ -223,6 +223,8 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer past the int-string digit limit
+                raise CorpusError(f"line {lineno}: invalid JSON ({exc})") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"line {lineno}: record is not an object")
             for fld in ("id", "title", "abstract"):

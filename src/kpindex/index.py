@@ -16,15 +16,20 @@ On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
 The length norms are derived data: they are not written to the file.
+Save encodes the postings as they are, with no copy. Load pauses the cyclic
+garbage collector and then restores it: decoding makes one small list per
+posting and no reference cycle, so collector passes over them only cost time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import heapq
 import json
 import math
+import operator
 import os
 import uuid
 from collections import Counter, defaultdict
@@ -46,6 +51,7 @@ FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5, FIELD_KP_ABSENT: 1.5}
 _NUMBER = (int, float)  # what JSON numbers parse to; bool is excluded
 _MAGIC = b"KPIX"
 _VERSION = 1
+_DOC_FIELD = operator.itemgetter(0, 1)  # a posting's (doc id, field)
 
 
 @dataclasses.dataclass
@@ -65,7 +71,7 @@ class InvertedIndex:
 
     def __post_init__(self) -> None:
         for plist in self.postings.values():
-            plist.sort(key=lambda p: (p[0], p[1]))
+            plist.sort(key=_DOC_FIELD)
         weighted = {doc_id: math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                       for f in FIELDS)
                     for doc_id, lengths in sorted(self.doc_lengths.items())}
@@ -103,13 +109,15 @@ def build_index(corpus: Corpus,
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
+    """Write `index` to `path` atomically. The payload bytes are the UTF-8
+    of `json.dumps(payload, sort_keys=True, ensure_ascii=False)`, which
+    writes each posting tuple as an array."""
     payload = {
         "format": "kpindex-inverted-index",
         "fields": list(FIELDS),
         "config": index.config,
         "doc_lengths": index.doc_lengths,
-        "postings": {term: [list(p) for p in plist]
-                     for term, plist in sorted(index.postings.items())},
+        "postings": index.postings,
     }
     body = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     # write a temporary file next to the target, then rename it over the
@@ -129,12 +137,27 @@ def save_index(index: InvertedIndex, path: str) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, process-wide, for the block; on
+    exit re-enable it only if it was enabled on entry, also on an error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_index(path: str) -> InvertedIndex:
     """Read an index file; IndexFileError names the payload field at fault.
 
-    Every length and weight must be a JSON number, each length map must
-    name exactly FIELDS, and each field length must equal the fsum of that
-    document's posting weights in the field, as build_index writes it.
+    Every length and weight must be a finite JSON number, each length map
+    must name exactly FIELDS, and each field length must equal the fsum of
+    that document's posting weights in the field, as build_index writes it.
+    The payload is decoded, checked and made an InvertedIndex with the
+    cyclic garbage collector paused process-wide.
     """
     try:
         with open(path, "rb") as fh:
@@ -150,9 +173,16 @@ def load_index(path: str) -> InvertedIndex:
     body = blob[13:]
     if len(body) != length:
         raise IndexFileError(f"{path}: truncated index file")
+    with _collector_paused():
+        return _decode_payload(path, body)
+
+
+def _decode_payload(path: str, body: bytes) -> InvertedIndex:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except ValueError:
+        # invalid UTF-8, invalid JSON, or an integer past Python's
+        # int-string digit limit (a plain ValueError)
         raise IndexFileError(f"{path}: corrupt index payload") from None
     if not isinstance(payload, dict):
         raise IndexFileError(f"{path}: corrupt index payload")
@@ -169,6 +199,7 @@ def load_index(path: str) -> InvertedIndex:
             if not all(type(v) in _NUMBER and 0.0 <= v < math.inf
                        for v in lengths.values()):
                 raise ValueError("a field length is not a finite number >= 0")
+            # OverflowError for an integer beyond the float range
             doc_lengths[doc_id] = {f: float(lengths[f]) for f in FIELDS}
         field = "postings"
         postings = {}
@@ -190,7 +221,8 @@ def load_index(path: str) -> InvertedIndex:
                 if math.fsum(values) != doc_lengths[doc_id][f]:
                     raise ValueError("a field length is not the sum of its "
                                      "posting weights")
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError):
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError):
         raise IndexFileError(f"{path}: index payload field {field!r} is "
                              f"missing or malformed") from None
     return InvertedIndex(postings, doc_lengths, config)

@@ -23,10 +23,14 @@ def write_jsonl(path, records):
     return str(path)
 
 
+def index_file_bytes(body):
+    """An index file: a valid header around the payload bytes `body`."""
+    return b"KPIX" + bytes([1]) + len(body).to_bytes(8, "big") + body
+
+
 def write_payload(path, payload):
     """An index file with a valid header around an arbitrary JSON payload."""
-    body = json.dumps(payload).encode("utf-8")
-    path.write_bytes(b"KPIX" + bytes([1]) + len(body).to_bytes(8, "big") + body)
+    path.write_bytes(index_file_bytes(json.dumps(payload).encode("utf-8")))
     return str(path)
 
 

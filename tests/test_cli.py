@@ -13,7 +13,7 @@ import kpindex
 from kpindex import cli
 from kpindex.cli import main
 
-from conftest import write_jsonl, write_payload
+from conftest import index_file_bytes, write_jsonl, write_payload
 
 TWO_DOC_RECORDS = [
     {"id": "a", "title": "Graph ranking for document collections",
@@ -229,6 +229,19 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "line 3" in err and "UTF-8" in err
 
+    def test_corpus_number_past_digit_limit_is_data_error(self, tmp_path,
+                                                          capsys):
+        """json.loads raises a plain ValueError, not JSONDecodeError, for
+        an integer longer than Python's int-string limit (4300 digits)."""
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, TWO_DOC_RECORDS)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "title": "T", "abstract": "X.", "n": 1'
+                     + "0" * 5000 + "}\n")
+        code, out, err = run(["extract", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "line 3" in err and "invalid JSON" in err
+
     def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"beta = 2.0\n# caf\xe9\n")
@@ -319,6 +332,15 @@ class TestIndexAndSearch:
         code, _, err = run(["search", bad, "graph"], capsys)
         assert code == 2
         assert "'doc_lengths'" in err
+
+    def test_number_past_digit_limit_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.kpix"
+        bad.write_bytes(index_file_bytes(
+            b'{"config": {"n": 1' + b"0" * 5000
+            + b'}, "doc_lengths": {}, "postings": {}}'))
+        code, out, err = run(["search", str(bad), "graph"], capsys)
+        assert code == 2
+        assert out == "" and "corrupt index payload" in err
 
     def test_programming_error_is_not_data_error(self, tmp_path, monkeypatch):
         def broken(path):

@@ -1,10 +1,13 @@
+import contextlib
+import gc
+import json
 import math
 import os
 import tempfile
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kpindex.index as index_module
 
@@ -15,7 +18,7 @@ from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
                            query_terms)
 
-from conftest import make_corpus, write_payload
+from conftest import index_file_bytes, make_corpus, write_payload
 
 def extract_all(corpus, cfg):
     return {doc_id: extract_pipeline(doc_id, corpus, cfg)
@@ -190,11 +193,27 @@ class TestPersistence:
         ({"doc_lengths": {"a": text_lengths(1.0)},
           "postings": {"x": [["a", "text", 0.5]], "y": [["a", "text", 0.25]]}},
          "doc_lengths"),
+        # JSON integers beyond the float range
+        ({"doc_lengths": {"a": text_lengths(10**400)}, "postings": {}},
+         "doc_lengths"),
+        ({"doc_lengths": {"a": text_lengths(1.0)},
+          "postings": {"x": [["a", "text", 10**400]]}}, "postings"),
     ])
     def test_malformed_payload_names_field(self, tmp_path, payload, field):
         path = write_payload(tmp_path / "c.kpix", payload)
         with pytest.raises(IndexFileError, match=f"'{field}'"):
             load_index(path)
+
+    @given(st.lists(st.tuples(st.sampled_from("abé"), st.sampled_from(FIELDS),
+                              st.integers(1, 9).map(float)), max_size=12))
+    @example([("b", FIELD_TEXT, 1.0), ("a", FIELD_KP_ABSENT, 2.0),
+              ("b", FIELD_KP_PRESENT, 5.0), ("a", FIELD_TEXT, 4.0),
+              ("b", FIELD_TEXT, 3.0), ("a", FIELD_KP_PRESENT, 6.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_orders_postings_by_doc_and_field(self, rows):
+        """Rows sharing a (doc id, field) keep their input order."""
+        index = InvertedIndex({"x": list(rows)}, {})
+        assert index.postings["x"] == sorted(rows, key=lambda p: (p[0], p[1]))
 
     def test_lengths_that_sum_the_postings_load(self, tmp_path):
         path = write_payload(tmp_path / "c.kpix", {
@@ -204,6 +223,119 @@ class TestPersistence:
         index = load_index(path)
         assert index.doc_lengths["a"] == text_lengths(3.0)
         assert sorted(doc_id for doc_id, _ in search(index, "graph")) == ["a", "b"]
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def small_index():
+    return InvertedIndex({"graph": [("a", FIELD_TEXT, 2.0)]},
+                         {"a": text_lengths(2.0)}, {"top_n": 10})
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("blob, error", [
+        (None, None),
+        (b"NOPE" + bytes(20), "bad magic"),
+        (index_file_bytes(b"{}")[:-1], "truncated"),
+        (index_file_bytes(b"{not json"), "corrupt index payload"),
+        (index_file_bytes(b'{"postings": {}}'), "'doc_lengths'"),
+        (index_file_bytes(json.dumps(
+            {"doc_lengths": {"a": text_lengths(1.0)},
+             "postings": {"x": [["a", "text", 10**400]]}}).encode()),
+         "'postings'"),
+    ], ids=["valid", "bad-magic", "truncated", "corrupt", "no-doc-lengths",
+            "overflow"])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_load_restores_collector_state(self, tmp_path, blob, error,
+                                           enabled):
+        path = tmp_path / "c.kpix"
+        if blob is None:
+            save_index(small_index(), str(path))
+        else:
+            path.write_bytes(blob)
+        with collector(enabled):
+            if error is None:
+                assert load_index(str(path)) == small_index()
+            else:
+                with pytest.raises(IndexFileError, match=error):
+                    load_index(str(path))
+            assert gc.isenabled() is enabled
+
+    def test_collector_is_paused_while_the_index_is_made(self, tmp_path,
+                                                         monkeypatch):
+        path = str(tmp_path / "c.kpix")
+        save_index(small_index(), path)
+        seen = []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return InvertedIndex(*args)
+        monkeypatch.setattr(index_module, "InvertedIndex", spy)
+        with collector(True):
+            load_index(path)
+            assert gc.isenabled()
+        assert seen == [False]
+
+
+def save_index_oracle(index):
+    """The index file bytes as save_index wrote them when it first copied
+    every posting into a fresh list and sorted the terms itself."""
+    payload = {
+        "format": "kpindex-inverted-index",
+        "fields": list(FIELDS),
+        "config": index.config,
+        "doc_lengths": index.doc_lengths,
+        "postings": {term: [list(p) for p in plist]
+                     for term, plist in sorted(index.postings.items())},
+    }
+    body = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return index_file_bytes(body.encode("utf-8"))
+
+
+# non-ASCII names, integer-valued and fractional weights, nested configs
+names = st.text(min_size=1, max_size=4)
+weights = st.one_of(st.integers(1, 10**6).map(float),
+                    st.floats(min_value=1e-9, max_value=1e9))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+indexes = st.builds(
+    InvertedIndex,
+    st.dictionaries(names, st.lists(st.tuples(names, st.sampled_from(FIELDS),
+                                              weights), max_size=4),
+                    max_size=5),
+    st.dictionaries(names, st.fixed_dictionaries({f: weights for f in FIELDS}),
+                    max_size=4),
+    st.dictionaries(st.text(max_size=4), json_values, max_size=4))
+
+
+class TestSaveOracle:
+    @given(indexes)
+    @example(InvertedIndex({}, {}, {}))
+    @example(InvertedIndex({"réseau": [("é", FIELD_TEXT, 0.25),
+                                       ("d", FIELD_KP_ABSENT, 3.0)]},
+                           {"é": text_lengths(0.25), "d": text_lengths(0.0)},
+                           {"nested": {"list": [1, 2.5, "ü"]}}))
+    @settings(max_examples=200, deadline=None)
+    def test_save_writes_the_oracle_bytes(self, index):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            save_index(index, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == save_index_oracle(index)
 
 
 FIVE_DOC_ROWS = [
