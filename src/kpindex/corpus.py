@@ -225,6 +225,8 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
                 raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             except ValueError as exc:  # an integer past the int-string digit limit
                 raise CorpusError(f"line {lineno}: invalid JSON ({exc})") from None
+            except RecursionError:
+                raise CorpusError(f"line {lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"line {lineno}: record is not an object")
             for fld in ("id", "title", "abstract"):

@@ -9,16 +9,20 @@ Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
 fields count 1.5x in term frequency and in document length). An index is
 complete once constructed: the constructor sorts the postings and derives
 the average weighted length and each document's length norm, whether the
-index was built or loaded, so a query costs time in proportion to the
-postings of its terms, not to the number of documents.
+index was built or loaded. The first query that meets a term scores its
+postings into one BM25 contribution per document and caches them on the
+index, so that query costs time in proportion to the term's postings and
+every later one costs one addition per matching document; no query costs
+time in proportion to the number of documents.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
-The length norms are derived data: they are not written to the file.
-Save encodes the postings as they are, with no copy. Load pauses the cyclic
-garbage collector and then restores it: decoding makes one small list per
-posting and no reference cycle, so collector passes over them only cost time.
+The length norms and the contribution cache are derived data: they are not
+written to the file. Save encodes the postings as they are, with no copy.
+Load pauses the cyclic garbage collector and then restores it: decoding
+makes one small list per posting and no reference cycle, so collector
+passes over them only cost time.
 """
 
 from __future__ import annotations
@@ -61,13 +65,20 @@ class InvertedIndex:
 
     The constructor sorts every postings list in place into (doc id, field)
     order and sets `norms`, each document's BM25 length norm
-    K1 * (1 - B + B * dl / avgdl); no method changes an index afterwards.
+    K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards but
+    one derived cache: `contributions` maps each term that `search` has met
+    and that has postings to its (doc id, BM25 contribution) pairs. It is
+    not compared and not saved, and filling it is idempotent, so threads
+    may share an index under the GIL: two that fill one term at once store
+    equal lists.
     """
 
     postings: dict[str, list[tuple[str, str, float]]]
     doc_lengths: dict[str, dict[str, float]]
     config: dict = dataclasses.field(default_factory=dict)
     norms: dict[str, float] = dataclasses.field(init=False, compare=False)
+    contributions: dict[str, list[tuple[str, float]]] = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for plist in self.postings.values():
@@ -184,6 +195,8 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
         # invalid UTF-8, invalid JSON, or an integer past Python's
         # int-string digit limit (a plain ValueError)
         raise IndexFileError(f"{path}: corrupt index payload") from None
+    except RecursionError:
+        raise IndexFileError(f"{path}: index payload nested too deeply") from None
     if not isinstance(payload, dict):
         raise IndexFileError(f"{path}: corrupt index payload")
     try:
@@ -238,25 +251,37 @@ def search(index: InvertedIndex, query: str,
 
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
-    (including stopwords, which are never indexed) contribute nothing.
+    (including stopwords, which are never indexed) contribute nothing; a
+    repeated term contributes once per occurrence.
     Raises ConfigError when top_n is below 1.
     """
     if top_n < 1:
         raise ConfigError("top_n (search --top) must be >= 1")
-    norms = index.norms
-    terms = query_terms(query)
-    n = len(index.doc_lengths)
+    cache = index.contributions
     scores: dict[str, float] = defaultdict(float)
-    for term in terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf_weighted: dict[str, float] = defaultdict(float)
-        for doc_id, field, weight in plist:
-            tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
-        df = len(tf_weighted)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc_id, tf in tf_weighted.items():
-            scores[doc_id] += idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
+    for term in query_terms(query):
+        pairs = cache.get(term)
+        if pairs is None:
+            plist = index.postings.get(term)
+            if not plist:
+                continue
+            pairs = cache[term] = _contributions(index, plist)
+        for doc_id, contribution in pairs:
+            scores[doc_id] += contribution
     return heapq.nsmallest(top_n, scores.items(),
                            key=lambda item: (-item[1], item[0]))
+
+
+def _contributions(index: InvertedIndex,
+                   plist: list[tuple[str, str, float]]) -> list[tuple[str, float]]:
+    """Each document's BM25 score for one term, from the term's postings,
+    in posting order."""
+    tf_weighted: dict[str, float] = defaultdict(float)
+    for doc_id, field, weight in plist:
+        tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
+    n = len(index.doc_lengths)
+    df = len(tf_weighted)
+    idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    norms = index.norms
+    return [(doc_id, idf * tf * (K1 + 1.0) / (tf + norms[doc_id]))
+            for doc_id, tf in tf_weighted.items()]

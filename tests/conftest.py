@@ -28,6 +28,12 @@ def index_file_bytes(body):
     return b"KPIX" + bytes([1]) + len(body).to_bytes(8, "big") + body
 
 
+def nested_json(depth=100_000):
+    """A JSON array nested `depth` levels deep, by default far past any
+    recursion limit."""
+    return "[" * depth + "]" * depth
+
+
 def write_payload(path, payload):
     """An index file with a valid header around an arbitrary JSON payload."""
     path.write_bytes(index_file_bytes(json.dumps(payload).encode("utf-8")))

@@ -13,7 +13,7 @@ import kpindex
 from kpindex import cli
 from kpindex.cli import main
 
-from conftest import index_file_bytes, write_jsonl, write_payload
+from conftest import index_file_bytes, nested_json, write_jsonl, write_payload
 
 TWO_DOC_RECORDS = [
     {"id": "a", "title": "Graph ranking for document collections",
@@ -242,6 +242,19 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "line 3" in err and "invalid JSON" in err
 
+    def test_corpus_nested_too_deeply_is_data_error(self, tmp_path, capsys):
+        """json.loads raises RecursionError, neither a ValueError nor a
+        JSONDecodeError, for a value nested past the recursion limit."""
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, TWO_DOC_RECORDS)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "title": "T", "abstract": "X.", "n": '
+                     + nested_json() + "}\n")
+        code, out, err = run(["extract", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "line 3" in err and "nested too deeply" in err
+
     def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"beta = 2.0\n# caf\xe9\n")
@@ -341,6 +354,16 @@ class TestIndexAndSearch:
         code, out, err = run(["search", str(bad), "graph"], capsys)
         assert code == 2
         assert out == "" and "corrupt index payload" in err
+
+    def test_config_nested_too_deeply_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.kpix"
+        bad.write_bytes(index_file_bytes(
+            b'{"config": {"n": ' + nested_json().encode()
+            + b'}, "doc_lengths": {}, "postings": {}}'))
+        code, out, err = run(["search", str(bad), "graph"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "nested too deeply" in err
 
     def test_programming_error_is_not_data_error(self, tmp_path, monkeypatch):
         def broken(path):
@@ -499,6 +522,25 @@ class TestGoldenOutput:
         for query, sha256 in GOLDEN_SEARCH_BYTES:
             assert main(["search", str(path), query, "--output", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_sample100_search_bytes_on_a_warm_index(self, tmp_path):
+        """Each CLI search is a cold process; here one loaded index answers
+        every golden query twice, so the second round only reads cached
+        BM25 contributions."""
+        path = tmp_path / "c.kpix"
+        assert main(["index", SAMPLE100, str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            SAMPLE100_INDEX_SHA256)
+        index = kpindex.load_index(str(path))
+        for _ in range(2):
+            for query, sha256 in GOLDEN_SEARCH_BYTES:
+                lines = [cli._jsonl({"config": index.config})] + [
+                    cli._jsonl({"rank": rank, "id": doc_id, "score": score})
+                    for rank, (doc_id, score)
+                    in enumerate(kpindex.search(index, query), start=1)]
+                blob = "".join(line + "\n" for line in lines).encode("utf-8")
+                assert hashlib.sha256(blob).hexdigest() == sha256
+        assert index.contributions
 
     def test_sample100_index_and_search_bytes_under_compensated_sum(
             self, tmp_path, monkeypatch):

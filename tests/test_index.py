@@ -1,9 +1,12 @@
 import contextlib
 import gc
+import heapq
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 from collections import Counter, defaultdict
 
 import pytest
@@ -18,7 +21,8 @@ from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
                            query_terms)
 
-from conftest import index_file_bytes, make_corpus, write_payload
+from conftest import (index_file_bytes, make_corpus, nested_json,
+                      write_payload)
 
 def extract_all(corpus, cfg):
     return {doc_id: extract_pipeline(doc_id, corpus, cfg)
@@ -252,8 +256,10 @@ class TestCollectorPause:
             {"doc_lengths": {"a": text_lengths(1.0)},
              "postings": {"x": [["a", "text", 10**400]]}}).encode()),
          "'postings'"),
+        (index_file_bytes(b'{"config": {"n": ' + nested_json().encode()
+                          + b'}}'), "nested too deeply"),
     ], ids=["valid", "bad-magic", "truncated", "corrupt", "no-doc-lengths",
-            "overflow"])
+            "overflow", "nested"])
     @pytest.mark.parametrize("enabled", [True, False],
                              ids=["enabled", "disabled"])
     def test_load_restores_collector_state(self, tmp_path, blob, error,
@@ -457,6 +463,36 @@ def search_oracle(index, query, top_n=10):
     return ranked[:top_n]
 
 
+def search_uncached_oracle(index, query, top_n=10):
+    """BM25 as search computed it before the contribution cache: every
+    query regroups each term's postings and recomputes its idf and its
+    per-document quotients."""
+    norms = index.norms
+    n = len(index.doc_lengths)
+    scores = defaultdict(float)
+    for term in query_terms(query):
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        tf_weighted = defaultdict(float)
+        for doc_id, field, weight in plist:
+            tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
+        df = len(tf_weighted)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc_id, tf in tf_weighted.items():
+            scores[doc_id] += idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
+    return heapq.nsmallest(top_n, scores.items(),
+                           key=lambda item: (-item[1], item[0]))
+
+
+def round_trip(index):
+    """`index` saved to a temporary file and loaded back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.kpix")
+        save_index(index, path)
+        return load_index(path)
+
+
 # query words, their index stems, and two words that are never indexed
 WORDS = ["graph", "ranking", "networks", "index", "semantic"]
 STEMS = query_terms(" ".join(WORDS))
@@ -504,3 +540,89 @@ class TestSearchOracle:
         index = random_index([{field: {} for field in FIELDS}] * 3)
         assert index.norms == {f"d{i}": K1 * (1.0 - B) for i in range(3)}
         assert search(index, "graph") == []
+
+
+# queries of one to four words, so that a short sequence repeats words
+queries = st.lists(st.sampled_from(QUERY_WORDS), min_size=1,
+                   max_size=4).map(" ".join)
+
+
+class TestContributionCache:
+    @given(documents, st.lists(queries, max_size=8), st.integers(1, 7))
+    @example([{FIELD_TEXT: {"graph": 2, "rank": 1}, FIELD_KP_PRESENT: {},
+               FIELD_KP_ABSENT: {"index": 1}},
+              {FIELD_TEXT: {"graph": 1}, FIELD_KP_PRESENT: {"rank": 3},
+               FIELD_KP_ABSENT: {}}],
+             ["graph graph", "zebra the", "rank graph", "graph graph",
+              "the index zebra"], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_warm_cache_equals_oracles(self, docs, query_seq, top_n):
+        """A sequence of queries through one index gives what both oracles
+        give, and what the reversed sequence gives on a fresh index."""
+        index = random_index(docs)
+        for ix, fresh in ((index, random_index(docs)),
+                          (round_trip(index), round_trip(index))):
+            results = [search(ix, q, top_n) for q in query_seq]
+            for q, got in zip(query_seq, results):
+                assert got == search_oracle(ix, q, top_n)
+                assert got == search_uncached_oracle(ix, q, top_n)
+            reversed_results = [search(fresh, q, top_n)
+                                for q in reversed(query_seq)]
+            assert reversed_results[::-1] == results
+
+    def test_cache_stays_out_of_persistence_and_equality(self, stopwords,
+                                                         tmp_path):
+        corpus = make_corpus(FIVE_DOC_ROWS, stopwords)
+        index = build_index(corpus, {}, {"top_n": 10})
+        path = str(tmp_path / "c.kpix")
+        save_index(index, path)
+        with open(path, "rb") as fh:
+            cold = fh.read()
+        for query in ("zebra", "the of and", "zebra the"):
+            assert search(index, query) == []
+        assert index.contributions == {}
+
+        for query in ("graph networks", "graph graph", "zebra sorting the"):
+            search(index, query)
+        assert set(index.contributions) == {"graph", "network", "sort"}
+        graph = index.contributions["graph"]
+        search(index, "graph partitioning")
+        assert index.contributions["graph"] is graph
+
+        warm_path = str(tmp_path / "warm.kpix")
+        save_index(index, warm_path)
+        with open(warm_path, "rb") as fh:
+            assert fh.read() == cold == save_index_oracle(index)
+        loaded = load_index(path)
+        assert index == loaded and loaded.contributions == {}
+        for term, pairs in index.contributions.items():
+            assert [doc_id for doc_id, _ in pairs] == sorted(
+                {doc_id for doc_id, _, _ in index.postings[term]})
+
+    def test_threads_sharing_a_cold_index_get_the_oracle_results(self,
+                                                                 stopwords):
+        """Threads that fill the same terms at once store equal lists, so
+        each sees the results a lone caller sees."""
+        corpus = make_corpus(FIVE_DOC_ROWS, stopwords)
+        query_seq = [title for _, title, _ in FIVE_DOC_ROWS] * 3
+        expected = [search_uncached_oracle(build_index(corpus, {}), q)
+                    for q in query_seq]
+        index = build_index(corpus, {})
+        got = {}
+
+        def worker(i):
+            got[i] = [search(index, q) for q in query_seq]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {i: expected for i in range(8)}
