@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .evaluation import evaluate_corpus, tfidf_baseline
 from .graph import to_dot
 from .index import build_index, load_index, save_index, search
-from .ranking import build_enriched_graph, rank_graph
+from .ranking import build_enriched_graph, pagerank, rank_keyphrases
 from .similarity import TfidfSimilarity
 
 MODELS = ("full", "no-expansion", "tfidf")
@@ -121,13 +121,18 @@ def _extract_all(corpus: Corpus, cfg: Config,
                 raise DataError(f"document id {doc_id!r} is not a plain file "
                                 f"name, so --dot-dump cannot use it")
         Path(dot_dir).mkdir(parents=True, exist_ok=True)
-    extracted = {}
+    extracted, unconverged = {}, 0
     for doc_id in sorted(corpus.ids()):
         g = build_enriched_graph(doc_id, corpus, cfg, provider)
         if dot_dir is not None:
             Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
                 to_dot(g, name=doc_id), encoding="utf-8")
-        extracted[doc_id] = rank_graph(g, cfg)
+        scores, converged = pagerank(g, cfg)
+        unconverged += not converged
+        extracted[doc_id] = rank_keyphrases(g, scores, corpus, cfg)
+    if unconverged:  # one line on stderr; stdout and the exit code stay as they are
+        print(f"warning: PageRank did not converge within max_iter={cfg.max_iter} "
+              f"on {unconverged} of {len(extracted)} documents", file=sys.stderr)
     return extracted
 
 

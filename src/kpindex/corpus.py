@@ -6,7 +6,7 @@ fields and after sentence-final punctuation; stems align 1:1 with tokens.
 Candidates are stopword-free n-grams (default n <= 3) that never cross a
 sentence break, grouped under their stem-sequence key. A candidate is just
 the list of token offsets where its key starts; its surface forms are read
-back from the tokens (surface_counts) only when a graph node is made.
+back from the tokens (surface_counts) only for the rows ranking reports.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class Corpus:
     def candidates_for(self, doc_id: str, max_len: int = 3) -> dict[str, list[int]]:
         """extract_candidates memoized per (document, max_len): each key maps
         to its start offsets only, and surfaces are read from the document's
-        tokens when a graph node is made. Treat as read-only."""
+        tokens for the rows ranking reports. Treat as read-only."""
         cache_key = (doc_id, max_len)
         got = self._candidate_cache.get(cache_key)
         if got is None:

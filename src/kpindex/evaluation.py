@@ -223,7 +223,7 @@ def tfidf_baseline(doc: Document, corpus: Corpus, config: Config = Config(),
 
     Returns surface forms so downstream normalization stems each phrase
     exactly once, same as gold. A key's surface is chosen as for a
-    PRESENT node.
+    PRESENT row.
     """
     if idf is None:
         idf = compute_idf(corpus)

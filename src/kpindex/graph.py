@@ -7,20 +7,17 @@ Neighbor documents contribute new ABSENT nodes for candidates that only
 they contain, and a second, parallel DOMAIN layer: similarity-scaled
 co-occurrence counts between the graph's nodes. A pair of nodes can carry
 at most one edge per layer. Candidates arrive as start offsets only; a
-node records only what the ranking reports: its origin, its source
-documents and its display surface, which is read from the source
-documents' tokens when the node is added.
+node is its origin and its sorted source documents, and holds no surface.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
 from .config import Config
-from .corpus import (Corpus, Document, most_frequent_surface,
-                     preferred_surface, surface_counts)
+from .corpus import Corpus, Document
 from .errors import ConfigError
 from .similarity import NeighborSet
 
@@ -39,7 +36,6 @@ class Origin(Enum):
 class NodeInfo:
     origin: Origin
     sources: tuple[str, ...]  # sorted source document ids
-    surface: str
 
 
 class SemMultiGraph:
@@ -95,9 +91,8 @@ def build_document_graph(doc: Document, candidates: dict[str, list[int]],
     Sentence breaks limit candidate spans, not co-occurrence.
     """
     g = SemMultiGraph()
-    for key in sorted(candidates):
-        g.nodes[key] = NodeInfo(Origin.PRESENT, (doc.id,),
-                                most_frequent_surface(doc, key, candidates[key]))
+    g.nodes = dict.fromkeys(sorted(candidates),
+                            NodeInfo(Origin.PRESENT, (doc.id,)))
     g.weights[Layer.DOCUMENT] = {
         pair: float(c)
         for pair, c in window_pairs(candidates, config.window).items()}
@@ -179,13 +174,9 @@ def _admit_absent(g: SemMultiGraph, active: list[tuple[str, float]],
                                    min(start + window + 1,
                                        len(corpus[nid].tokens)))):
             continue
-        surfaces = Counter()
         for nid in sources:
-            starts = neighbor_cands[nid][key]
-            surfaces.update(surface_counts(corpus[nid], key, starts))
-            linked[nid].update(starts)
-        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(sources)),
-                                preferred_surface(surfaces))
+            linked[nid].update(neighbor_cands[nid][key])
+        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(sources)))
         admitted += 1
 
 

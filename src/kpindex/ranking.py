@@ -8,10 +8,12 @@ one knob controlling how present and absent keyphrases interleave.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import Config
-from .corpus import Corpus
+from .corpus import (Corpus, most_frequent_surface, preferred_surface,
+                     surface_counts)
 from .errors import ConfigError
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
@@ -85,46 +87,54 @@ def _power_iteration(g: SemMultiGraph, config: Config):
             return
 
 
-def pagerank(g: SemMultiGraph, config: Config = Config()) -> dict[str, float]:
-    """Node scores of the damped random walk, normalized to sum to 1.
+def pagerank(g: SemMultiGraph,
+             config: Config = Config()) -> tuple[dict[str, float], bool]:
+    """Node scores of the damped random walk, normalized to sum to 1, and
+    whether it converged: its last L1 change was at most tol.
 
     Iteration stops when the L1 change drops to tol or max_iter is
     reached. The final normalization makes the unit sum hold even when
     the graph has isolated nodes, whose teleport-only mass would
-    otherwise leak.
+    otherwise leak. A graph with no nodes has no scores.
     """
     if not g.nodes:
-        raise ValueError("empty graph")
-    scores = None
-    for scores, _ in _power_iteration(g, config):
+        return {}, True
+    for scores, delta in _power_iteration(g, config):
         pass
     norm = _sum_in_order(scores)
-    return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}
+    return {k: s / norm for k, s in zip(sorted(g.nodes), scores)}, delta <= config.tol
 
 
-def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float],
+def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float], corpus: Corpus,
                     config: Config = Config()) -> list[RankedKeyphrase]:
-    """Apply the origin factor, sort, truncate to top_n, attach surfaces.
+    """Apply the origin factor, sort by (-score, key) and truncate to top_n;
+    only then read each row's surface from the tokens: most_frequent_surface
+    for a PRESENT row, preferred_surface over all its sources for an ABSENT one.
 
     Zero-scored entries (gamma_absent == 0) are dropped, so origin factors
     can be used to exclude absent keyphrases entirely.
     """
+    factor = {Origin.PRESENT: 1.0, Origin.ABSENT: config.gamma_absent}
+    final = {key: score * factor[g.nodes[key].origin]
+             for key, score in scores.items()}
+    ranked = sorted((key for key in final if final[key] > 0),
+                    key=lambda key: (-final[key], key))
     rows = []
-    for key in sorted(scores):
+    for key in ranked[:config.top_n]:
         info = g.nodes[key]
-        factor = config.gamma_absent if info.origin is Origin.ABSENT else 1.0
-        final = scores[key] * factor
-        if final <= 0:
-            continue
-        rows.append(RankedKeyphrase(
-            key=key,
-            surface=info.surface,
-            score=final,
-            origin=info.origin,
-            sources=list(info.sources),
-        ))
-    rows.sort(key=lambda r: (-r.score, r.key))
-    return rows[:config.top_n]
+        if info.origin is Origin.PRESENT:
+            doc_id, = info.sources
+            surface = most_frequent_surface(
+                corpus[doc_id], key, corpus.candidates_for(doc_id, config.max_len)[key])
+        else:
+            surfaces = Counter()
+            for src in info.sources:
+                surfaces.update(surface_counts(
+                    corpus[src], key, corpus.candidates_for(src, config.max_len)[key]))
+            surface = preferred_surface(surfaces)
+        rows.append(RankedKeyphrase(key, surface, final[key], info.origin,
+                                    list(info.sources)))
+    return rows
 
 
 def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
@@ -148,12 +158,6 @@ def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
     Pass a shared provider when processing many documents so tf-idf
     vectors are built once.
     """
-    return rank_graph(build_enriched_graph(doc_id, corpus, config, provider),
-                      config)
-
-
-def rank_graph(g: SemMultiGraph, config: Config) -> list[RankedKeyphrase]:
-    """PageRank and final ranking of one enriched graph; [] when it is empty."""
-    if not g.nodes:
-        return []
-    return rank_keyphrases(g, pagerank(g, config), config)
+    g = build_enriched_graph(doc_id, corpus, config, provider)
+    scores, _ = pagerank(g, config)
+    return rank_keyphrases(g, scores, corpus, config)

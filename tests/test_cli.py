@@ -97,6 +97,19 @@ class TestExtract:
         assert sorted(p.name for p in dot_dir.iterdir()) == ["a.dot", "b.dot"]
         assert "document:" in (dot_dir / "a.dot").read_text()
 
+    @pytest.mark.parametrize("command", ["extract", "index", "evaluate"])
+    def test_every_ranking_command_reports_non_convergence(self, tmp_path,
+                                                           capsys, command):
+        path = write_jsonl(tmp_path / "c.jsonl", GOLD_RECORDS)
+        argv = [command, path] + ([str(tmp_path / "c.kpix")]
+                                  if command == "index" else [])
+        code, _, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        code, _, err = run(argv + ["--max-iter", "1"], capsys)
+        assert code == 0
+        assert err == ("warning: PageRank did not converge within max_iter=1 "
+                       "on 2 of 2 documents\n")
+
     @pytest.mark.parametrize("doc_id", ["../escape/x", "sub/x", "a\0b",
                                         ".", ".."])
     def test_dot_dump_rejects_id_that_is_not_a_file_name(self, tmp_path,
@@ -446,6 +459,10 @@ GOLDEN_BYTES = [
     # admits many ABSENT nodes; the default config admits few
     ("extract --min-sim 0 --absent-quota 40 --window 4",
      "802c56f4c0f8c7effef402a2127f7aa0fba881895ffd451f32f9d09b8849fd59"),
+    # reports every node: 10,333 rows, 4,000 of them ABSENT, so each
+    # node's surface is pinned, not only the top 10's
+    ("extract --min-sim 0 --absent-quota 40 --window 4 --top-n 1000",
+     "bddcb7692214f7559abaf8c3dccfa3034bcf511775fae8da2b25c4e78b6ecec8"),
     # neighbors' candidates are unigrams too, so expansion reads max_len
     ("extract --max-len 1 --min-sim 0",
      "3660aebbd5a8d4c7981e3a82f0a23883bd5c45fdb613d09cef752adc8b87bc7c"),
@@ -499,6 +516,20 @@ class TestGoldenOutput:
         blob = b"".join((dots / name).read_bytes() for name in names)
         assert hashlib.sha256(blob).hexdigest() == (
             "7d70a465e9f7aeae79f9180230a8dc25faa1c103fbe840e09a34a0ceb6c7705f")
+
+    def test_sample100_non_convergence_is_one_stderr_line(self, capsys):
+        """No document converges in one iteration; the run says so on
+        stderr and keeps its exit code and stdout bytes."""
+        code, out, err = run(["extract", SAMPLE100, "--max-iter", "1"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "45990425888fb940f5d0e78c5fd81b45cb35e5765ad3014f2d27a1e78435ff56")
+        assert err.count("\n") == 1
+        assert "max_iter=1 on 100 of 100 documents" in err
+        code, out, err = run(["extract", SAMPLE100], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BYTES[0][1]
+        assert err == ""
 
     @pytest.mark.parametrize("command, sha256", GOLDEN_BYTES)
     def test_sample100_bytes_under_compensated_sum(self, tmp_path, monkeypatch,

@@ -6,6 +6,7 @@ from kpindex.corpus import Document
 from kpindex.errors import EvaluationError
 from kpindex.evaluation import f_at_k, split_present_absent, tfidf_baseline
 from kpindex.graph import build_document_graph
+from kpindex.ranking import rank_keyphrases
 
 from conftest import make_corpus
 
@@ -193,7 +194,8 @@ class TestEvaluateCorpus:
                                "Traffic in İstanbul networks.",
                                ["İstanbul networks"])], stopwords)
         g = build_document_graph(corpus["a"], corpus.candidates_for("a"))
-        surface = g.nodes[normalize_phrase("İstanbul networks")].surface
+        key = normalize_phrase("İstanbul networks")
+        surface = rank_keyphrases(g, {key: 1.0}, corpus)[0].surface
         report = evaluate_corpus(corpus, lambda doc: [surface])
         assert report.macro["all"][5].f1 == 1.0
 
@@ -221,13 +223,15 @@ class TestTfidfBaseline:
         assert ranked.index("zeta") < ranked.index("graph")
 
     def test_surface_is_the_present_node_surface(self, stopwords):
-        """Most frequent surface, as build_document_graph's PRESENT node."""
+        """Most frequent surface, as rank_keyphrases gives a PRESENT row."""
         corpus = make_corpus([("a", "Networks", "Networks grow. Network.")],
                              stopwords)
-        ranked = tfidf_baseline(corpus["a"], corpus, Config(max_len=1))
+        config = Config(max_len=1)
+        ranked = tfidf_baseline(corpus["a"], corpus, config)
         g = build_document_graph(corpus["a"], corpus.candidates_for("a", 1))
         assert ranked == ["networks", "grow"]
-        assert ranked[0] == g.nodes["network"].surface
+        assert ranked[0] == rank_keyphrases(g, {"network": 1.0}, corpus,
+                                            config)[0].surface
 
     def test_deterministic_under_corpus_reordering(self, stopwords):
         rows = [("d1", "Graph ranking", "Graph ranking text."),

@@ -26,7 +26,7 @@ def add_weight(g, u, v, layer, w):
 def graph_of(nodes, edges):
     g = SemMultiGraph()
     for key in nodes:
-        g.nodes[key] = NodeInfo(Origin.PRESENT, ("d",), key)
+        g.nodes[key] = NodeInfo(Origin.PRESENT, ("d",))
     for u, v, layer, w in edges:
         add_weight(g, u, v, layer, w)
     return g
@@ -243,11 +243,13 @@ class TestExpandGraph:
 
 
 def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
-                        max_len=3):
+                        max_len=3, surfaces=None):
     """Reference expand_graph: full window pairs over each neighbor's
     candidates, and every admission candidate looks up its pair with each
     PRESENT and previously admitted key. Kept as the oracle of the fast
-    path."""
+    path. Given a dict `surfaces`, it also records a surface for each key
+    as it is admitted: the most frequent surface summed over the key's
+    sources, ties lexicographic."""
     if lambda_domain == 0 or not nbrs.neighbors:
         return g
     present = g.keys_with_origin(Origin.PRESENT)
@@ -287,13 +289,14 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
                     links[other] = links.get(other, 0.0) + lambda_domain * sim * c
         if not links:
             continue
-        surfaces = Counter()
-        for nid in sorted(contributors[key]):
-            starts = neighbor_cands[nid].get(key)
-            if starts is not None:
-                surfaces.update(surface_counts(corpus[nid], key, starts))
-        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])),
-                                preferred_surface(surfaces))
+        if surfaces is not None:
+            counts = Counter()
+            for nid in sorted(contributors[key]):
+                starts = neighbor_cands[nid].get(key)
+                if starts is not None:
+                    counts.update(surface_counts(corpus[nid], key, starts))
+            surfaces[key] = preferred_surface(counts)
+        g.nodes[key] = NodeInfo(Origin.ABSENT, tuple(sorted(contributors[key])))
         for other in sorted(links):
             add_weight(g, key, other, Layer.DOMAIN, links[other])
         admitted.append(key)
@@ -418,7 +421,7 @@ def random_layered_graph(rng, max_nodes, max_weight):
               rng.uniform(0.1, max_weight)) for u, v in sorted(pairs)]
     g = graph_of(keys, edges)
     for key in absent:
-        g.nodes[key] = NodeInfo(Origin.ABSENT, ("x",), key)
+        g.nodes[key] = NodeInfo(Origin.ABSENT, ("x",))
     return g
 
 
@@ -491,7 +494,7 @@ class TestBridgeComponents:
                             ("b", "x", Layer.DOMAIN, 0.25),
                             ("x", "y", Layer.DOMAIN, 1.0)])
         for key in "xy":
-            g.nodes[key] = NodeInfo(Origin.ABSENT, ("b",), key)
+            g.nodes[key] = NodeInfo(Origin.ABSENT, ("b",))
         bridge_components(g, Config(beta=2.0))
         assert g.weights[Layer.DOMAIN] == {
             ("a", "x"): 1.0, ("b", "x"): 0.5, ("x", "y"): 2.0}

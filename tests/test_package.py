@@ -18,7 +18,7 @@ CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
 
 STAGES = [graph.build_document_graph, graph.expand_graph,
           graph.bridge_components, ranking.build_enriched_graph,
-          ranking.extract_pipeline, ranking.rank_graph, ranking.pagerank,
+          ranking.extract_pipeline, ranking.pagerank,
           ranking.rank_keyphrases, evaluation.tfidf_baseline]
 
 COMMAND_ARGS = {"extract": ["c.jsonl"], "index": ["c.jsonl", "c.kpix"],
@@ -109,8 +109,13 @@ def test_vectors_are_plain_dicts():
 
 
 def test_graph_node_records_only_what_ranking_reads():
+    """Surfaces are read in ranking, for the reported rows only."""
     assert [f.name for f in dataclasses.fields(graph.NodeInfo)] == [
-        "origin", "sources", "surface"]
+        "origin", "sources"]
+    for name in ("surface_counts", "most_frequent_surface",
+                 "preferred_surface"):
+        assert not hasattr(graph, name)
+    assert not hasattr(ranking, "rank_graph")
     for name in ("add_node", "add_edge", "edges"):
         assert not hasattr(graph.SemMultiGraph, name)
     for name in ("Edge", "_pair", "weakly_connected_components", "_layers"):

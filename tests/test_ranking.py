@@ -1,19 +1,22 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kpindex import Config, ConfigError, extract_pipeline
-from kpindex.corpus import Document, extract_candidates
+from kpindex import Config, ConfigError, TfidfSimilarity, extract_pipeline
+from kpindex.corpus import most_frequent_surface
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
-                           build_document_graph, expand_graph)
+                           bridge_components, build_document_graph,
+                           expand_graph)
 from kpindex.ranking import _power_iteration, pagerank, rank_keyphrases
 from kpindex.similarity import NeighborSet
 
 from conftest import make_corpus
-from test_graph import edge_snapshot, graph_of
+from synth import build_synthetic_records
+from test_graph import edge_snapshot, expand_graph_oracle, graph_of
 
 
 def linear_solve_scores(g, damping):
@@ -114,8 +117,17 @@ def scale_edges(g, factor):
 
 class TestPagerank:
     def test_empty_graph(self):
-        with pytest.raises(ValueError, match="empty graph"):
-            pagerank(SemMultiGraph())
+        assert pagerank(SemMultiGraph()) == ({}, True)
+
+    def test_converged_reports_the_last_delta(self):
+        g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 2.0),
+                             ("b", "c", Layer.DOCUMENT, 1.0)])
+        deltas = [d for _, d in _power_iteration(g, Config())]
+        assert deltas[-1] <= Config().tol < deltas[0]
+        assert pagerank(g)[1] is True
+        assert pagerank(g, Config(max_iter=1))[1] is False
+        assert pagerank(g, Config(max_iter=len(deltas)))[1] is True
+        assert pagerank(g, Config(max_iter=len(deltas) - 1))[1] is False
 
     def test_out_of_range_config_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="damping"):
@@ -128,11 +140,11 @@ class TestPagerank:
             pagerank(g)
 
     def test_single_node(self):
-        scores = pagerank(graph_of("a", []))
+        scores, _ = pagerank(graph_of("a", []))
         assert scores["a"] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_nodes_one_edge(self):
-        scores = pagerank(graph_of("ab", [("a", "b", Layer.DOCUMENT, 3.0)]))
+        scores, _ = pagerank(graph_of("ab", [("a", "b", Layer.DOCUMENT, 3.0)]))
         assert scores["a"] == pytest.approx(0.5, abs=1e-9)
         assert scores["b"] == pytest.approx(0.5, abs=1e-9)
 
@@ -140,14 +152,14 @@ class TestPagerank:
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0),
                              ("b", "c", Layer.DOCUMENT, 1.0),
                              ("a", "c", Layer.DOCUMENT, 1.0)])
-        scores = pagerank(g)
+        scores, _ = pagerank(g)
         for v in scores.values():
             assert v == pytest.approx(1 / 3, abs=1e-9)
 
     def test_weighted_path_ordering(self):
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 2.0),
                              ("b", "c", Layer.DOCUMENT, 1.0)])
-        scores = pagerank(g)
+        scores, _ = pagerank(g)
         assert scores["b"] > scores["a"] > scores["c"]
         oracle = linear_solve_scores(g, 0.85)
         for k in scores:
@@ -155,7 +167,7 @@ class TestPagerank:
 
     def test_isolated_node_keeps_teleport_share_only(self):
         g = graph_of("abc", [("a", "b", Layer.DOCUMENT, 1.0)])
-        scores = pagerank(g)
+        scores, _ = pagerank(g)
         assert scores["a"] == pytest.approx(scores["b"], abs=1e-12)
         assert scores["c"] < scores["a"]
         base, connected = 0.05, 0.05 / 0.15
@@ -165,7 +177,7 @@ class TestPagerank:
     def test_scores_sum_to_one(self):
         rng = random.Random(5)
         for _ in range(30):
-            scores = pagerank(random_graph(rng))
+            scores, _ = pagerank(random_graph(rng))
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
             assert all(v >= 0 for v in scores.values())
 
@@ -173,7 +185,7 @@ class TestPagerank:
         rng = random.Random(11)
         for _ in range(30):
             g = random_graph(rng)
-            scores = pagerank(g)
+            scores, _ = pagerank(g)
             oracle = linear_solve_scores(g, 0.85)
             for k in scores:
                 assert scores[k] == pytest.approx(oracle[k], abs=1e-5)
@@ -182,9 +194,9 @@ class TestPagerank:
         rng = random.Random(23)
         for _ in range(10):
             g = random_graph(rng)
-            base = pagerank(g)
+            base, _ = pagerank(g)
             for factor in (0.5, 3.0, 10.0):
-                scaled = pagerank(scale_edges(g, factor))
+                scaled, _ = pagerank(scale_edges(g, factor))
                 for k in base:
                     assert scaled[k] == pytest.approx(base[k], abs=1e-9)
 
@@ -229,55 +241,69 @@ class TestPowerIterationOracle:
         assert got == want
         last = want[-1][0]
         norm = sum(last)
-        assert pagerank(g, params) == {k: s / norm for k, s in zip(keys, last)}
+        assert pagerank(g, params) == (
+            {k: s / norm for k, s in zip(keys, last)}, want[-1][1] <= params.tol)
 
 
-def node(origin, surface, sources=("d",)):
-    return NodeInfo(origin, tuple(sources), surface)
+def node(origin, sources=("d",)):
+    return NodeInfo(origin, tuple(sources))
+
+
+def corpus_of(rows):
+    """A corpus without stopwords, so that one-letter words are candidates."""
+    return make_corpus(rows, frozenset())
 
 
 class TestRankKeyphrases:
     def build(self):
         g = SemMultiGraph()
-        g.nodes["p"] = node(Origin.PRESENT, "p")
-        g.nodes["q"] = node(Origin.ABSENT, "q", sources=("n1",))
-        return g
+        g.nodes["p"] = node(Origin.PRESENT)
+        g.nodes["q"] = node(Origin.ABSENT, sources=("n1",))
+        return g, corpus_of([("d", "", "p."), ("n1", "", "q.")])
 
     def test_gamma_zero_drops_absent(self):
-        g = self.build()
-        ranked = rank_keyphrases(g, {"p": 0.5, "q": 0.5},
+        g, corpus = self.build()
+        ranked = rank_keyphrases(g, {"p": 0.5, "q": 0.5}, corpus,
                                  Config(gamma_absent=0.0))
         assert [r.key for r in ranked] == ["p"]
 
     def test_no_absent_nodes_preserves_raw_order(self):
-        g = SemMultiGraph()
-        for k in "abc":
-            g.nodes[k] = node(Origin.PRESENT, k)
+        g = graph_of("abc", [])
         scores = {"a": 0.2, "b": 0.5, "c": 0.3}
-        ranked = rank_keyphrases(g, scores, Config(gamma_absent=0.0))
+        ranked = rank_keyphrases(g, scores, corpus_of([("d", "", "a b c.")]),
+                                 Config(gamma_absent=0.0))
         assert [r.key for r in ranked] == ["b", "c", "a"]
         assert [r.score for r in ranked] == [0.5, 0.3, 0.2]
 
     def test_interleaving_arithmetic(self):
-        g = self.build()
-        ranked = rank_keyphrases(g, {"p": 0.10, "q": 0.15},
+        g, corpus = self.build()
+        ranked = rank_keyphrases(g, {"p": 0.10, "q": 0.15}, corpus,
                                  Config(gamma_absent=0.8))
         assert [r.key for r in ranked] == ["q", "p"]
         assert ranked[0].score == pytest.approx(0.12, abs=1e-12)
 
     def test_truncation_and_tie_break(self):
-        g = SemMultiGraph()
-        for k in ("k1", "k2", "k3"):
-            g.nodes[k] = node(Origin.PRESENT, k)
+        g = graph_of(["k1", "k2", "k3"], [])
         ranked = rank_keyphrases(g, {"k1": 0.4, "k2": 0.4, "k3": 0.2},
+                                 corpus_of([("d", "", "k1 k2 k3.")]),
                                  Config(top_n=2))
         assert [r.key for r in ranked] == ["k1", "k2"]
 
+    def test_reads_surfaces_only_for_reported_rows(self):
+        # "k3" is no candidate of d: reading its surface would fail
+        g = graph_of(["k1", "k2", "k3"], [])
+        ranked = rank_keyphrases(g, {"k1": 0.4, "k2": 0.4, "k3": 0.2},
+                                 corpus_of([("d", "K1", "k2.")]),
+                                 Config(top_n=2))
+        assert [(r.key, r.surface) for r in ranked] == [("k1", "k1"),
+                                                        ("k2", "k2")]
+
     def test_present_surface_most_frequent_then_earliest(self):
         def surface_of(abstract):
-            doc = Document.build("d", "", abstract)
-            g = build_document_graph(doc, extract_candidates(doc, 1))
-            return rank_keyphrases(g, {"network": 1.0}, Config())[0].surface
+            corpus = corpus_of([("d", "", abstract)])
+            g = build_document_graph(corpus["d"], corpus.candidates_for("d"))
+            return rank_keyphrases(g, {"network": 1.0}, corpus,
+                                   Config())[0].surface
 
         assert surface_of("network. networks. networks.") == "networks"
         assert surface_of("network. networks.") == "network"
@@ -292,9 +318,81 @@ class TestRankKeyphrases:
         nbrs = NeighborSet("a", [("n1", 0.5), ("n2", 0.5)], k=2, min_sim=0.0)
         expand_graph(g, nbrs, corpus, Config(absent_quota=5))
         assert g.nodes["rank"].origin is Origin.ABSENT
-        ranked = rank_keyphrases(g, {"rank": 1.0}, Config())
+        ranked = rank_keyphrases(g, {"rank": 1.0}, corpus, Config())
         assert ranked[0].surface == "ranked"
         assert ranked[0].sources == ["n1", "n2"]
+
+
+def rank_every_node_oracle(doc_id, corpus, provider, config):
+    """The every-node surface path that ranking replaced: a surface for each
+    node as the graph is built (PRESENT: most frequent in the document, ties
+    to the earliest occurrence; ABSENT: expand_graph_oracle's), then
+    PageRank, the origin factor, the sort and the truncation. Rows are
+    (key, surface, score, origin, sources)."""
+    cands = corpus.candidates_for(doc_id, config.max_len)
+    g = build_document_graph(corpus[doc_id], cands, config)
+    surfaces = {key: most_frequent_surface(corpus[doc_id], key, starts)
+                for key, starts in cands.items()}
+    nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
+    expand_graph_oracle(g, nbrs, corpus, config.window, config.lambda_domain,
+                        config.absent_quota, config.max_len, surfaces)
+    bridge_components(g, config)
+    scores, _ = pagerank(g, config)
+    rows = []
+    for key in sorted(scores):
+        info = g.nodes[key]
+        factor = config.gamma_absent if info.origin is Origin.ABSENT else 1.0
+        if scores[key] * factor > 0:
+            rows.append((key, surfaces[key], scores[key] * factor,
+                         info.origin, list(info.sources)))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows[:config.top_n]
+
+
+def inflected_synthetic_corpus(docs_per_topic, clique_size, seed, stopwords):
+    """tests/synth.py's corpus with a plural "s" added to about a third of
+    its longer words, so that a key has several surfaces whose counts tie
+    or differ."""
+    rng = random.Random(seed)
+    records, _ = build_synthetic_records(docs_per_topic, clique_size)
+
+    def inflect(text):
+        return re.sub(r"[a-z]{4,}",
+                      lambda m: m[0] + "s" if rng.random() < 0.3 else m[0], text)
+    return make_corpus([(r["id"], inflect(r["title"]), inflect(r["abstract"]))
+                        for r in records], stopwords)
+
+
+class TestSurfacesOnlyForReportedRows:
+    @given(st.sampled_from([(4, 2), (4, 4), (8, 4)]), st.integers(0, 2**16),
+           st.integers(0, 15), st.sampled_from([1, 3, 1000]),
+           st.sampled_from([0.0, 0.8]), st.sampled_from([0, 3, 10]),
+           st.sampled_from([2, 10]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_every_node_oracle(self, stopwords, shape, seed, pick,
+                                       top_n, gamma_absent, absent_quota,
+                                       window):
+        corpus = inflected_synthetic_corpus(*shape, seed, stopwords)
+        doc_id = sorted(corpus.ids())[pick % len(corpus)]
+        config = Config(min_sim=0.0, top_n=top_n, gamma_absent=gamma_absent,
+                        absent_quota=absent_quota, window=window)
+        provider = TfidfSimilarity(corpus)
+        got = [(r.key, r.surface, r.score, r.origin, r.sources)
+               for r in extract_pipeline(doc_id, corpus, config, provider)]
+        assert got == rank_every_node_oracle(doc_id, corpus, provider, config)
+
+    def test_every_row_of_the_synthetic_corpus(self, stopwords):
+        corpus = inflected_synthetic_corpus(20, 4, 7, stopwords)
+        config = Config(top_n=1000)
+        provider = TfidfSimilarity(corpus)
+        absent = 0
+        for doc_id in sorted(corpus.ids()):
+            want = rank_every_node_oracle(doc_id, corpus, provider, config)
+            got = [(r.key, r.surface, r.score, r.origin, r.sources)
+                   for r in extract_pipeline(doc_id, corpus, config, provider)]
+            assert got == want
+            absent += sum(row[3] is Origin.ABSENT for row in want)
+        assert absent > 0
 
 
 def ranking_as_json(ranked):
@@ -315,7 +413,8 @@ class TestExtractPipeline:
             piped = extract_pipeline(doc_id, corpus, cfg)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
             g = build_document_graph(corpus[doc_id], cands, cfg)
-            baseline = rank_keyphrases(g, pagerank(g, cfg), cfg)
+            scores, _ = pagerank(g, cfg)
+            baseline = rank_keyphrases(g, scores, corpus, cfg)
             assert ranking_as_json(piped) == ranking_as_json(baseline)
 
     def test_neighbor_contributes_absent_key(self, two_doc_corpus):
