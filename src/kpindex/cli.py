@@ -1,6 +1,7 @@
 """Command-line interface: extract | index | search | neighbors | evaluate.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error. Every command
+Exit codes: 0 success, 1 usage/config error, 2 data error, 141 stdout
+closed by its reader (as for a tool killed by SIGPIPE). Every command
 is deterministic for a fixed (input, config) pair: documents are processed
 one at a time in sorted id order by pure per-document work, and a single
 writer emits records sorted by document id. JSON Lines outputs start with
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -236,6 +238,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: no data error.
+        # stdout now points at devnull, so the interpreter's final flush of
+        # what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,8 +68,6 @@ def phrase_stems(text: str) -> list[str]:
 @dataclass
 class Document:
     id: str
-    title: str
-    abstract: str
     gold: list[str] | None = None
     tokens: list[str] = field(default_factory=list)
     stems: list[str] = field(default_factory=list)
@@ -77,11 +75,11 @@ class Document:
     @classmethod
     def build(cls, id: str, title: str, abstract: str,
               gold: list[str] | None = None) -> "Document":
-        """Construct a document with its token and stem views computed."""
+        """Construct a document from its title and abstract, which it keeps
+        only as the token and stem views the pipeline reads."""
         tokens = tokenize(title) + [SENTENCE_BREAK] + tokenize(abstract)
         stems = [t if t == SENTENCE_BREAK else stem(t) for t in tokens]
-        return cls(id=id, title=title, abstract=abstract, gold=gold,
-                   tokens=tokens, stems=stems)
+        return cls(id=id, gold=gold, tokens=tokens, stems=stems)
 
 
 def surface_counts(doc: Document, key: str, starts: list[int]) -> Counter:

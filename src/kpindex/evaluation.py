@@ -2,10 +2,13 @@
 
 Predictions and gold keyphrases pass through the exact same normalization
 (tokenize, stem, join), so matching is symmetric. A normalized gold key is
-PRESENT when its stem sequence occurs contiguously in the document's stem
-stream without crossing a sentence break, ABSENT otherwise. Documents with
-empty gold in a scope are excluded from that scope's macro averages rather
-than scored zero.
+PRESENT when " key " occurs in the document's stems joined with spaces and
+bounded by a space at each end, ABSENT otherwise: no stem holds a space, so
+the match covers whole stems, and no key holds the sentence-break marker,
+so it never crosses a break. Each document's scores are the only state
+evaluation builds; the scope counts, exclusions, macro means and absent
+gold fraction are all derived from them. A document with empty gold in a
+scope is excluded from that scope's macro means rather than scored zero.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .config import Config
 from .corpus import (Corpus, Document, index_stems, most_frequent_surface,
                      phrase_stems)
 from .errors import EvaluationError
+from .ranking import _sum_in_order
 from .similarity import compute_idf
 
 SCOPES = ("all", "present", "absent")
@@ -30,30 +34,16 @@ def normalize_phrase(phrase: str) -> str:
     return " ".join(phrase_stems(phrase))
 
 
-def _occurs_contiguously(doc: Document, key: str) -> bool:
-    seq = key.split(" ")
-    n = len(seq)
-    for i in range(len(doc.stems) - n + 1):
-        if doc.stems[i:i + n] == seq:
-            return True
-    return False
-
-
 def split_present_absent(gold: list[str], doc: Document) -> tuple[set[str], set[str]]:
     """Normalized gold keys split into (present, absent) for one document.
 
-    Sentence breaks block matches automatically: the break marker sits in
-    the stem stream and never equals a real stem. Phrases that normalize
-    to the empty string are dropped; duplicates collapse.
+    Phrases that normalize to the empty string are dropped; duplicates
+    collapse.
     """
-    present: set[str] = set()
-    absent: set[str] = set()
-    for phrase in gold:
-        key = normalize_phrase(phrase)
-        if not key:
-            continue
-        (present if _occurs_contiguously(doc, key) else absent).add(key)
-    return present, absent
+    stems = f" {' '.join(doc.stems)} "
+    keys = {key for key in map(normalize_phrase, gold) if key}
+    present = {key for key in keys if f" {key} " in stems}
+    return present, keys - present
 
 
 class PRF(NamedTuple):
@@ -86,6 +76,27 @@ class DocumentScores:
     gold_absent: list[str]
     metrics: dict[str, dict[int, PRF]] = field(default_factory=dict)
 
+    def gold(self, scope: str) -> set[str]:
+        """The document's gold keys in one scope."""
+        return {"all": {*self.gold_present, *self.gold_absent},
+                "present": set(self.gold_present),
+                "absent": set(self.gold_absent)}[scope]
+
+
+def _prf_table(by_scope: dict[str, dict[int, PRF]]) -> dict:
+    """{scope: {k: PRF}} as JSON: {scope: {str(k): {"precision", "recall",
+    "f1"}}}."""
+    return {scope: {str(k): prf._asdict() for k, prf in by_k.items()}
+            for scope, by_k in by_scope.items()}
+
+
+def _mean(prfs: list[PRF]) -> PRF:
+    """Componentwise mean, added left to right in list order; no PRF gives
+    zeros."""
+    if not prfs:
+        return PRF(0.0, 0.0, 0.0)
+    return PRF(*(_sum_in_order(column) / len(prfs) for column in zip(*prfs)))
+
 
 @dataclass
 class EvaluationReport:
@@ -100,53 +111,23 @@ class EvaluationReport:
     per_document: list[DocumentScores]
 
     def to_dict(self) -> dict:
-        def prf_dict(prf: PRF) -> dict:
-            return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1}
-
-        return {
-            "config": self.config,
-            "model": self.model,
-            "num_documents": self.num_documents,
-            "num_gold_documents": self.num_gold_documents,
-            "absent_gold_fraction": self.absent_gold_fraction,
-            "scored": self.scored,
-            "excluded": self.excluded,
-            "macro": {scope: {str(k): prf_dict(v) for k, v in by_k.items()}
-                      for scope, by_k in self.macro.items()},
-            "per_document": [
-                {
-                    "id": d.doc_id,
-                    "gold_present": d.gold_present,
-                    "gold_absent": d.gold_absent,
-                    "metrics": {scope: {str(k): prf_dict(v)
-                                        for k, v in by_k.items()}
-                                for scope, by_k in d.metrics.items()},
-                }
-                for d in self.per_document
-            ],
-        }
+        return {**vars(self), "macro": _prf_table(self.macro),
+                "per_document": [{"id": d.doc_id,
+                                  "gold_present": d.gold_present,
+                                  "gold_absent": d.gold_absent,
+                                  "metrics": _prf_table(d.metrics)}
+                                 for d in self.per_document]}
 
     def csv_rows(self) -> list[tuple]:
-        rows = [("doc_id", "scope", "k", "precision", "recall", "f1")]
-        for d in self.per_document:
-            for scope in SCOPES:
-                for k in K_VALUES:
-                    prf = d.metrics[scope][k]
-                    rows.append((d.doc_id, scope, k, prf.precision,
-                                 prf.recall, prf.f1))
-        return rows
+        return [("doc_id", "scope", "k", "precision", "recall", "f1"),
+                *((d.doc_id, scope, k, *d.metrics[scope][k])
+                  for d in self.per_document
+                  for scope in SCOPES for k in K_VALUES)]
 
 
 def dedupe_normalized(phrases: list[str]) -> list[str]:
     """Normalize a ranked phrase list, dropping empties and later duplicates."""
-    seen = set()
-    out = []
-    for phrase in phrases:
-        key = normalize_phrase(phrase)
-        if key and key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    return [key for key in dict.fromkeys(map(normalize_phrase, phrases)) if key]
 
 
 def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
@@ -154,65 +135,37 @@ def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
     """Run a model over every gold-annotated document and macro-average.
 
     The model maps a document to a ranked list of phrases (raw or already
-    normalized; both go through the same normalization here).
+    normalized; both go through the same normalization here). Documents
+    are scored in sorted id order, and each macro mean adds its scores in
+    that order.
     """
     per_document: list[DocumentScores] = []
-    excluded: dict[str, list[str]] = {scope: [] for scope in SCOPES}
-    sums = {scope: {k: [0.0, 0.0, 0.0] for k in K_VALUES} for scope in SCOPES}
-    counts = {scope: 0 for scope in SCOPES}
-    total_present = 0
-    total_absent = 0
-
-    gold_doc_ids = [doc.id for doc in corpus if doc.gold]
-    if not gold_doc_ids:
+    for doc in sorted((doc for doc in corpus if doc.gold), key=lambda d: d.id):
+        present, absent = split_present_absent(doc.gold, doc)
+        predicted = dedupe_normalized(model(doc))
+        scores = DocumentScores(doc.id, sorted(present), sorted(absent))
+        scores.metrics = {scope: {k: f_at_k(predicted, scores.gold(scope), k)
+                                  for k in K_VALUES} for scope in SCOPES}
+        per_document.append(scores)
+    if not per_document:
         raise EvaluationError("no gold-annotated documents")
 
-    for doc_id in sorted(gold_doc_ids):
-        doc = corpus[doc_id]
-        present, absent = split_present_absent(doc.gold or [], doc)
-        total_present += len(present)
-        total_absent += len(absent)
-        predicted = dedupe_normalized(model(doc))
-        gold_by_scope = {"all": present | absent, "present": present,
-                         "absent": absent}
-        scores = DocumentScores(doc_id=doc_id,
-                                gold_present=sorted(present),
-                                gold_absent=sorted(absent))
-        for scope in SCOPES:
-            gold = gold_by_scope[scope]
-            scores.metrics[scope] = {k: f_at_k(predicted, gold, k)
-                                     for k in K_VALUES}
-            if not gold:
-                excluded[scope].append(doc_id)
-                continue
-            counts[scope] += 1
-            for k in K_VALUES:
-                prf = scores.metrics[scope][k]
-                sums[scope][k][0] += prf.precision
-                sums[scope][k][1] += prf.recall
-                sums[scope][k][2] += prf.f1
-        per_document.append(scores)
-
-    macro = {}
-    for scope in SCOPES:
-        macro[scope] = {}
-        for k in K_VALUES:
-            if counts[scope]:
-                p, r, f1 = (v / counts[scope] for v in sums[scope][k])
-            else:
-                p = r = f1 = 0.0
-            macro[scope][k] = PRF(p, r, f1)
-
-    total_gold = total_present + total_absent
+    included = {scope: [d for d in per_document if d.gold(scope)]
+                for scope in SCOPES}
+    total_absent = sum(len(d.gold_absent) for d in per_document)
+    total_gold = total_absent + sum(len(d.gold_present) for d in per_document)
     return EvaluationReport(
         config=config.to_dict() if config is not None else {},
         model=model_name,
         num_documents=len(corpus),
-        num_gold_documents=len(gold_doc_ids),
+        num_gold_documents=len(per_document),
         absent_gold_fraction=total_absent / total_gold if total_gold else 0.0,
-        scored=dict(counts),
-        excluded=excluded,
-        macro=macro,
+        scored={scope: len(docs) for scope, docs in included.items()},
+        excluded={scope: [d.doc_id for d in per_document if not d.gold(scope)]
+                  for scope in SCOPES},
+        macro={scope: {k: _mean([d.metrics[scope][k] for d in docs])
+                       for k in K_VALUES}
+               for scope, docs in included.items()},
         per_document=per_document,
     )
 

@@ -3,9 +3,13 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,22 @@ class TestExtract:
 
 
 class TestExitCodes:
+    def test_stdout_closed_by_its_reader_is_141_and_quiet(self):
+        """`extract … | head -1`: the 569 KB of output outgrow any pipe
+        buffer, so the writer meets the closed pipe; that is no data error."""
+        src = str(Path(kpindex.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        with subprocess.Popen(
+                [sys.executable, "-m", "kpindex.cli", "extract", SAMPLE100,
+                 "--top-n", "1000"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b'{"config": ')
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == 141
+        assert err == b""
+
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["extract"])  # missing corpus argument

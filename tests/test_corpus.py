@@ -125,7 +125,7 @@ class TestLoadCorpus:
         ])
         corpus = load_corpus(path, stopwords=stopwords)
         assert len(corpus) == 2
-        assert corpus["a"].title == "T"
+        assert corpus["a"].tokens == ["t", "<s>", "a", "<s>"]
 
     def test_duplicate_id(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [

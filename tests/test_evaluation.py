@@ -1,14 +1,19 @@
+import json
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpindex import Config, evaluate_corpus, normalize_phrase
 from kpindex.corpus import Document
 from kpindex.errors import EvaluationError
-from kpindex.evaluation import f_at_k, split_present_absent, tfidf_baseline
+from kpindex.evaluation import (K_VALUES, PRF, SCOPES, DocumentScores, f_at_k,
+                                split_present_absent, tfidf_baseline)
 from kpindex.graph import build_document_graph
 from kpindex.ranking import rank_keyphrases
 
 from conftest import make_corpus
+from synth import build_synthetic_records
 
 
 class TestNormalizePhrase:
@@ -40,6 +45,25 @@ class TestSplitPresentAbsent:
         doc = Document.build("d", "", "Methods for text. Ranking matters.")
         present, absent = split_present_absent(["text ranking"], doc)
         assert absent == {"text rank"}
+
+    def test_key_inside_a_hyphenated_stem_is_absent(self):
+        doc = Document.build("d", "Graph-ranking methods", "")
+        assert doc.stems[0] == "graph-rank"
+        present, absent = split_present_absent(["ranking"], doc)
+        assert present == set() and absent == {"rank"}
+
+    def test_key_across_the_title_break_is_absent(self):
+        doc = Document.build("d", "Text", "Ranking matters.")
+        present, absent = split_present_absent(["text ranking"], doc)
+        assert present == set() and absent == {"text rank"}
+
+    def test_keys_at_both_ends_of_the_stem_stream_are_present(self):
+        doc = Document.build("d", "Graph methods", "for keyphrase ranking")
+        assert doc.stems[0] == "graph" and doc.stems[-1] == "rank"
+        present, absent = split_present_absent(
+            ["graph", "graph methods", "keyphrase ranking", "ranking"], doc)
+        assert present == {"graph", "graph method", "keyphras rank", "rank"}
+        assert absent == set()
 
     def test_duplicates_collapse_and_empty_dropped(self):
         doc = Document.build("d", "Graph ranking", "")
@@ -241,3 +265,220 @@ class TestTfidfBaseline:
         backward = make_corpus(list(reversed(rows)), stopwords)
         assert tfidf_baseline(forward["d2"], forward) == \
             tfidf_baseline(backward["d2"], backward)
+
+
+# The evaluation as it was written with hand-kept accumulators: a sliding
+# window over the stem list for PRESENT, one running sum per scope, k and
+# measure, and every report field restated on output. Kept as the reference
+# the derived-aggregate evaluation must equal bit for bit.
+
+def _occurs_contiguously_oracle(doc, key):
+    seq = key.split(" ")
+    n = len(seq)
+    for i in range(len(doc.stems) - n + 1):
+        if doc.stems[i:i + n] == seq:
+            return True
+    return False
+
+
+def split_present_absent_oracle(gold, doc):
+    present, absent = set(), set()
+    for phrase in gold:
+        key = normalize_phrase(phrase)
+        if not key:
+            continue
+        (present if _occurs_contiguously_oracle(doc, key) else absent).add(key)
+    return present, absent
+
+
+def dedupe_normalized_oracle(phrases):
+    seen = set()
+    out = []
+    for phrase in phrases:
+        key = normalize_phrase(phrase)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+@dataclass
+class OracleReport:
+    config: dict
+    model: str
+    num_documents: int
+    num_gold_documents: int
+    absent_gold_fraction: float
+    scored: dict
+    excluded: dict
+    macro: dict
+    per_document: list
+
+    def to_dict(self):
+        def prf_dict(prf):
+            return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1}
+
+        return {
+            "config": self.config,
+            "model": self.model,
+            "num_documents": self.num_documents,
+            "num_gold_documents": self.num_gold_documents,
+            "absent_gold_fraction": self.absent_gold_fraction,
+            "scored": self.scored,
+            "excluded": self.excluded,
+            "macro": {scope: {str(k): prf_dict(v) for k, v in by_k.items()}
+                      for scope, by_k in self.macro.items()},
+            "per_document": [
+                {
+                    "id": d.doc_id,
+                    "gold_present": d.gold_present,
+                    "gold_absent": d.gold_absent,
+                    "metrics": {scope: {str(k): prf_dict(v)
+                                        for k, v in by_k.items()}
+                                for scope, by_k in d.metrics.items()},
+                }
+                for d in self.per_document
+            ],
+        }
+
+    def csv_rows(self):
+        rows = [("doc_id", "scope", "k", "precision", "recall", "f1")]
+        for d in self.per_document:
+            for scope in SCOPES:
+                for k in K_VALUES:
+                    prf = d.metrics[scope][k]
+                    rows.append((d.doc_id, scope, k, prf.precision,
+                                 prf.recall, prf.f1))
+        return rows
+
+
+def evaluate_corpus_oracle(corpus, model, config=None, model_name=""):
+    per_document = []
+    excluded = {scope: [] for scope in SCOPES}
+    sums = {scope: {k: [0.0, 0.0, 0.0] for k in K_VALUES} for scope in SCOPES}
+    counts = {scope: 0 for scope in SCOPES}
+    total_present = 0
+    total_absent = 0
+
+    gold_doc_ids = [doc.id for doc in corpus if doc.gold]
+    if not gold_doc_ids:
+        raise EvaluationError("no gold-annotated documents")
+
+    for doc_id in sorted(gold_doc_ids):
+        doc = corpus[doc_id]
+        present, absent = split_present_absent_oracle(doc.gold or [], doc)
+        total_present += len(present)
+        total_absent += len(absent)
+        predicted = dedupe_normalized_oracle(model(doc))
+        gold_by_scope = {"all": present | absent, "present": present,
+                         "absent": absent}
+        scores = DocumentScores(doc_id=doc_id,
+                                gold_present=sorted(present),
+                                gold_absent=sorted(absent))
+        for scope in SCOPES:
+            gold = gold_by_scope[scope]
+            scores.metrics[scope] = {k: f_at_k(predicted, gold, k)
+                                     for k in K_VALUES}
+            if not gold:
+                excluded[scope].append(doc_id)
+                continue
+            counts[scope] += 1
+            for k in K_VALUES:
+                prf = scores.metrics[scope][k]
+                sums[scope][k][0] += prf.precision
+                sums[scope][k][1] += prf.recall
+                sums[scope][k][2] += prf.f1
+        per_document.append(scores)
+
+    macro = {}
+    for scope in SCOPES:
+        macro[scope] = {}
+        for k in K_VALUES:
+            if counts[scope]:
+                p, r, f1 = (v / counts[scope] for v in sums[scope][k])
+            else:
+                p = r = f1 = 0.0
+            macro[scope][k] = PRF(p, r, f1)
+
+    total_gold = total_present + total_absent
+    return OracleReport(
+        config=config.to_dict() if config is not None else {},
+        model=model_name,
+        num_documents=len(corpus),
+        num_gold_documents=len(gold_doc_ids),
+        absent_gold_fraction=total_absent / total_gold if total_gold else 0.0,
+        scored=dict(counts),
+        excluded=excluded,
+        macro=macro,
+        per_document=per_document,
+    )
+
+
+#: Phrases no synthetic document holds in this form: unknown words,
+#: phrases that normalize to nothing, case and inflection variants, a
+#: hyphenated compound and the sentence-break marker's spelling.
+STRAY_PHRASES = ["quantum computing", "zzyzx", " ,, ", ".", "", "Graph Ranking",
+                 "rankings", "graph-ranking", "<s>", "edge. laplacian"]
+
+
+def phrase_pool(record):
+    """Gold and prediction material for one synthetic record: its own gold,
+    every word and adjacent word pair of its text (pairs across a sentence
+    break included), and the stray phrases."""
+    words = (record["title"] + " " + record["abstract"]).split()
+    pairs = [" ".join(words[i:i + 2]) for i in range(len(words) - 1)]
+    return record["keyphrases"] + words + pairs + STRAY_PHRASES
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A synthetic corpus whose gold is the generator's, drawn from the
+    phrase pool, or missing, per document; with `all_present`, every gold
+    phrase whose key is ABSENT is dropped. Plus a model that ranks drawn
+    phrases, duplicates included, per document."""
+    records, _ = build_synthetic_records(*draw(
+        st.sampled_from([(4, 2), (4, 4), (8, 4)])))
+    all_present = draw(st.booleans())
+    rows, predictions = [], {}
+    for record in records:
+        pool = phrase_pool(record)
+        gold = draw(st.one_of(st.just(record["keyphrases"]), st.none(),
+                              st.lists(st.sampled_from(pool), max_size=6)))
+        doc = Document.build(record["id"], record["title"], record["abstract"])
+        if all_present and gold is not None:
+            present, _ = split_present_absent_oracle(gold, doc)
+            gold = [g for g in gold if normalize_phrase(g) in present]
+        rows.append((record["id"], record["title"], record["abstract"], gold))
+        predictions[record["id"]] = draw(
+            st.lists(st.sampled_from(pool), max_size=14))
+    config = draw(st.sampled_from([None, Config(top_n=5)]))
+    return rows, predictions, config, all_present
+
+
+class TestDerivedAggregatesOracle:
+    @given(evaluation_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_report_equals_accumulator_oracle(self, stopwords, case):
+        rows, predictions, config, all_present = case
+        corpus = make_corpus(rows, stopwords)
+
+        def model(doc):
+            return predictions[doc.id]
+
+        if not any(row[3] for row in rows):
+            for evaluate in (evaluate_corpus, evaluate_corpus_oracle):
+                with pytest.raises(EvaluationError):
+                    evaluate(corpus, model, config, "drawn")
+            return
+        got = evaluate_corpus(corpus, model, config, "drawn")
+        want = evaluate_corpus_oracle(corpus, model, config, "drawn")
+        assert got.to_dict() == want.to_dict()
+        assert json.dumps(got.to_dict(), sort_keys=True) == \
+            json.dumps(want.to_dict(), sort_keys=True)
+        assert got.csv_rows() == want.csv_rows()
+        assert [",".join(map(str, row)) for row in got.csv_rows()] == \
+            [",".join(map(str, row)) for row in want.csv_rows()]
+        if all_present:
+            assert got.scored["absent"] == 0
+            assert all(got.macro["absent"][k] == PRF(0.0, 0.0, 0.0)
+                       for k in K_VALUES)

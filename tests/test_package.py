@@ -138,6 +138,19 @@ def test_candidates_are_start_offsets():
                for starts in cands.values())
 
 
+def test_document_holds_only_what_the_pipeline_reads():
+    """Title and abstract live on only as tokens and stems."""
+    assert [f.name for f in dataclasses.fields(Document)] == [
+        "id", "gold", "tokens", "stems"]
+
+
+def test_evaluation_derives_its_aggregates():
+    """PRESENT is a substring test on the joined stems, and the macro means
+    add through ranking's one ordered float sum, not a second copy."""
+    assert not hasattr(evaluation, "_occurs_contiguously")
+    assert evaluation._sum_in_order is ranking._sum_in_order
+
+
 def test_package_imports_only_the_standard_library():
     """pyproject.toml declares no dependencies; every import in the package
     is relative or a standard-library module."""
