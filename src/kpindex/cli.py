@@ -3,9 +3,12 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error, 141 stdout
 closed by its reader (as for a tool killed by SIGPIPE). Every command
 is deterministic for a fixed (input, config) pair: documents are processed
-one at a time in sorted id order by pure per-document work, and a single
-writer emits records sorted by document id. JSON Lines outputs start with
-one {"config": ...} record echoing the effective configuration.
+one at a time in the Corpus's sorted id order by pure per-document work.
+Each run_* computes all of its output lines before any output is opened,
+so a data error leaves no partial --output file, and `main` is the one
+writer: it opens --output (or stdout) once and prints the lines. JSON
+Lines outputs start with one {"config": ...} record echoing the effective
+configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .evaluation import evaluate_corpus, tfidf_baseline
 from .graph import to_dot
 from .index import build_index, load_index, save_index, search
 from .ranking import build_enriched_graph, pagerank, rank_keyphrases
-from .similarity import TfidfSimilarity
+from .similarity import TfidfSimilarity, compute_idf
 
 MODELS = ("full", "no-expansion", "tfidf")
 
@@ -37,13 +40,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(cmd):
-    cmd.add_argument("--config", metavar="PATH", help="key = value config file")
-    cmd.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-
-
 def _add_knobs(cmd):
-    """One flag per Config field: --max-len for max_len, --stopwords PATH."""
+    """--config PATH, then one flag per Config field: --max-len for max_len,
+    --stopwords PATH."""
+    cmd.add_argument("--config", metavar="PATH", help="key = value config file")
     for f in fields(Config):
         if f.name == "stopwords_path":
             cmd.add_argument("--stopwords", dest=f.name, metavar="PATH")
@@ -58,35 +58,39 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="rank keyphrases per document")
+    p.set_defaults(run=run_extract)
     p.add_argument("corpus", help="JSON Lines corpus file")
     p.add_argument("--dot-dump", metavar="DIR",
                    help="write one DOT graph per document for debugging")
-    _add_common(p)
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     _add_knobs(p)
 
     p = sub.add_parser("index", help="build and persist the inverted index")
+    p.set_defaults(run=run_index)
     p.add_argument("corpus")
     p.add_argument("index_path", help="output index file")
-    _add_common(p)
     _add_knobs(p)
 
     p = sub.add_parser("search", help="BM25 search over a persisted index")
+    p.set_defaults(run=run_search)
     p.add_argument("index_path")
     p.add_argument("query")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--output", metavar="PATH")
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
 
     p = sub.add_parser("neighbors", help="emit each document's similar documents")
+    p.set_defaults(run=run_neighbors)
     p.add_argument("corpus")
-    _add_common(p)
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     _add_knobs(p)
 
     p = sub.add_parser("evaluate", help="score a model against gold keyphrases")
+    p.set_defaults(run=run_evaluate)
     p.add_argument("corpus")
     p.add_argument("--model", choices=MODELS, default="full")
     p.add_argument("--csv", action="store_true",
                    help="per-document CSV instead of the JSON report")
-    _add_common(p)
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     _add_knobs(p)
 
     return parser
@@ -98,15 +102,10 @@ def _effective_config(args) -> Config:
     return cfg.replace(**overrides)
 
 
-def _load(args, cfg: Config) -> Corpus:
+def _load(args) -> tuple[Config, Corpus]:
+    cfg = _effective_config(args)
     stopwords = load_stopwords(cfg.stopwords_path)
-    return load_corpus(args.corpus, stopwords=stopwords)
-
-
-def _open_output(path):
-    if path:
-        return open(path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    return cfg, load_corpus(args.corpus, stopwords=stopwords)
 
 
 def _jsonl(record) -> str:
@@ -118,13 +117,13 @@ def _extract_all(corpus: Corpus, cfg: Config,
     provider = TfidfSimilarity(corpus) if cfg.k_neighbors > 0 else None
     if dot_dir is not None:
         # each id names a file in dot_dir, so it must not leave dot_dir
-        for doc_id in sorted(corpus.ids()):
+        for doc_id in corpus.ids():
             if "/" in doc_id or "\0" in doc_id or doc_id in (".", ".."):
                 raise DataError(f"document id {doc_id!r} is not a plain file "
                                 f"name, so --dot-dump cannot use it")
         Path(dot_dir).mkdir(parents=True, exist_ok=True)
     extracted, unconverged = {}, 0
-    for doc_id in sorted(corpus.ids()):
+    for doc_id in corpus.ids():
         g = build_enriched_graph(doc_id, corpus, cfg, provider)
         if dot_dir is not None:
             Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
@@ -138,63 +137,48 @@ def _extract_all(corpus: Corpus, cfg: Config,
     return extracted
 
 
-def run_extract(args) -> int:
-    cfg = _effective_config(args)
-    corpus = _load(args, cfg)
+def run_extract(args) -> list[str]:
+    cfg, corpus = _load(args)
     extracted = _extract_all(corpus, cfg, args.dot_dump)
-    with _open_output(args.output) as out:
-        print(_jsonl({"config": cfg.to_dict()}), file=out)
-        for doc_id in sorted(extracted):
-            record = {"id": doc_id, "keyphrases": [
-                {"phrase": rk.surface, "score": rk.score,
-                 "origin": rk.origin.value}
-                for rk in extracted[doc_id]]}
-            print(_jsonl(record), file=out)
-    return 0
+    return [_jsonl({"config": cfg.to_dict()}), *(
+        _jsonl({"id": doc_id, "keyphrases": [
+            {"phrase": rk.surface, "score": rk.score, "origin": rk.origin.value}
+            for rk in ranked]})
+        for doc_id, ranked in extracted.items())]
 
 
-def run_index(args) -> int:
-    cfg = _effective_config(args)
-    corpus = _load(args, cfg)
-    extracted = _extract_all(corpus, cfg)
-    index = build_index(corpus, extracted, cfg.to_dict())
+def run_index(args) -> list[str]:
+    cfg, corpus = _load(args)
+    index = build_index(corpus, _extract_all(corpus, cfg), cfg.to_dict())
     try:
         save_index(index, args.index_path)
     except OSError as exc:
         raise DataError(f"cannot write index to {args.index_path}: "
                         f"{exc.strerror}") from None
-    return 0
+    return []
 
 
-def run_search(args) -> int:
+def run_search(args) -> list[str]:
     index = load_index(args.index_path)
     results = search(index, args.query, top_n=args.top)
-    with _open_output(args.output) as out:
-        print(_jsonl({"config": index.config}), file=out)
-        for rank, (doc_id, score) in enumerate(results, start=1):
-            print(_jsonl({"rank": rank, "id": doc_id, "score": score}), file=out)
-    return 0
+    return [_jsonl({"config": index.config}), *(
+        _jsonl({"rank": rank, "id": doc_id, "score": score})
+        for rank, (doc_id, score) in enumerate(results, start=1))]
 
 
-def run_neighbors(args) -> int:
-    cfg = _effective_config(args)
-    corpus = _load(args, cfg)
+def run_neighbors(args) -> list[str]:
+    cfg, corpus = _load(args)
     provider = TfidfSimilarity(corpus)
-    rows = {}
-    for doc_id in sorted(corpus.ids()):
-        nbrs = provider.neighbors(doc_id, cfg.k_neighbors, cfg.min_sim)
-        rows[doc_id] = [{"id": nid, "sim": sim} for nid, sim in nbrs.neighbors]
-    with _open_output(args.output) as out:
-        print(_jsonl({"config": cfg.to_dict()}), file=out)
-        for doc_id in sorted(rows):
-            print(_jsonl({"id": doc_id, "neighbors": rows[doc_id]}), file=out)
-    return 0
+    return [_jsonl({"config": cfg.to_dict()}), *(
+        _jsonl({"id": doc_id, "neighbors": [
+            {"id": nid, "sim": sim} for nid, sim in provider.neighbors(
+                doc_id, cfg.k_neighbors, cfg.min_sim).neighbors]})
+        for doc_id in corpus.ids())]
 
 
 def _model_fn(name: str, corpus: Corpus, cfg: Config):
     """Precompute predictions per document so evaluation stays a pure lookup."""
     if name == "tfidf":
-        from .similarity import compute_idf
         idf = compute_idf(corpus)
         return lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
     run_cfg = cfg
@@ -204,34 +188,26 @@ def _model_fn(name: str, corpus: Corpus, cfg: Config):
     return lambda doc: [rk.surface for rk in extracted.get(doc.id, [])]
 
 
-def run_evaluate(args) -> int:
-    cfg = _effective_config(args)
-    corpus = _load(args, cfg)
+def run_evaluate(args) -> list[str]:
+    cfg, corpus = _load(args)
     model = _model_fn(args.model, corpus, cfg)
     report = evaluate_corpus(corpus, model, cfg, model_name=args.model)
-    with _open_output(args.output) as out:
-        if args.csv:
-            print(f"# config: {_jsonl(cfg.to_dict())}", file=out)
-            for row in report.csv_rows():
-                print(",".join(str(v) for v in row), file=out)
-        else:
-            print(json.dumps(report.to_dict(), sort_keys=True, indent=2), file=out)
-    return 0
-
-
-_RUNNERS = {
-    "extract": run_extract,
-    "index": run_index,
-    "search": run_search,
-    "neighbors": run_neighbors,
-    "evaluate": run_evaluate,
-}
+    if args.csv:
+        return [f"# config: {_jsonl(cfg.to_dict())}",
+                *(",".join(str(v) for v in row) for row in report.csv_rows())]
+    return [json.dumps(report.to_dict(), sort_keys=True, indent=2)]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        lines = args.run(args)
+        path = getattr(args, "output", None)  # index has no --output
+        with (open(path, "w", encoding="utf-8") if path
+              else contextlib.nullcontext(sys.stdout)) as out:
+            for line in lines:
+                print(line, file=out)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

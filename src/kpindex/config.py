@@ -13,6 +13,12 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
+#: The value types each annotation admits: exactly int (so no bool) for an
+#: int field, int or float for a float field.
+_ACCEPTED_TYPES = {"int": (int,), "float": (int, float),
+                   "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class Config:
     """Run parameters, validated at construction; replace() derives a copy."""
@@ -35,6 +41,11 @@ class Config:
         self.validate()
 
     def validate(self) -> "Config":
+        for f in fields(self):  # types first: the range checks compare eagerly
+            value = getattr(self, f.name)
+            if type(value) not in _ACCEPTED_TYPES[f.type]:
+                raise ConfigError(f"{f.name} must be {f.type}, "
+                                  f"not {type(value).__name__}")
         checks = [
             (self.max_len >= 1, "max_len must be >= 1"),
             (self.window >= 1, "window must be >= 1"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .errors import CorpusError, DataError
+from .errors import DataError
 from .porter import stem
 
 #: Marker separating sentences (and the title from the abstract) in the
@@ -140,15 +140,19 @@ def index_stems(doc: Document, stopwords: frozenset[str],
 
 
 class Corpus:
-    """An id-indexed document collection with a fixed stopword set."""
+    """An id-indexed document collection with a fixed stopword set.
+
+    It keeps its documents in sorted id order, whatever their input order,
+    so ids() and iteration give every caller the same order."""
 
     def __init__(self, documents: Iterable[Document],
                  stopwords: Iterable[str] = ()) -> None:
-        self._docs: dict[str, Document] = {}
-        for doc in documents:
-            if doc.id in self._docs:
-                raise CorpusError(f"duplicate id {doc.id}")
-            self._docs[doc.id] = doc
+        docs: dict[str, Document] = {}
+        for doc in documents:  # input order, so the first duplicate is named
+            if doc.id in docs:
+                raise DataError(f"duplicate id {doc.id}")
+            docs[doc.id] = doc
+        self._docs = {doc_id: docs[doc_id] for doc_id in sorted(docs)}
         self.stopwords = frozenset(stopwords)
         self.stopword_stems = frozenset(stem(w) for w in self.stopwords)
         self._candidate_cache: dict[tuple[str, int], dict[str, list[int]]] = {}
@@ -169,6 +173,7 @@ class Corpus:
             raise KeyError(f"unknown document id {doc_id}") from None
 
     def ids(self) -> list[str]:
+        """The document ids in sorted order."""
         return list(self._docs)
 
     def candidates_for(self, doc_id: str, max_len: int = 3) -> dict[str, list[int]]:
@@ -204,7 +209,7 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     """Load a JSON Lines corpus: one object per line with id, title, abstract
     and an optional keyphrases array.
 
-    Raises CorpusError naming the offending line for malformed records,
+    Raises DataError naming the offending line for malformed records,
     naming the id for duplicates and naming the path when the file holds
     no record.
     """
@@ -214,33 +219,33 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                raise CorpusError(f"line {lineno}: not valid UTF-8") from None
+                raise DataError(f"line {lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             except ValueError as exc:  # an integer past the int-string digit limit
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc})") from None
+                raise DataError(f"line {lineno}: invalid JSON ({exc})") from None
             except RecursionError:
-                raise CorpusError(f"line {lineno}: invalid JSON (nested too deeply)") from None
+                raise DataError(f"line {lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(record, dict):
-                raise CorpusError(f"line {lineno}: record is not an object")
+                raise DataError(f"line {lineno}: record is not an object")
             for fld in ("id", "title", "abstract"):
                 if fld not in record:
-                    raise CorpusError(f"line {lineno}: missing field {fld!r}")
+                    raise DataError(f"line {lineno}: missing field {fld!r}")
                 if not isinstance(record[fld], str):
-                    raise CorpusError(f"line {lineno}: field {fld!r} is not a string")
+                    raise DataError(f"line {lineno}: field {fld!r} is not a string")
             gold = record.get("keyphrases")
             if gold is not None and (
                     not isinstance(gold, list)
                     or any(not isinstance(k, str) for k in gold)):
-                raise CorpusError(f"line {lineno}: keyphrases must be an array of strings")
+                raise DataError(f"line {lineno}: keyphrases must be an array of strings")
             docs.append(Document.build(record["id"], record["title"],
                                        record["abstract"], gold))
     if not docs:
-        raise CorpusError(f"empty corpus: {path} holds no record")
+        raise DataError(f"empty corpus: {path} holds no record")
     if stopwords is None:
         stopwords = default_stopwords()
     return Corpus(docs, stopwords)

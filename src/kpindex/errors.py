@@ -10,16 +10,7 @@ class ConfigError(KpIndexError):
 
 
 class DataError(KpIndexError):
-    """Input data violates the expected schema or invariants."""
+    """Input data violates the expected schema or invariants: a malformed or
+    inconsistent corpus, an unreadable or corrupt index file, or a corpus
+    that evaluation cannot score."""
 
-
-class CorpusError(DataError):
-    """Corpus file is malformed or inconsistent."""
-
-
-class IndexFileError(DataError):
-    """Index file is missing, corrupt, or has an unsupported format."""
-
-
-class EvaluationError(DataError):
-    """Evaluation cannot proceed, e.g. no gold-annotated documents."""

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from .config import Config
 from .corpus import (Corpus, Document, index_stems, most_frequent_surface,
                      phrase_stems)
-from .errors import EvaluationError
+from .errors import DataError
 from .ranking import _sum_in_order
 from .similarity import compute_idf
 
@@ -136,11 +136,11 @@ def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
 
     The model maps a document to a ranked list of phrases (raw or already
     normalized; both go through the same normalization here). Documents
-    are scored in sorted id order, and each macro mean adds its scores in
-    that order.
+    are scored in the order the Corpus iterates them, sorted by id, and
+    each macro mean adds its scores in that order.
     """
     per_document: list[DocumentScores] = []
-    for doc in sorted((doc for doc in corpus if doc.gold), key=lambda d: d.id):
+    for doc in (doc for doc in corpus if doc.gold):
         present, absent = split_present_absent(doc.gold, doc)
         predicted = dedupe_normalized(model(doc))
         scores = DocumentScores(doc.id, sorted(present), sorted(absent))
@@ -148,7 +148,7 @@ def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
                                   for k in K_VALUES} for scope in SCOPES}
         per_document.append(scores)
     if not per_document:
-        raise EvaluationError("no gold-annotated documents")
+        raise DataError("no gold-annotated documents")
 
     included = {scope: [d for d in per_document if d.gold(scope)]
                 for scope in SCOPES}

@@ -39,7 +39,7 @@ import uuid
 from collections import Counter, defaultdict
 
 from .corpus import Corpus, index_stems, phrase_stems
-from .errors import ConfigError, IndexFileError
+from .errors import ConfigError, DataError
 from .graph import Origin
 from .ranking import RankedKeyphrase
 
@@ -103,7 +103,7 @@ def build_index(corpus: Corpus,
     """
     postings: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
     doc_lengths: dict[str, dict[str, float]] = {}
-    for doc_id in sorted(corpus.ids()):
+    for doc_id in corpus.ids():
         counts = {field: Counter() for field in FIELDS}
         counts[FIELD_TEXT].update(index_stems(corpus[doc_id], corpus.stopwords,
                                               corpus.stopword_stems))
@@ -162,7 +162,7 @@ def _collector_paused():
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read an index file; IndexFileError names the payload field at fault.
+    """Read an index file; DataError names the payload field at fault.
 
     Every length and weight must be a finite JSON number, each length map
     must name exactly FIELDS, and each field length must equal the fsum of
@@ -174,16 +174,16 @@ def load_index(path: str) -> InvertedIndex:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise IndexFileError(f"cannot read index file {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read index file {path}: {exc.strerror}") from None
     if len(blob) < 13 or blob[:4] != _MAGIC:
-        raise IndexFileError(f"{path}: not an index file (bad magic)")
+        raise DataError(f"{path}: not an index file (bad magic)")
     version = blob[4]
     if version != _VERSION:
-        raise IndexFileError(f"{path}: unsupported index format version {version}")
+        raise DataError(f"{path}: unsupported index format version {version}")
     length = int.from_bytes(blob[5:13], "big")
     body = blob[13:]
     if len(body) != length:
-        raise IndexFileError(f"{path}: truncated index file")
+        raise DataError(f"{path}: truncated index file")
     with _collector_paused():
         return _decode_payload(path, body)
 
@@ -194,11 +194,11 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
     except ValueError:
         # invalid UTF-8, invalid JSON, or an integer past Python's
         # int-string digit limit (a plain ValueError)
-        raise IndexFileError(f"{path}: corrupt index payload") from None
+        raise DataError(f"{path}: corrupt index payload") from None
     except RecursionError:
-        raise IndexFileError(f"{path}: index payload nested too deeply") from None
+        raise DataError(f"{path}: index payload nested too deeply") from None
     if not isinstance(payload, dict):
-        raise IndexFileError(f"{path}: corrupt index payload")
+        raise DataError(f"{path}: corrupt index payload")
     try:
         field = "config"
         config = payload.get(field, {})
@@ -236,7 +236,7 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
                                      "posting weights")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             OverflowError):
-        raise IndexFileError(f"{path}: index payload field {field!r} is "
+        raise DataError(f"{path}: index payload field {field!r} is "
                              f"missing or malformed") from None
     return InvertedIndex(postings, doc_lengths, config)
 

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .corpus import Corpus, Document, index_stems
-from .errors import CorpusError
+from .errors import DataError
 
 
 @dataclass
@@ -33,7 +33,7 @@ class NeighborSet:
 def compute_idf(corpus: Corpus) -> dict[str, float]:
     """idf(t) = ln(1 + N/df(t)) over indexable stems; stopword stems excluded."""
     if len(corpus) == 0:
-        raise CorpusError("empty corpus")
+        raise DataError("empty corpus")
     df: Counter = Counter()
     for doc in corpus:
         df.update(set(index_stems(doc, corpus.stopwords, corpus.stopword_stems)))

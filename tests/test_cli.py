@@ -168,6 +168,17 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "--workers" in capsys.readouterr().err
 
+    def test_index_output_flag_is_usage_error(self, tmp_path, capsys):
+        """index writes only its index file, so it takes no --output."""
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        out_path = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["index", path, str(tmp_path / "c.kpix"),
+                  "--output", str(out_path)])
+        assert exc.value.code == 1
+        assert "--output" in capsys.readouterr().err
+        assert not out_path.exists() and not (tmp_path / "c.kpix").exists()
+
     def test_output_in_missing_directory_is_data_error(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
         out_path = tmp_path / "missing" / "out.jsonl"

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpindex.corpus import (Corpus, Document, SENTENCE_BREAK,
                             extract_candidates, load_corpus, surface_counts,
                             tokenize)
-from kpindex.errors import CorpusError
+from kpindex.errors import DataError
 from kpindex.porter import stem
 
 from conftest import write_jsonl
@@ -132,21 +134,35 @@ class TestLoadCorpus:
             {"id": "a", "title": "T", "abstract": "A."},
             {"id": "a", "title": "U", "abstract": "B."},
         ])
-        with pytest.raises(CorpusError, match="duplicate id a"):
+        with pytest.raises(DataError, match="duplicate id a"):
             load_corpus(path)
+
+    def test_first_duplicate_in_input_order_is_named(self, stopwords):
+        docs = [Document.build(i, "T", "A.") for i in ["b", "z", "a", "z", "b"]]
+        with pytest.raises(DataError, match="^duplicate id z$"):
+            Corpus(docs, stopwords)
+
+    def test_documents_are_kept_in_id_order(self, stopwords):
+        ids = [f"d{i:02d}" for i in range(20)]
+        shuffled = ids[:]
+        random.Random(7).shuffle(shuffled)
+        corpus = Corpus([Document.build(i, "T", "A.") for i in shuffled],
+                        stopwords)
+        assert corpus.ids() == ids
+        assert [doc.id for doc in corpus] == ids
 
     def test_missing_field_names_line(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [
             {"id": "a", "title": "T", "abstract": "A."},
             {"id": "b", "title": "U"},
         ])
-        with pytest.raises(CorpusError, match="line 2.*abstract"):
+        with pytest.raises(DataError, match="line 2.*abstract"):
             load_corpus(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "title": "T", "abstract": "A."}\n{oops\n')
-        with pytest.raises(CorpusError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_corpus(str(path))
 
     def test_keyphrases_loaded(self, tmp_path, stopwords):

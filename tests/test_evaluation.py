@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kpindex import Config, evaluate_corpus, normalize_phrase
 from kpindex.corpus import Document
-from kpindex.errors import EvaluationError
+from kpindex.errors import DataError
 from kpindex.evaluation import (K_VALUES, PRF, SCOPES, DocumentScores, f_at_k,
                                 split_present_absent, tfidf_baseline)
 from kpindex.graph import build_document_graph
@@ -191,7 +191,7 @@ class TestEvaluateCorpus:
 
     def test_no_gold_is_an_error(self, stopwords):
         corpus = make_corpus([("a", "T", "Text.")], stopwords)
-        with pytest.raises(EvaluationError, match="no gold-annotated documents"):
+        with pytest.raises(DataError, match="no gold-annotated documents"):
             evaluate_corpus(corpus, lambda doc: [])
 
     def test_empty_scope_excluded_not_zero_scored(self, stopwords):
@@ -362,7 +362,7 @@ def evaluate_corpus_oracle(corpus, model, config=None, model_name=""):
 
     gold_doc_ids = [doc.id for doc in corpus if doc.gold]
     if not gold_doc_ids:
-        raise EvaluationError("no gold-annotated documents")
+        raise DataError("no gold-annotated documents")
 
     for doc_id in sorted(gold_doc_ids):
         doc = corpus[doc_id]
@@ -467,7 +467,7 @@ class TestDerivedAggregatesOracle:
 
         if not any(row[3] for row in rows):
             for evaluate in (evaluate_corpus, evaluate_corpus_oracle):
-                with pytest.raises(EvaluationError):
+                with pytest.raises(DataError):
                     evaluate(corpus, model, config, "drawn")
             return
         got = evaluate_corpus(corpus, model, config, "drawn")

@@ -16,7 +16,7 @@ import kpindex.index as index_module
 
 from kpindex import (Config, ConfigError, build_index, extract_pipeline,
                      load_index, save_index, search)
-from kpindex.errors import IndexFileError
+from kpindex.errors import DataError
 from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
                            query_terms)
@@ -89,13 +89,13 @@ class TestPersistence:
         assert load_index(path) == index
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IndexFileError, match="cannot read"):
+        with pytest.raises(DataError, match="cannot read"):
             load_index(str(tmp_path / "nope.kpix"))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.kpix"
         path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(IndexFileError, match="bad magic"):
+        with pytest.raises(DataError, match="bad magic"):
             load_index(str(path))
 
     def test_bad_version(self, two_doc_corpus, tmp_path):
@@ -104,7 +104,7 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(IndexFileError, match="version 99"):
+        with pytest.raises(DataError, match="version 99"):
             load_index(str(path))
 
     def test_truncated(self, two_doc_corpus, tmp_path):
@@ -112,7 +112,7 @@ class TestPersistence:
         save_index(self.build(two_doc_corpus), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 10])
-        with pytest.raises(IndexFileError, match="truncated"):
+        with pytest.raises(DataError, match="truncated"):
             load_index(str(path))
 
     def test_failed_write_keeps_previous_index(self, two_doc_corpus, tmp_path,
@@ -205,7 +205,7 @@ class TestPersistence:
     ])
     def test_malformed_payload_names_field(self, tmp_path, payload, field):
         path = write_payload(tmp_path / "c.kpix", payload)
-        with pytest.raises(IndexFileError, match=f"'{field}'"):
+        with pytest.raises(DataError, match=f"'{field}'"):
             load_index(path)
 
     @given(st.lists(st.tuples(st.sampled_from("abé"), st.sampled_from(FIELDS),
@@ -273,7 +273,7 @@ class TestCollectorPause:
             if error is None:
                 assert load_index(str(path)) == small_index()
             else:
-                with pytest.raises(IndexFileError, match=error):
+                with pytest.raises(DataError, match=error):
                     load_index(str(path))
             assert gc.isenabled() is enabled
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -8,8 +9,8 @@ from importlib import resources
 import pytest
 
 import kpindex
-from kpindex import (Config, ConfigError, cli, evaluation, graph, ranking,
-                     similarity)
+from kpindex import (Config, ConfigError, cli, errors, evaluation, graph,
+                     ranking, similarity)
 from kpindex import corpus as corpus_module
 from kpindex.corpus import Corpus, Document, default_stopwords
 from kpindex.index import InvertedIndex
@@ -44,6 +45,24 @@ def test_all_is_the_documented_api():
 def test_float_field_must_be_finite(name, value):
     with pytest.raises(ConfigError, match=name):
         Config(**{name: value})
+
+
+WRONG_TYPES = {"int": [2.0, True, "3", None], "float": [True, "0.5", None],
+               "str | None": [3, b"stopwords.txt"]}
+
+
+@pytest.mark.parametrize("name,value", [
+    (f.name, value) for f in dataclasses.fields(Config)
+    for value in WRONG_TYPES[f.type]], ids=repr)
+def test_field_of_the_wrong_type_is_a_config_error(name, value):
+    """An int field takes exactly int (no bool), a float field int or float,
+    stopwords_path str or None; anything else names the field."""
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        Config(**{name: value})
+
+
+def test_float_field_admits_an_int():
+    assert Config(min_sim=0, beta=3, tol=1).beta == 3
 
 
 def test_config_is_frozen():
@@ -168,3 +187,42 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{module.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_main_is_the_one_writer():
+    """Each run_* returns its lines; only main opens the output."""
+    for name in ("_open_output", "_add_common", "_RUNNERS"):
+        assert not hasattr(cli, name)
+
+
+def test_one_error_class_per_exit_code():
+    defined = sorted(name for name, value in vars(errors).items()
+                     if isinstance(value, type)
+                     and issubclass(value, BaseException))
+    assert defined == ["ConfigError", "DataError", "KpIndexError"]
+
+
+CONFIG_FLAGS = ["--config", "--max-len", "--window", "--k-neighbors",
+                "--min-sim", "--lambda-domain", "--beta", "--absent-quota",
+                "--damping", "--tol", "--max-iter", "--gamma-absent",
+                "--top-n", "--stopwords"]
+
+COMMAND_FLAGS = {
+    "extract": ["--dot-dump", "--output", *CONFIG_FLAGS],
+    "index": CONFIG_FLAGS,
+    "search": ["--top", "--output"],
+    "neighbors": ["--output", *CONFIG_FLAGS],
+    "evaluate": ["--model", "--csv", "--output", *CONFIG_FLAGS],
+}
+
+
+def test_each_command_has_exactly_its_flags():
+    """Adding or dropping a flag shows up here as a table edit."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    got = {name: sorted(flag for action in sub._actions
+                        for flag in action.option_strings
+                        if flag not in ("-h", "--help"))
+           for name, sub in commands.items()}
+    assert got == {name: sorted(flags) for name, flags in COMMAND_FLAGS.items()}

@@ -8,7 +8,7 @@ import kpindex.similarity as similarity_module
 
 from kpindex import Corpus, TfidfSimilarity
 from kpindex.corpus import Document
-from kpindex.errors import CorpusError
+from kpindex.errors import DataError
 from kpindex.similarity import compute_idf, cosine, vectorize
 
 from conftest import make_corpus
@@ -41,7 +41,7 @@ class TestComputeIdf:
         assert "graph" in idf
 
     def test_empty_corpus(self, stopwords):
-        with pytest.raises(CorpusError):
+        with pytest.raises(DataError):
             compute_idf(Corpus([], stopwords))
 
 
