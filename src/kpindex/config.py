@@ -7,7 +7,7 @@ so typos cannot silently change a run.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -63,8 +63,12 @@ class Config:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        limit = sys.float_info.max
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            # a bounds test: NaN fails it, and so does an int beyond the
+            # float range, on which math.isfinite raises OverflowError
+            value = getattr(self, f.name)
+            if f.type == "float" and not -limit <= value <= limit:
                 raise ConfigError(f"{f.name} must be finite")
         return self
 

@@ -13,7 +13,9 @@ index was built or loaded. The first query that meets a term scores its
 postings into one BM25 contribution per document and caches them on the
 index, so that query costs time in proportion to the term's postings and
 every later one costs one addition per matching document; no query costs
-time in proportion to the number of documents.
+time in proportion to the number of documents. To pick the top n results,
+selection makes one float-only pass for the floor, the n-th largest score,
+and sorts only the documents scoring at or above it.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
@@ -252,13 +254,20 @@ def search(index: InvertedIndex, query: str,
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
     (including stopwords, which are never indexed) contribute nothing; a
-    repeated term contributes once per occurrence.
+    repeated term contributes once per occurrence, and each document's
+    contributions are added in query-term order.
+
+    When more than top_n documents match, one pass over the bare float
+    scores finds the floor, the top_n-th largest score; only the documents
+    scoring at or above it are sorted. Every member of the true top n
+    scores at least the floor, and every document tied at it is kept for
+    the tie-break, so the result equals a full sort cut to top_n.
     Raises ConfigError when top_n is below 1.
     """
     if top_n < 1:
         raise ConfigError("top_n (search --top) must be >= 1")
     cache = index.contributions
-    scores: dict[str, float] = defaultdict(float)
+    scores: dict[str, float] = {}
     for term in query_terms(query):
         pairs = cache.get(term)
         if pairs is None:
@@ -266,10 +275,18 @@ def search(index: InvertedIndex, query: str,
             if not plist:
                 continue
             pairs = cache[term] = _contributions(index, plist)
+        if not scores:
+            # every contribution is > 0, so 0.0 + c == c
+            scores = dict(pairs)
+            continue
+        get = scores.get
         for doc_id, contribution in pairs:
-            scores[doc_id] += contribution
-    return heapq.nsmallest(top_n, scores.items(),
-                           key=lambda item: (-item[1], item[0]))
+            scores[doc_id] = get(doc_id, 0.0) + contribution
+    items = scores.items()
+    if len(scores) > top_n:
+        floor = heapq.nlargest(top_n, scores.values())[-1]
+        items = [item for item in items if item[1] >= floor]
+    return sorted(items, key=lambda item: (-item[1], item[0]))[:top_n]
 
 
 def _contributions(index: InvertedIndex,

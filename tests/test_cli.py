@@ -512,6 +512,22 @@ GOLDEN_SEARCH_BYTES = [
      "2ddeb9dd3ab1ec48c57b7894364486ccbbb370a70cc19aee739134769015d140"),
 ]
 
+# search --top at 1 and above every query's match count (at most 14)
+GOLDEN_SEARCH_TOP_BYTES = [
+    ("probabilistic term weighting", 1,
+     "7febc5f649f229b7ef32408bd052ee12ccca318606ccdc6dd37026ca9fbc6200"),
+    ("neural machine translation", 1,
+     "c87745c6cfb458cb51c8607a85515d2c0c1d4df5ea57af5ae7303d21b41e78c5"),
+    ("graph ranking of the unknown zyxwv", 1,
+     "2547823b5dcafad557800d786cc400bbdc194d712c8b1d682e556c1922888350"),
+    ("probabilistic term weighting", 1000,
+     "29330501c0a59e4f03a35ef1489d2b44fe44b8a97e3d28eb25d9b3eb0eb58cbc"),
+    ("neural machine translation", 1000,
+     "7a25395c3bc6de34f6fa4bb9733c87c6916df53c0281386f8cb7c40ae539e747"),
+    ("graph ranking of the unknown zyxwv", 1000,
+     "7185a0e557ee930cac476498ef4b95bcf5bd301059018c0907bf31b24ba6bf4b"),
+]
+
 
 def assert_golden_bytes(tmp_path, corpus, command, sha256):
     """command is an argv prefix; the corpus and --output follow it."""
@@ -583,6 +599,10 @@ class TestGoldenOutput:
         out = tmp_path / "out"
         for query, sha256 in GOLDEN_SEARCH_BYTES:
             assert main(["search", str(path), query, "--output", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        for query, top, sha256 in GOLDEN_SEARCH_TOP_BYTES:
+            assert main(["search", str(path), query, "--top", str(top),
+                         "--output", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_sample100_search_bytes_on_a_warm_index(self, tmp_path):

@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -540,6 +541,50 @@ class TestSearchOracle:
         index = random_index([{field: {} for field in FIELDS}] * 3)
         assert index.norms == {f"d{i}": K1 * (1.0 - B) for i in range(3)}
         assert search(index, "graph") == []
+
+    def test_ties_across_the_cut_off(self):
+        """20 identical documents tie on one score below 3 higher ones;
+        top_n below, at the start of, inside, at the end of and past the
+        tied block gives the exact ids, the tied ones in id order."""
+        def text(**counts):
+            return {FIELD_TEXT: counts, FIELD_KP_PRESENT: {},
+                    FIELD_KP_ABSENT: {}}
+
+        docs = ([text(graph=k) for k in (4, 3, 2)]    # d0 > d1 > d2
+                + [text(graph=1, rank=1)] * 20        # d3..d22 tie
+                + [text(graph=1, rank=4)]             # d23, below the tie
+                + [text(rank=2)] * 3)                 # no match
+        index = random_index(docs)
+        scores = dict(search(index, "graph", len(docs)))
+        tied = sorted(f"d{i}" for i in range(3, 23))
+        assert len({scores[doc_id] for doc_id in tied}) == 1
+        assert scores["d2"] > scores[tied[0]] > scores["d23"]
+        expected = ["d0", "d1", "d2", *tied, "d23"]
+        for top_n in (1, 2, 3, 4, 5, 12, 22, 23, 24, 25, 100):
+            got = search(index, "graph", top_n)
+            assert [doc_id for doc_id, _ in got] == expected[:top_n]
+            assert got == search_uncached_oracle(index, "graph", top_n)
+            assert got == search_oracle(index, "graph", top_n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_index_equals_oracles(self, seed):
+        """A few hundred documents over five stems, so most queries match
+        far more documents than top_n and many tie at the floor."""
+        rng = random.Random(seed)
+        docs = [{field: {stem: rng.randint(1, 4)
+                         for stem in rng.sample(STEMS, rng.randint(0, 3))}
+                 for field in FIELDS}
+                for _ in range(300)]
+        index = random_index(docs)
+        query_seq = [" ".join(rng.choices(QUERY_WORDS, k=rng.randint(1, 4)))
+                     for _ in range(12)] + ["graph", "graph graph", "zebra"]
+        for ix in (index, round_trip(index)):
+            for query in query_seq:
+                for top_n in (1, 10, 500):
+                    got = search(ix, query, top_n)
+                    assert got == search_oracle(ix, query, top_n)
+                    assert got == search_uncached_oracle(ix, query, top_n)
+        assert len(search(index, "graph", 500)) > 100
 
 
 # queries of one to four words, so that a short sequence repeats words

@@ -39,7 +39,8 @@ def test_all_is_the_documented_api():
         "save_index", "search"]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   10**400, -10**400])
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Config)
                                   if f.type == "float"])
 def test_float_field_must_be_finite(name, value):
