@@ -67,12 +67,13 @@ class InvertedIndex:
 
     The constructor sorts every postings list in place into (doc id, field)
     order and sets `norms`, each document's BM25 length norm
-    K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards but
-    one derived cache: `contributions` maps each term that `search` has met
-    and that has postings to its (doc id, BM25 contribution) pairs. It is
-    not compared and not saved, and filling it is idempotent, so threads
-    may share an index under the GIL: two that fill one term at once store
-    equal lists.
+    K1 * (1 - B + B * dl / avgdl). It raises DataError when a document's
+    weighted length dl, or the sum of all of them, is not finite. Nothing
+    changes an index afterwards but one derived cache: `contributions`
+    maps each term that `search` has met and that has postings to its
+    (doc id, BM25 contribution) pairs. It is not compared and not saved,
+    and filling it is idempotent, so threads may share an index under the
+    GIL: two that fill one term at once store equal lists.
     """
 
     postings: dict[str, list[tuple[str, str, float]]]
@@ -85,14 +86,40 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         for plist in self.postings.values():
             plist.sort(key=_DOC_FIELD)
-        weighted = {doc_id: math.fsum(FIELD_WEIGHTS[f] * lengths[f]
-                                      for f in FIELDS)
+        weighted = {doc_id: _weighted_length(doc_id, lengths)
                     for doc_id, lengths in sorted(self.doc_lengths.items())}
-        avgdl = (math.fsum(weighted.values()) / len(weighted)
-                 if weighted else 0.0)
+        try:
+            avgdl = (math.fsum(weighted.values()) / len(weighted)
+                     if weighted else 0.0)
+        except OverflowError:
+            raise DataError("the documents' weighted lengths sum past the "
+                            "float range") from None
         self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
                                                    else 0.0))
                       for doc_id, dl in weighted.items()}
+
+
+def _scaled_sum(lengths: dict[str, float], fields: tuple[str, ...]) -> float:
+    """fsum of the FIELD_WEIGHTS-scaled lengths of fields; inf when finite
+    terms sum past the float range."""
+    try:
+        return math.fsum(FIELD_WEIGHTS[f] * lengths[f] for f in fields)
+    except OverflowError:
+        return math.inf
+
+
+def _weighted_length(doc_id: str, lengths: dict[str, float]) -> float:
+    """A document's weighted length, the fsum of its FIELD_WEIGHTS-scaled
+    field lengths. A length norm from an infinite one would be NaN, and so
+    would every BM25 score of the document: DataError names the document
+    and the first field whose length makes the sum not finite."""
+    dl = _scaled_sum(lengths, FIELDS)
+    if not math.isfinite(dl):
+        field = next(f for end, f in enumerate(FIELDS, 1)
+                     if not math.isfinite(_scaled_sum(lengths, FIELDS[:end])))
+        raise DataError(f"document {doc_id!r}: field {field!r} makes its "
+                        f"weighted length not finite")
+    return dl
 
 
 def build_index(corpus: Corpus,
@@ -169,8 +196,10 @@ def load_index(path: str) -> InvertedIndex:
     Every length and weight must be a finite JSON number, each length map
     must name exactly FIELDS, and each field length must equal the fsum of
     that document's posting weights in the field, as build_index writes it.
-    The payload is decoded, checked and made an InvertedIndex with the
-    cyclic garbage collector paused process-wide.
+    InvertedIndex then rejects a weighted length that is not finite, naming
+    the document and the field. The payload is decoded, checked and made
+    an InvertedIndex with the cyclic garbage collector paused
+    process-wide.
     """
     try:
         with open(path, "rb") as fh:

@@ -390,6 +390,22 @@ class TestIndexAndSearch:
         assert code == 2
         assert "'doc_lengths'" in err
 
+    def test_index_with_infinite_weighted_length_is_data_error(self, tmp_path,
+                                                                capsys):
+        """1.5 x a kp_present weight of 1.7e308 is inf: the index loads no
+        more, instead of scoring its document NaN."""
+        lengths = {"text": 0.0, "kp_present": 1.7e308, "kp_absent": 0.0}
+        bad = write_payload(tmp_path / "bad.kpix", {
+            "doc_lengths": {"a": lengths,
+                            "b": {"text": 1.0, "kp_present": 0.0,
+                                  "kp_absent": 0.0}},
+            "postings": {"graph": [["a", "kp_present", 1.7e308],
+                                   ["b", "text", 1.0]]}})
+        code, out, err = run(["search", bad, "graph", "--top", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "document 'a': field 'kp_present'" in err
+
     def test_number_past_digit_limit_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.kpix"
         bad.write_bytes(index_file_bytes(
@@ -485,6 +501,13 @@ GOLDEN_BYTES = [
      "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
     ("neighbors",
      "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
+    # every pair passes the floor: documents sharing no stem score 0.0
+    ("neighbors --min-sim 0",
+     "883ea4cd05a9183fbaaf7c3dba56aa4a0586584ba54e31a1982d5d178f82df7d"),
+    ("neighbors --min-sim 0 --k-neighbors 100",
+     "0cbc0ff06b7d9b6ef17a75ec21feb89370e3b681f8b80b8969fc299a60f329b6"),
+    ("neighbors --k-neighbors 0",
+     "5545d2e475546d32f5b2a4002a7b996046a517fcd7e300cff0898b34ac595b6e"),
     ("extract --k-neighbors 0",
      "1855e4fdc9cc46c91895f040d142730130cb137842e884540ed2d278b0e82572"),
     # admits many ABSENT nodes; the default config admits few

@@ -230,6 +230,59 @@ class TestPersistence:
         assert sorted(doc_id for doc_id, _ in search(index, "graph")) == ["a", "b"]
 
 
+def huge_kp_present_index_parts():
+    """Postings and lengths of three documents matching "graph"; a's
+    kp_present weight of 1.7e308 is finite, but 1.5x it is not."""
+    lengths = {"a": {FIELD_TEXT: 0.0, FIELD_KP_PRESENT: 1.7e308,
+                     FIELD_KP_ABSENT: 0.0},
+               "b": text_lengths(1.0), "c": text_lengths(1.0)}
+    postings = {"graph": [("a", FIELD_KP_PRESENT, 1.7e308),
+                          ("b", FIELD_TEXT, 1.0), ("c", FIELD_TEXT, 1.0)]}
+    return postings, lengths
+
+
+class TestWeightedLengthOverflow:
+    """A weighted length that is not finite would make a NaN norm and NaN
+    scores, whose rank is undefined; the index is refused instead."""
+
+    def test_built_index_names_document_and_field(self):
+        postings, lengths = huge_kp_present_index_parts()
+        with pytest.raises(DataError, match="document 'a': field "
+                                            "'kp_present'"):
+            InvertedIndex(postings, lengths)
+
+    def test_index_file_is_refused_at_load(self, tmp_path):
+        postings, lengths = huge_kp_present_index_parts()
+        path = write_payload(tmp_path / "c.kpix",
+                             {"doc_lengths": lengths, "postings": postings})
+        with pytest.raises(DataError, match="document 'a': field "
+                                            "'kp_present'"):
+            load_index(path)
+
+    def test_fields_that_overflow_only_together(self):
+        lengths = {FIELD_TEXT: 1e308, FIELD_KP_PRESENT: 1e308,
+                   FIELD_KP_ABSENT: 0.0}
+        with pytest.raises(DataError, match="document 'a': field "
+                                            "'kp_present'"):
+            InvertedIndex({}, {"a": lengths})
+
+    def test_documents_that_overflow_only_together(self):
+        with pytest.raises(DataError, match="weighted lengths sum"):
+            InvertedIndex({}, {"a": text_lengths(1e308),
+                               "b": text_lengths(1e308)})
+
+    def test_largest_finite_lengths_are_kept(self):
+        # 1.5 * 1e308 is still finite
+        postings, lengths = huge_kp_present_index_parts()
+        postings["graph"][0] = ("a", FIELD_KP_PRESENT, 1e308)
+        lengths["a"][FIELD_KP_PRESENT] = 1e308
+        index = InvertedIndex(postings, lengths)
+        assert all(math.isfinite(norm) for norm in index.norms.values())
+        hits = search(index, "graph", top_n=3)
+        assert [doc_id for doc_id, _ in hits] == ["a", "b", "c"]
+        assert all(math.isfinite(score) for _, score in hits)
+
+
 @contextlib.contextmanager
 def collector(enabled):
     """Run the block with the cyclic collector on or off, then restore it."""

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,36 @@ class TestFindNeighbors:
             got = provider.neighbors(doc_id, k=5, min_sim=0.1)
             assert got.neighbors == brute_force_neighbors(provider, doc_id, 5, 0.1)
 
+    def test_k_zero_walks_no_postings(self, stopwords, monkeypatch):
+        corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
+        provider = TfidfSimilarity(corpus)
+        calls = []
+
+        def counting_cosine(a, b):
+            calls.append((a, b))
+            return cosine(a, b)
+        monkeypatch.setattr(similarity_module, "cosine", counting_cosine)
+        # a walk would look up the source's stems here and fail
+        monkeypatch.setattr(provider, "postings", {})
+        for doc in corpus:
+            for min_sim in (0.0, 0.5):
+                nbrs = provider.neighbors(doc.id, k=0, min_sim=min_sim)
+                assert nbrs.neighbors == []
+        assert calls == []
+
+    def test_postings_hold_rows_and_the_vectors_floats(self, stopwords):
+        corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
+        provider = TfidfSimilarity(corpus)
+        assert provider.ids == corpus.ids()
+        assert set(provider.postings) == {
+            t for vec in provider.vectors.values() for t in vec}
+        for t, (rows, weights) in provider.postings.items():
+            assert rows == sorted(set(rows))
+            assert [provider.ids[row] for row in rows] == [
+                doc_id for doc_id, vec in provider.vectors.items() if t in vec]
+            for row, w in zip(rows, weights):
+                assert w is provider.vectors[provider.ids[row]][t]
+
     def test_rescores_only_documents_sharing_a_stem(self, stopwords,
                                                     monkeypatch):
         corpus = make_corpus(TWO_TOPIC_ROWS, stopwords)
@@ -234,7 +265,71 @@ def small_corpora(draw):
     return texts + copies + ["", "the of and"]
 
 
+# 5e-10 lies inside the 1e-9 margin: documents sharing no stem pass the
+# floor, score 0.0 and are dropped
+MIN_SIMS = [0.0, 5e-10, 1.0]
+
+
+def dict_walk_sums(provider, doc_id):
+    """The walk as neighbors made it before postings held rows: a stem ->
+    document-id postings map, and per posting a weight read from the other
+    document's vector and a get and a set on a string-keyed dict. Maps each
+    document sharing a stem with doc_id, doc_id included, to its sum."""
+    vectors = provider.vectors
+    postings = defaultdict(list)
+    for other_id, vec in vectors.items():
+        for t in vec:
+            postings[t].append(other_id)
+    approx = {}
+    for t, w in vectors[doc_id].items():
+        for other_id in postings[t]:
+            approx[other_id] = approx.get(other_id, 0.0) \
+                + w * vectors[other_id][t]
+    return approx
+
+
+def dict_walk_rescored(provider, doc_id, min_sim):
+    """The (source, other) pairs the dict walk rescored with cosine."""
+    approx = dict_walk_sums(provider, doc_id)
+    approx.pop(doc_id, None)
+    floor = min_sim - 1e-9
+    return sorted((doc_id, other_id) for other_id, dot in approx.items()
+                  if dot >= floor)
+
+
 class TestNeighborsOracle:
+    @given(small_corpora(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_sums_and_rescored_pairs_equal_the_dict_walk(
+            self, stopwords, texts, data):
+        corpus = make_corpus([(f"d{i}", "", text)
+                              for i, text in enumerate(texts)], stopwords)
+        provider = TfidfSimilarity(corpus)
+        vectors = provider.vectors
+        owner = {id(vec): doc_id for doc_id, vec in vectors.items()}
+        pairwise = sorted({cosine(vectors[a], vectors[b])
+                           for a in vectors for b in vectors if a < b})
+        for doc_id in vectors:
+            expected = dict_walk_sums(provider, doc_id)
+            got = provider.dot_sums(doc_id)
+            assert [x.hex() for x in got] == [
+                expected.get(other_id, 0.0).hex() for other_id in provider.ids]
+            assert {other_id for other_id, x in zip(provider.ids, got) if x} \
+                == set(expected)
+            k = data.draw(st.integers(1, len(vectors)), label="k")
+            min_sim = data.draw(st.sampled_from(MIN_SIMS + pairwise),
+                                label="min_sim")
+            pairs = []
+
+            def counting_cosine(a, b):
+                pairs.append((owner[id(a)], owner[id(b)]))
+                return cosine(a, b)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(similarity_module, "cosine", counting_cosine)
+                provider.neighbors(doc_id, k, min_sim)
+            assert sorted(pairs) == dict_walk_rescored(provider, doc_id,
+                                                       min_sim)
+
     @given(small_corpora(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_equals_exhaustive_scan(self, stopwords, texts, data):
@@ -247,7 +342,7 @@ class TestNeighborsOracle:
                            for a in vectors for b in vectors if a < b})
         for doc_id in vectors:
             k = data.draw(st.integers(0, len(vectors)), label="k")
-            min_sim = data.draw(st.sampled_from([0.0, 1.0] + pairwise),
+            min_sim = data.draw(st.sampled_from(MIN_SIMS + pairwise),
                                 label="min_sim")
             got = provider.neighbors(doc_id, k, min_sim)
             assert got.neighbors == brute_force_neighbors(provider, doc_id,
