@@ -97,9 +97,10 @@ def build_parser() -> _Parser:
 
 
 def _effective_config(args) -> Config:
+    """The config file's values, then each flag that was given."""
     cfg = load_config(args.config)
-    overrides = {name: getattr(args, name, None) for name in cfg.to_dict()}
-    return cfg.replace(**overrides)
+    return cfg.replace(**{name: value for name in cfg.to_dict()
+                          if (value := getattr(args, name, None)) is not None})
 
 
 def _load(args) -> tuple[Config, Corpus]:
@@ -114,7 +115,7 @@ def _jsonl(record) -> str:
 
 def _extract_all(corpus: Corpus, cfg: Config,
                  dot_dir: str | None = None) -> dict:
-    provider = TfidfSimilarity(corpus) if cfg.k_neighbors > 0 else None
+    provider = TfidfSimilarity(corpus)
     if dot_dir is not None:
         # each id names a file in dot_dir, so it must not leave dot_dir
         for doc_id in corpus.ids():
@@ -181,11 +182,9 @@ def _model_fn(name: str, corpus: Corpus, cfg: Config):
     if name == "tfidf":
         idf = compute_idf(corpus)
         return lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
-    run_cfg = cfg
-    if name == "no-expansion":
-        run_cfg = cfg.replace(k_neighbors=0, absent_quota=0, lambda_domain=0.0)
+    run_cfg = cfg.replace(k_neighbors=0) if name == "no-expansion" else cfg
     extracted = _extract_all(corpus, run_cfg)
-    return lambda doc: [rk.surface for rk in extracted.get(doc.id, [])]
+    return lambda doc: [rk.surface for rk in extracted[doc.id]]
 
 
 def run_evaluate(args) -> list[str]:

@@ -76,13 +76,12 @@ class Config:
         return {f.name: getattr(self, f.name) for f in fields(Config)}
 
     def replace(self, **overrides) -> "Config":
+        """A copy with every given value applied, None included."""
         values = self.to_dict()
-        for key, value in overrides.items():
+        for key in overrides:
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
-            if value is not None:
-                values[key] = value
-        return Config(**values)
+        return Config(**{**values, **overrides})
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}

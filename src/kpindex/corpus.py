@@ -3,7 +3,7 @@
 A document is indexed on its title and abstract only. Both fields are
 tokenized into a single stream with a sentence-break marker between the
 fields and after sentence-final punctuation; stems align 1:1 with tokens.
-Candidates are stopword-free n-grams (default n <= 3) that never cross a
+Candidates are stopword-free n-grams (n <= max_len) that never cross a
 sentence break, grouped under their stem-sequence key. A candidate is just
 the list of token offsets where its key starts; its surface forms are read
 back from the tokens (surface_counts) only for the rows ranking reports.
@@ -104,8 +104,8 @@ def _blocked(token: str, stopwords: frozenset[str]) -> bool:
     return token == SENTENCE_BREAK or token in stopwords
 
 
-def extract_candidates(doc: Document, max_len: int = 3,
-                       stopwords: frozenset[str] = frozenset()) -> dict[str, list[int]]:
+def extract_candidates(doc: Document, max_len: int,
+                       stopwords: frozenset[str]) -> dict[str, list[int]]:
     """All stopword-free n-grams of length 1..max_len: each stem-sequence
     key maps to the ascending token offsets where it starts.
 
@@ -146,7 +146,7 @@ class Corpus:
     so ids() and iteration give every caller the same order."""
 
     def __init__(self, documents: Iterable[Document],
-                 stopwords: Iterable[str] = ()) -> None:
+                 stopwords: Iterable[str]) -> None:
         docs: dict[str, Document] = {}
         for doc in documents:  # input order, so the first duplicate is named
             if doc.id in docs:
@@ -176,7 +176,7 @@ class Corpus:
         """The document ids in sorted order."""
         return list(self._docs)
 
-    def candidates_for(self, doc_id: str, max_len: int = 3) -> dict[str, list[int]]:
+    def candidates_for(self, doc_id: str, max_len: int) -> dict[str, list[int]]:
         """extract_candidates memoized per (document, max_len): each key maps
         to its start offsets only, and surfaces are read from the document's
         tokens for the rows ranking reports. Treat as read-only."""
@@ -188,21 +188,27 @@ class Corpus:
         return got
 
 
-def default_stopwords() -> frozenset[str]:
-    """The English stopword list bundled with the package."""
-    text = resources.files("kpindex").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
 def load_stopwords(path: str | None) -> frozenset[str]:
-    """Stopwords from a one-token-per-line file, or the bundled default."""
-    if path is None:
-        return default_stopwords()
+    """Stopwords from a file of one entry per line, or the bundled English
+    list when path is None. Each entry is normalized as tokenize normalizes
+    a token; one that is not exactly one token could never match, so it is
+    a DataError naming its file and line."""
+    file = (resources.files("kpindex").joinpath("data/stopwords.txt")
+            if path is None else path)
+    stopwords: set[str] = set()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip() for line in fh if line.strip())
+        with (file.open(encoding="utf-8") if path is None
+              else open(file, encoding="utf-8")) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                words = tokenize(line)
+                if line.strip() and (len(words) != 1
+                                     or words == [SENTENCE_BREAK]):
+                    raise DataError(f"{file}:{lineno}: stopword entry "
+                                    f"{line.strip()!r} is not one token")
+                stopwords.update(words)
     except UnicodeDecodeError:
-        raise DataError(f"stopwords file {path} is not valid UTF-8") from None
+        raise DataError(f"stopwords file {file} is not valid UTF-8") from None
+    return frozenset(stopwords)
 
 
 def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
@@ -247,5 +253,5 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     if not docs:
         raise DataError(f"empty corpus: {path} holds no record")
     if stopwords is None:
-        stopwords = default_stopwords()
+        stopwords = load_stopwords(None)
     return Corpus(docs, stopwords)

@@ -23,7 +23,6 @@ from .corpus import (Corpus, Document, index_stems, most_frequent_surface,
                      phrase_stems)
 from .errors import DataError
 from .ranking import _sum_in_order
-from .similarity import compute_idf
 
 SCOPES = ("all", "present", "absent")
 K_VALUES = (5, 10)
@@ -170,16 +169,14 @@ def evaluate_corpus(corpus: Corpus, model: Callable[[Document], list[str]],
     )
 
 
-def tfidf_baseline(doc: Document, corpus: Corpus, config: Config = Config(),
-                   idf: dict[str, float] | None = None) -> list[str]:
+def tfidf_baseline(doc: Document, corpus: Corpus, config: Config,
+                   idf: dict[str, float]) -> list[str]:
     """Candidates ranked by the summed tf*idf of their stems; ties by key.
 
     Returns surface forms so downstream normalization stems each phrase
     exactly once, same as gold. A key's surface is chosen as for a
-    PRESENT row.
+    PRESENT row. idf is the corpus's compute_idf, built once per run.
     """
-    if idf is None:
-        idf = compute_idf(corpus)
     tf = Counter(index_stems(doc, corpus.stopwords, corpus.stopword_stems))
     candidates = corpus.candidates_for(doc.id, config.max_len)
     scored = []

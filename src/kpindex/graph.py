@@ -19,7 +19,6 @@ from enum import Enum
 from .config import Config
 from .corpus import Corpus, Document
 from .errors import ConfigError
-from .similarity import NeighborSet
 
 
 class Layer(Enum):
@@ -99,9 +98,10 @@ def build_document_graph(doc: Document, candidates: dict[str, list[int]],
     return g
 
 
-def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
-                 config: Config = Config()) -> SemMultiGraph:
-    """Enrich the document graph in place with neighbor evidence.
+def expand_graph(g: SemMultiGraph, neighbors: list[tuple[str, float]],
+                 corpus: Corpus, config: Config = Config()) -> SemMultiGraph:
+    """Enrich the document graph in place with neighbor evidence: the
+    ranked (neighbor id, similarity) list, as in NeighborSet.neighbors.
 
     (1) Admission decides which nodes exist. Candidates that occur only
         in neighbors are scored by sum(s_i * freq_i) over the neighbors
@@ -125,10 +125,10 @@ def expand_graph(g: SemMultiGraph, nbrs: NeighborSet, corpus: Corpus,
     returned unchanged.
     """
     window, lambda_domain = config.window, config.lambda_domain
-    if lambda_domain == 0 or not nbrs.neighbors:
+    if lambda_domain == 0 or not neighbors:
         return g
 
-    active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
+    active = [(nid, sim) for nid, sim in neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
     if config.absent_quota > 0:

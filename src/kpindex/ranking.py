@@ -138,25 +138,22 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float], corpus: Corpus,
 
 
 def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
-                         provider: TfidfSimilarity | None = None) -> SemMultiGraph:
-    """Document graph -> neighbor expansion -> component bridging."""
-    candidates = corpus.candidates_for(doc_id, config.max_len)
-    g = build_document_graph(corpus[doc_id], candidates, config)
-    if config.k_neighbors > 0:
-        if provider is None:
-            provider = TfidfSimilarity(corpus)
-        nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
-        expand_graph(g, nbrs, corpus, config)
-    bridge_components(g, config)
-    return g
+                         provider: TfidfSimilarity) -> SemMultiGraph:
+    """Document graph -> neighbor expansion -> component bridging; with
+    k_neighbors == 0 there is no neighbor, so expansion adds nothing."""
+    g = build_document_graph(
+        corpus[doc_id], corpus.candidates_for(doc_id, config.max_len), config)
+    nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
+    expand_graph(g, nbrs.neighbors, corpus, config)
+    return bridge_components(g, config)
 
 
 def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
-                     provider: TfidfSimilarity | None = None) -> list[RankedKeyphrase]:
+                     provider: TfidfSimilarity) -> list[RankedKeyphrase]:
     """Full per-document pipeline; deterministic for fixed (corpus, config).
 
-    Pass a shared provider when processing many documents so tf-idf
-    vectors are built once.
+    The provider holds the corpus's tf-idf vectors: build one
+    TfidfSimilarity(corpus) and pass it for every document.
     """
     g = build_enriched_graph(doc_id, corpus, config, provider)
     scores, _ = pagerank(g, config)

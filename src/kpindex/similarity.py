@@ -7,8 +7,8 @@ of lists, a row being a document's position in sorted id order. A query
 walks the postings of the source's stems and sums approximate dot
 products into a list with one row per document; only the documents whose
 sum comes within 1e-9 of the floor are rescored with cosine, and a sum of
-0.0, which means no shared stem, scores 0.0 without one. Everything
-downstream consumes NeighborSet values and never touches vectors directly.
+0.0, which means no shared stem, scores 0.0 without one. Downstream,
+expand_graph reads only a NeighborSet's ranked (id, similarity) list.
 """
 
 from __future__ import annotations

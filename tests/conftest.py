@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from kpindex.corpus import Corpus, Document, default_stopwords
+from kpindex.corpus import Corpus, Document, load_stopwords
 
 
 @pytest.fixture(scope="session")
 def stopwords():
-    return default_stopwords()
+    return load_stopwords(None)
 
 
 def make_corpus(rows, stopwords):

@@ -17,7 +17,7 @@ import pytest
 import kpindex
 from kpindex import (Config, Corpus, build_index, evaluate_corpus,
                      extract_pipeline, load_corpus, load_index, search)
-from kpindex.corpus import Document, default_stopwords
+from kpindex.corpus import Document
 from kpindex.evaluation import split_present_absent
 from kpindex.graph import build_document_graph
 from kpindex.ranking import pagerank, rank_keyphrases
@@ -90,8 +90,9 @@ def test_criterion_1_baseline_collapse(stopwords):
         corpus = make_corpus(twenty_doc_rows(), stopwords)
         cfg = Config(k_neighbors=0, absent_quota=0,
                      lambda_domain=0.0).validate()
+        provider = TfidfSimilarity(corpus)
         for doc_id in sorted(corpus.ids()):
-            piped = extract_pipeline(doc_id, corpus, cfg)
+            piped = extract_pipeline(doc_id, corpus, cfg, provider)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
             g = build_document_graph(corpus[doc_id], cands, cfg)
             scores, _ = pagerank(g, cfg)
@@ -155,7 +156,7 @@ def test_criterion_5_expansion_efficacy(synthetic_corpus):
         provider = TfidfSimilarity(corpus)
         full_preds = {d: extract_pipeline(d, corpus, cfg, provider)
                       for d in sorted(corpus.ids())}
-        noexp_preds = {d: extract_pipeline(d, corpus, noexp_cfg)
+        noexp_preds = {d: extract_pipeline(d, corpus, noexp_cfg, provider)
                        for d in sorted(corpus.ids())}
         full = evaluate_corpus(
             corpus, lambda doc: [r.surface for r in full_preds[doc.id]],

@@ -328,6 +328,33 @@ class TestExitCodes:
         assert out == "" and str(stop) in err and "UTF-8" in err
 
 
+    def test_stopword_entries_match_whatever_their_case(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        records = {}
+        for name, text in (("upper", "The\nOf\nAnd\n"),
+                           ("lower", "the\nof\nand\n")):
+            stop = tmp_path / f"{name}.txt"
+            stop.write_text(text, encoding="utf-8")
+            code, out, _ = run(["extract", path, "--stopwords", str(stop),
+                                "--top-n", "1000"], capsys)
+            assert code == 0
+            records[name] = parse_jsonl(out)[1]
+        assert records["upper"] == records["lower"]
+        phrases = {kp["phrase"] for record in records["upper"]
+                   for kp in record["keyphrases"]}
+        assert "graph ranking" in phrases
+        assert not any("the" in phrase.split() for phrase in phrases)
+
+    def test_stopword_entry_of_two_tokens_is_data_error(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\nstate of the art\n", encoding="utf-8")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--stopwords", str(stop)],
+                             capsys)
+        assert code == 2
+        assert out == "" and f"{stop}:2:" in err and "one token" in err
+
+
 class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -452,6 +479,28 @@ class TestEvaluateCommand:
         a, b = json.loads(noexp), json.loads(zeroed)
         assert a["per_document"] == b["per_document"]
         assert a["macro"] == b["macro"]
+
+    @pytest.mark.parametrize("command, built", [
+        ("extract", 1), ("extract --k-neighbors 0", 1), ("index", 1),
+        ("evaluate --model full", 1), ("evaluate --model no-expansion", 1),
+        ("evaluate --model tfidf", 0)])
+    def test_one_neighbor_source_per_run(self, tmp_path, capsys, monkeypatch,
+                                         command, built):
+        """tf-idf is built once for the whole corpus, never per document."""
+        corpora = []
+        real = cli.TfidfSimilarity
+
+        def counting(corpus):
+            corpora.append(corpus)
+            return real(corpus)
+        monkeypatch.setattr(cli, "TfidfSimilarity", counting)
+        path = write_jsonl(tmp_path / "c.jsonl", GOLD_RECORDS)
+        name, *flags = command.split()
+        positional = [path, *([str(tmp_path / "c.kpix")] if name == "index"
+                               else [])]
+        code, _, _ = run([name, *positional, *flags], capsys)
+        assert code == 0
+        assert len(corpora) == built
 
     def test_missing_gold_is_data_error(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)

@@ -1,11 +1,13 @@
 import random
+import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpindex.corpus import (Corpus, Document, SENTENCE_BREAK,
-                            extract_candidates, load_corpus, surface_counts,
-                            tokenize)
+                            extract_candidates, load_corpus, load_stopwords,
+                            surface_counts, tokenize)
 from kpindex.errors import DataError
 from kpindex.porter import stem
 
@@ -285,3 +287,27 @@ class TestKeyOccurrences:
         cands = extract_candidates(doc, 3, frozenset({"the"}))
         assert "the graph" not in cands
         assert cands["graph"] == [1]
+
+
+class TestLoadStopwords:
+    def test_entries_are_normalized_as_tokens(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("The\n  OF \n\nİn\n-and-\n", encoding="utf-8")
+        assert load_stopwords(str(path)) == {"the", "of", "in", "and"}
+
+    @pytest.mark.parametrize("entry", ["state of", "e.g.", ".", "-", "#"])
+    def test_entry_that_is_not_one_token_names_its_line(self, tmp_path, entry):
+        path = tmp_path / "stop.txt"
+        path.write_text(f"the\n\n{entry}\nof\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}:3: stopword entry "):
+            load_stopwords(str(path))
+
+    def test_bundled_entries_are_single_lowercase_tokens(self):
+        """So normalizing them changes no output byte."""
+        text = resources.files("kpindex").joinpath(
+            "data/stopwords.txt").read_text("utf-8")
+        entries = [line.strip() for line in text.splitlines() if line.strip()]
+        assert len(entries) == 158
+        assert all(tokenize(entry) == [entry] for entry in entries)
+        assert load_stopwords(None) == set(entries)

@@ -11,6 +11,7 @@ from kpindex.evaluation import (K_VALUES, PRF, SCOPES, DocumentScores, f_at_k,
                                 split_present_absent, tfidf_baseline)
 from kpindex.graph import build_document_graph
 from kpindex.ranking import rank_keyphrases
+from kpindex.similarity import compute_idf
 
 from conftest import make_corpus
 from synth import build_synthetic_records
@@ -217,7 +218,7 @@ class TestEvaluateCorpus:
         corpus = make_corpus([("a", "İstanbul networks",
                                "Traffic in İstanbul networks.",
                                ["İstanbul networks"])], stopwords)
-        g = build_document_graph(corpus["a"], corpus.candidates_for("a"))
+        g = build_document_graph(corpus["a"], corpus.candidates_for("a", 3))
         key = normalize_phrase("İstanbul networks")
         surface = rank_keyphrases(g, {key: 1.0}, corpus)[0].surface
         report = evaluate_corpus(corpus, lambda doc: [surface])
@@ -234,7 +235,8 @@ class TestTfidfBaseline:
     def test_single_candidate_doc(self, stopwords):
         corpus = make_corpus([("a", "", "graph."), ("b", "", "other text.")],
                              stopwords)
-        ranked = tfidf_baseline(corpus["a"], corpus, Config(top_n=5))
+        ranked = tfidf_baseline(corpus["a"], corpus, Config(top_n=5),
+                                compute_idf(corpus))
         assert ranked == ["graph"]
 
     def test_rare_stems_outrank_ubiquitous_at_equal_tf(self, stopwords):
@@ -243,7 +245,8 @@ class TestTfidfBaseline:
             ("d2", "", "graph text."),
             ("d3", "", "graph model."),
         ], stopwords)
-        ranked = tfidf_baseline(corpus["d1"], corpus, Config(top_n=5))
+        ranked = tfidf_baseline(corpus["d1"], corpus, Config(top_n=5),
+                                compute_idf(corpus))
         assert ranked.index("zeta") < ranked.index("graph")
 
     def test_surface_is_the_present_node_surface(self, stopwords):
@@ -251,7 +254,7 @@ class TestTfidfBaseline:
         corpus = make_corpus([("a", "Networks", "Networks grow. Network.")],
                              stopwords)
         config = Config(max_len=1)
-        ranked = tfidf_baseline(corpus["a"], corpus, config)
+        ranked = tfidf_baseline(corpus["a"], corpus, config, compute_idf(corpus))
         g = build_document_graph(corpus["a"], corpus.candidates_for("a", 1))
         assert ranked == ["networks", "grow"]
         assert ranked[0] == rank_keyphrases(g, {"network": 1.0}, corpus,
@@ -263,8 +266,10 @@ class TestTfidfBaseline:
                 ("d3", "Sorting", "Sorting algorithms run.")]
         forward = make_corpus(rows, stopwords)
         backward = make_corpus(list(reversed(rows)), stopwords)
-        assert tfidf_baseline(forward["d2"], forward) == \
-            tfidf_baseline(backward["d2"], backward)
+        assert tfidf_baseline(forward["d2"], forward, Config(),
+                              compute_idf(forward)) == \
+            tfidf_baseline(backward["d2"], backward, Config(),
+                           compute_idf(backward))
 
 
 # The evaluation as it was written with hand-kept accumulators: a sliding

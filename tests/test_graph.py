@@ -11,7 +11,7 @@ from kpindex.corpus import (Document, extract_candidates, load_corpus,
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
                            expand_graph, to_dot, window_pairs)
-from kpindex.similarity import NeighborSet, TfidfSimilarity
+from kpindex.similarity import TfidfSimilarity
 
 from conftest import make_corpus
 
@@ -95,7 +95,7 @@ class TestWindowPairs:
 
 def neighbor_pairs(abstract, window):
     doc = Document.build("n", "", abstract)
-    return window_pairs(extract_candidates(doc, 3), window)
+    return window_pairs(extract_candidates(doc, 3, frozenset()), window)
 
 
 class TestCooccurrenceIn:
@@ -134,7 +134,7 @@ class TestExpandGraph:
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a")
         before = edge_snapshot(g)
-        nbrs = NeighborSet("a", [], k=0, min_sim=0.1)
+        nbrs = []
         expand_graph(g, nbrs, corpus)
         assert edge_snapshot(g) == before
 
@@ -142,7 +142,7 @@ class TestExpandGraph:
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a")
         before = edge_snapshot(g)
-        nbrs = NeighborSet("a", [("b", 0.9)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.9)]
         expand_graph(g, nbrs, corpus, Config(lambda_domain=0.0))
         assert edge_snapshot(g) == before
 
@@ -153,7 +153,7 @@ class TestExpandGraph:
         key) whose weight rounds to 0 names lambda_domain."""
         corpus = make_corpus([("a", target, ""),
                               ("b", "", "graph ranking model.")], stopwords)
-        nbrs = NeighborSet("a", [("b", 0.5)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.5)]
         with pytest.raises(ConfigError, match="lambda_domain"):
             expand_graph(present_graph_for(corpus, "a"), nbrs, corpus,
                          Config(lambda_domain=5e-324, absent_quota=quota))
@@ -161,7 +161,7 @@ class TestExpandGraph:
     def test_domain_edge_weight_is_lambda_sim_count(self, stopwords):
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a", window=2)
-        nbrs = NeighborSet("a", [("b", 0.5)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.5)]
         # in b, graph/rank occurrence pairs within window 2: (1,2) and (5,6)
         expand_graph(g, nbrs, corpus,
                      Config(window=2, lambda_domain=1.0, absent_quota=0))
@@ -176,7 +176,7 @@ class TestExpandGraph:
         ], stopwords)
         g = present_graph_for(corpus, "a")
         present_before = set(g.nodes)
-        nbrs = NeighborSet("a", [("b", 0.8)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.8)]
         expand_graph(g, nbrs, corpus, Config(absent_quota=1))
         absent = g.keys_with_origin(Origin.ABSENT)
         assert len(absent) == 1
@@ -195,7 +195,7 @@ class TestExpandGraph:
             ("b", "", "neural model. graph ranking."),
         ], stopwords)
         g = present_graph_for(corpus, "a", window=1)
-        nbrs = NeighborSet("a", [("b", 0.8)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.8)]
         expand_graph(g, nbrs, corpus, Config(window=1, absent_quota=3))
         assert g.keys_with_origin(Origin.ABSENT) == []
         # with window 2, "model" links to "graph" and the others to "model"
@@ -209,7 +209,7 @@ class TestExpandGraph:
         g = present_graph_for(corpus, "a")
         nodes_before = set(g.nodes)
         doc_edges_before = edge_snapshot(g, Layer.DOCUMENT)
-        nbrs = NeighborSet("a", [("b", 0.7)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.7)]
         expand_graph(g, nbrs, corpus, Config(absent_quota=5))
         assert nodes_before <= set(g.nodes)
         assert edge_snapshot(g, Layer.DOCUMENT) == doc_edges_before
@@ -219,7 +219,7 @@ class TestExpandGraph:
         weights = {}
         for sim in (0.3, 0.6, 0.9):
             g = present_graph_for(corpus, "a")
-            nbrs = NeighborSet("a", [("b", sim)], k=1, min_sim=0.0)
+            nbrs = [("b", sim)]
             expand_graph(g, nbrs, corpus, Config(absent_quota=0))
             weights[sim] = dict(g.weights[Layer.DOMAIN])
         assert weights[0.3].keys() == weights[0.9].keys()
@@ -233,7 +233,7 @@ class TestExpandGraph:
         ], stopwords)
         g = present_graph_for(corpus, "a")
         before = len(all_layer_components(g))
-        nbrs = NeighborSet("a", [("b", 0.9)], k=1, min_sim=0.0)
+        nbrs = [("b", 0.9)]
         expand_graph(g, nbrs, corpus, Config(absent_quota=3))
         mid = len(all_layer_components(g))
         bridge_components(g, Config(beta=2.0))
@@ -250,11 +250,11 @@ def expand_graph_oracle(g, nbrs, corpus, window, lambda_domain, absent_quota,
     path. Given a dict `surfaces`, it also records a surface for each key
     as it is admitted: the most frequent surface summed over the key's
     sources, ties lexicographic."""
-    if lambda_domain == 0 or not nbrs.neighbors:
+    if lambda_domain == 0 or not nbrs:
         return g
     present = g.keys_with_origin(Origin.PRESENT)
     present_set = set(present)
-    active = [(nid, sim) for nid, sim in nbrs.neighbors if sim > 0]
+    active = [(nid, sim) for nid, sim in nbrs if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, max_len)
                       for nid, _ in active}
     neighbor_pairs = {nid: window_pairs(cands, window)
@@ -326,9 +326,7 @@ class TestExpandGraphOracle:
                                             max_len):
         corpus = make_corpus([(f"d{i}", "", text)
                               for i, text in enumerate(texts)], stopwords)
-        nbrs = NeighborSet("d0", [(f"d{i}", sim) for i, sim in
-                                  zip(range(1, len(texts)), sims)],
-                           k=3, min_sim=0.0)
+        nbrs = [(f"d{i}", sim) for i, sim in zip(range(1, len(texts)), sims)]
         config = Config(window=window, lambda_domain=lambda_domain,
                         absent_quota=quota, max_len=max_len)
         got = expand_graph(present_graph_for(corpus, "d0", window, max_len),
@@ -347,7 +345,7 @@ class TestExpandGraphOracle:
         config = Config(absent_quota=quota, window=window)
         admitted = 0
         for doc in list(corpus)[:30]:
-            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0)
+            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0).neighbors
             got = expand_graph(present_graph_for(corpus, doc.id, window),
                                nbrs, corpus, config)
             want = expand_graph_oracle(present_graph_for(corpus, doc.id, window),
@@ -369,7 +367,7 @@ class TestExpandGraphOracle:
         provider = TfidfSimilarity(corpus)
         admitted = 0
         for doc in corpus:
-            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0)
+            nbrs = provider.neighbors(doc.id, k=5, min_sim=0.0).neighbors
             wide, widest = (
                 expand_graph(present_graph_for(corpus, doc.id, window),
                              nbrs, corpus, Config(window=window))

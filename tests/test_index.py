@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import kpindex.index as index_module
 
-from kpindex import (Config, ConfigError, build_index, extract_pipeline,
-                     load_index, save_index, search)
+from kpindex import (Config, ConfigError, TfidfSimilarity, build_index,
+                     extract_pipeline, load_index, save_index, search)
 from kpindex.errors import DataError
 from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
@@ -26,7 +26,8 @@ from conftest import (index_file_bytes, make_corpus, nested_json,
                       write_payload)
 
 def extract_all(corpus, cfg):
-    return {doc_id: extract_pipeline(doc_id, corpus, cfg)
+    provider = TfidfSimilarity(corpus)
+    return {doc_id: extract_pipeline(doc_id, corpus, cfg, provider)
             for doc_id in sorted(corpus.ids())}
 
 

@@ -12,7 +12,7 @@ import kpindex
 from kpindex import (Config, ConfigError, cli, errors, evaluation, graph,
                      ranking, similarity)
 from kpindex import corpus as corpus_module
-from kpindex.corpus import Corpus, Document, default_stopwords
+from kpindex.corpus import Corpus, Document, load_stopwords
 from kpindex.index import InvertedIndex
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
@@ -110,6 +110,53 @@ def test_every_config_field_has_a_flag(command, name):
     assert cfg == Config().replace(**{name: value})
 
 
+def test_replace_applies_none_like_any_value():
+    """None is a value, not "keep": the flag filtering lives in the CLI."""
+    with pytest.raises(ConfigError, match="^window must be int"):
+        Config().replace(window=None)
+    cfg = Config(stopwords_path="x.txt").replace(stopwords_path=None)
+    assert cfg.stopwords_path is None
+    assert cfg == Config()
+
+
+def test_flags_not_given_keep_the_config_file_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("window = 4\nstopwords_path = x.txt\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        ["extract", "c.jsonl", "--config", str(path), "--top-n", "3"])
+    assert cli._effective_config(args) == Config(
+        window=4, stopwords_path="x.txt", top_n=3)
+
+
+@pytest.mark.parametrize("fn, name", [
+    (ranking.build_enriched_graph, "provider"),
+    (ranking.extract_pipeline, "provider"),
+    (evaluation.tfidf_baseline, "idf"),
+    (corpus_module.extract_candidates, "max_len"),
+    (corpus_module.extract_candidates, "stopwords"),
+    (Corpus.candidates_for, "max_len"),
+    (Corpus, "stopwords")], ids=lambda v: getattr(v, "__qualname__", v))
+def test_stage_inputs_have_no_default(fn, name):
+    """Config names each default once, and no stage builds corpus-wide
+    state in place of an input it was not given."""
+    param = inspect.signature(fn).parameters[name]
+    assert param.default is inspect.Parameter.empty
+
+
+def test_graph_does_not_import_similarity():
+    """expand_graph takes the ranked neighbor list, not a NeighborSet."""
+    source = resources.files("kpindex").joinpath("graph.py").read_text("utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported += [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported
+                             if "similarity" in name.split(".")]
+
+
 def test_index_is_built_only_by_its_constructor():
     params = inspect.signature(InvertedIndex).parameters
     empty = inspect.Parameter.empty
@@ -122,7 +169,7 @@ def test_index_is_built_only_by_its_constructor():
 def test_vectors_are_plain_dicts():
     assert not hasattr(similarity, "DocVector")
     corpus = Corpus([Document.build("a", "Graph ranking", "Graph models."),
-                     Document.build("b", "", "")], default_stopwords())
+                     Document.build("b", "", "")], load_stopwords(None))
     vectors = similarity.TfidfSimilarity(corpus).vectors
     assert vectors.keys() == {"a", "b"}
     assert all(type(v) is dict for v in vectors.values())
@@ -150,8 +197,8 @@ def test_candidates_are_start_offsets():
     and lengths are read from the tokens, so no record type holds them."""
     assert not hasattr(corpus_module, "Candidate")
     corpus = Corpus([Document.build("a", "Graph ranking", "Graph models.")],
-                    default_stopwords())
-    cands = corpus.candidates_for("a")
+                    load_stopwords(None))
+    cands = corpus.candidates_for("a", 3)
     assert type(cands) is dict
     assert cands["graph"] == [0, 3]
     assert all(type(starts) is list and all(type(s) is int for s in starts)

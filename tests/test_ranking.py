@@ -11,12 +11,13 @@ from kpindex.corpus import most_frequent_surface
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
                            expand_graph)
-from kpindex.ranking import _power_iteration, pagerank, rank_keyphrases
-from kpindex.similarity import NeighborSet
+from kpindex.ranking import (_power_iteration, build_enriched_graph,
+                             pagerank, rank_keyphrases)
 
 from conftest import make_corpus
 from synth import build_synthetic_records
 from test_graph import edge_snapshot, expand_graph_oracle, graph_of
+from test_similarity import small_corpora
 
 
 def linear_solve_scores(g, damping):
@@ -301,7 +302,7 @@ class TestRankKeyphrases:
     def test_present_surface_most_frequent_then_earliest(self):
         def surface_of(abstract):
             corpus = corpus_of([("d", "", abstract)])
-            g = build_document_graph(corpus["d"], corpus.candidates_for("d"))
+            g = build_document_graph(corpus["d"], corpus.candidates_for("d", 3))
             return rank_keyphrases(g, {"network": 1.0}, corpus,
                                    Config())[0].surface
 
@@ -314,9 +315,9 @@ class TestRankKeyphrases:
         corpus = make_corpus([("a", "Graph", ""),
                               ("n1", "", "graph ranking."),
                               ("n2", "", "graph ranked.")], stopwords)
-        g = build_document_graph(corpus["a"], corpus.candidates_for("a"))
-        nbrs = NeighborSet("a", [("n1", 0.5), ("n2", 0.5)], k=2, min_sim=0.0)
-        expand_graph(g, nbrs, corpus, Config(absent_quota=5))
+        g = build_document_graph(corpus["a"], corpus.candidates_for("a", 3))
+        expand_graph(g, [("n1", 0.5), ("n2", 0.5)], corpus,
+                     Config(absent_quota=5))
         assert g.nodes["rank"].origin is Origin.ABSENT
         ranked = rank_keyphrases(g, {"rank": 1.0}, corpus, Config())
         assert ranked[0].surface == "ranked"
@@ -333,7 +334,8 @@ def rank_every_node_oracle(doc_id, corpus, provider, config):
     g = build_document_graph(corpus[doc_id], cands, config)
     surfaces = {key: most_frequent_surface(corpus[doc_id], key, starts)
                 for key, starts in cands.items()}
-    nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
+    nbrs = provider.neighbors(doc_id, config.k_neighbors,
+                              config.min_sim).neighbors
     expand_graph_oracle(g, nbrs, corpus, config.window, config.lambda_domain,
                         config.absent_quota, config.max_len, surfaces)
     bridge_components(g, config)
@@ -401,6 +403,36 @@ def ranking_as_json(ranked):
                        for r in ranked], sort_keys=True)
 
 
+def bit_pattern(g):
+    """Nodes and every edge weight as float.hex, layer by layer."""
+    return g.nodes, {layer: {pair: w.hex() for pair, w in weights.items()}
+                     for layer, weights in g.weights.items()}
+
+
+class TestEnrichedGraphAtKZero:
+    @given(small_corpora(), st.integers(1, 3), st.integers(1, 12),
+           st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0, 10]),
+           st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_bridged_document_graph(self, stopwords, texts, max_len,
+                                           window, min_sim, absent_quota,
+                                           lambda_domain, beta):
+        """With k_neighbors == 0 no neighbor reaches expand_graph, whatever
+        the other expansion knobs say."""
+        corpus = make_corpus([(f"d{i}", "", text)
+                              for i, text in enumerate(texts)], stopwords)
+        provider = TfidfSimilarity(corpus)
+        config = Config(k_neighbors=0, max_len=max_len, window=window,
+                        min_sim=min_sim, absent_quota=absent_quota,
+                        lambda_domain=lambda_domain, beta=beta)
+        for doc_id in corpus.ids():
+            want = bridge_components(build_document_graph(
+                corpus[doc_id], corpus.candidates_for(doc_id, max_len),
+                config), config)
+            got = build_enriched_graph(doc_id, corpus, config, provider)
+            assert bit_pattern(got) == bit_pattern(want)
+
+
 class TestExtractPipeline:
     def test_disabled_enrichment_equals_single_document_baseline(self, stopwords):
         corpus = make_corpus([
@@ -409,8 +441,9 @@ class TestExtractPipeline:
             ("c", "Graph models", "Graph models rank documents with quality."),
         ], stopwords)
         cfg = Config(k_neighbors=0, absent_quota=0, lambda_domain=0.0).validate()
+        provider = TfidfSimilarity(corpus)
         for doc_id in ("a", "b", "c"):
-            piped = extract_pipeline(doc_id, corpus, cfg)
+            piped = extract_pipeline(doc_id, corpus, cfg, provider)
             cands = corpus.candidates_for(doc_id, cfg.max_len)
             g = build_document_graph(corpus[doc_id], cands, cfg)
             scores, _ = pagerank(g, cfg)
@@ -419,7 +452,8 @@ class TestExtractPipeline:
 
     def test_neighbor_contributes_absent_key(self, two_doc_corpus):
         cfg = Config(k_neighbors=1, min_sim=0.0, top_n=15).validate()
-        ranked = extract_pipeline("a", two_doc_corpus, cfg)
+        ranked = extract_pipeline("a", two_doc_corpus, cfg,
+                                  TfidfSimilarity(two_doc_corpus))
         by_key = {r.key: r for r in ranked}
         assert "semant index" in by_key
         assert by_key["semant index"].origin is Origin.ABSENT
@@ -428,21 +462,25 @@ class TestExtractPipeline:
 
     def test_two_runs_byte_identical(self, two_doc_corpus):
         cfg = Config(k_neighbors=1, min_sim=0.0).validate()
-        first = ranking_as_json(extract_pipeline("a", two_doc_corpus, cfg))
-        second = ranking_as_json(extract_pipeline("a", two_doc_corpus, cfg))
+        first = ranking_as_json(extract_pipeline(
+            "a", two_doc_corpus, cfg, TfidfSimilarity(two_doc_corpus)))
+        second = ranking_as_json(extract_pipeline(
+            "a", two_doc_corpus, cfg, TfidfSimilarity(two_doc_corpus)))
         assert first == second
 
     def test_empty_document_yields_empty_ranking(self, stopwords):
         corpus = make_corpus([("a", "", ""), ("b", "Graphs", "Graph text.")],
                              stopwords)
         cfg = Config(k_neighbors=0).validate()
-        assert extract_pipeline("a", corpus, cfg) == []
+        assert extract_pipeline("a", corpus, cfg, TfidfSimilarity(corpus)) == []
 
     def test_gamma_monotonicity_for_absent_positions(self, two_doc_corpus):
+        provider = TfidfSimilarity(two_doc_corpus)
+
         def present_above_each_absent(gamma):
             cfg = Config(k_neighbors=1, min_sim=0.0, top_n=100,
                          gamma_absent=gamma).validate()
-            ranked = extract_pipeline("a", two_doc_corpus, cfg)
+            ranked = extract_pipeline("a", two_doc_corpus, cfg, provider)
             out = {}
             for pos, r in enumerate(ranked):
                 if r.origin is Origin.ABSENT:
