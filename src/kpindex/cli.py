@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import Config, load_config
+from .config import FIELD_KINDS, Config, load_config
 from .corpus import Corpus, load_corpus, load_stopwords
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_corpus, tfidf_baseline
@@ -49,7 +49,7 @@ def _add_knobs(cmd):
             cmd.add_argument("--stopwords", dest=f.name, metavar="PATH")
         else:
             cmd.add_argument("--" + f.name.replace("_", "-"),
-                             type={"int": int, "float": float}[f.type])
+                             type=FIELD_KINDS[f.type][1])
 
 
 def build_parser() -> _Parser:
@@ -182,13 +182,14 @@ def _model_fn(name: str, corpus: Corpus, cfg: Config):
     if name == "tfidf":
         idf = compute_idf(corpus)
         return lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
-    run_cfg = cfg.replace(k_neighbors=0) if name == "no-expansion" else cfg
-    extracted = _extract_all(corpus, run_cfg)
+    extracted = _extract_all(corpus, cfg)
     return lambda doc: [rk.surface for rk in extracted[doc.id]]
 
 
 def run_evaluate(args) -> list[str]:
     cfg, corpus = _load(args)
+    if args.model == "no-expansion":  # the report echoes the config it ran
+        cfg = cfg.replace(k_neighbors=0)
     model = _model_fn(args.model, corpus, cfg)
     report = evaluate_corpus(corpus, model, cfg, model_name=args.model)
     if args.csv:

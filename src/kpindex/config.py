@@ -13,10 +13,11 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
-#: The value types each annotation admits: exactly int (so no bool) for an
-#: int field, int or float for a float field.
-_ACCEPTED_TYPES = {"int": (int,), "float": (int, float),
-                   "str | None": (str, type(None))}
+#: Each field annotation's (accepted value types, parser of its text in a
+#: config file or a flag): exactly int (so no bool) for an int field, int
+#: or float for a float field.
+FIELD_KINDS = {"int": ((int,), int), "float": ((int, float), float),
+               "str | None": ((str, type(None)), str)}
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Config:
     def validate(self) -> "Config":
         for f in fields(self):  # types first: the range checks compare eagerly
             value = getattr(self, f.name)
-            if type(value) not in _ACCEPTED_TYPES[f.type]:
+            if type(value) not in FIELD_KINDS[f.type][0]:
                 raise ConfigError(f"{f.name} must be {f.type}, "
                                   f"not {type(value).__name__}")
         checks = [
@@ -87,19 +88,15 @@ class Config:
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str):
     raw = raw.strip()
     if raw and raw[0] in "\"'" and raw[-1] == raw[0] and len(raw) >= 2:
         raw = raw[1:-1]
-    ftype = _FIELD_TYPES[key]
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
+        return FIELD_KINDS[_FIELD_TYPES[key]][1](raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
-    return raw
+        raise ConfigError(f"{where}: config key {key!r}: "
+                          f"cannot parse {raw!r}") from None
 
 
 def load_config(path: str | None) -> Config:
@@ -121,7 +118,7 @@ def load_config(path: str | None) -> Config:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 if key in values:
                     raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
-                values[key] = _coerce(key, raw)
+                values[key] = _coerce(key, raw, f"{path}:{lineno}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:

@@ -36,8 +36,9 @@ def tokenize(text: str) -> list[str]:
 
     Tokens are maximal runs of alphanumeric characters and internal
     hyphens; anything else separates tokens. A marker is emitted for
-    ".", "!" or "?" followed by whitespace or end of text. Tokens with
-    no alphanumeric character are dropped.
+    ".", "!" or "?" followed by whitespace or end of text. Only an empty
+    token, a run of hyphens, is dropped: any other run holds an
+    alphanumeric character, and lowercasing keeps it alphanumeric.
 
     A token is lowercased one character at a time, so no character's
     lowercase depends on its neighbors ("ΟΣ" gives "οσ", not "ος"). "İ"
@@ -49,14 +50,13 @@ def tokenize(text: str) -> list[str]:
     for run in _TOKEN.findall(text):
         if run in ".!?":
             tokens.append(SENTENCE_BREAK)
-        elif run.isascii():
+            continue
+        if run.isascii():
             tok = run.lower().strip("-")
-            if tok:
-                tokens.append(tok)
         else:
             tok = "".join([c.lower() for c in run.replace("\u0130", "i")]).strip("-")
-            if any(c.isalnum() for c in tok):
-                tokens.append(tok)
+        if tok:
+            tokens.append(tok)
     return tokens
 
 
@@ -127,14 +127,15 @@ def extract_candidates(doc: Document, max_len: int,
     return cands
 
 
-def index_stems(doc: Document, stopwords: frozenset[str],
-                stopword_stems: frozenset[str]) -> Iterator[str]:
+def index_stems(doc: Document, stopword_stems: frozenset[str]) -> Iterator[str]:
     """Stems of a document that participate in indexing and weighting.
 
-    Skips sentence breaks, stopword tokens and stems of stopwords.
+    Skips sentence breaks, which Document.build keeps as their own stem,
+    and the stems of stopwords (Corpus.stopword_stems): every token is
+    stemmed, so a stopword token's stem is always among them.
     """
-    for tok, st in zip(doc.tokens, doc.stems):
-        if tok == SENTENCE_BREAK or tok in stopwords or st in stopword_stems:
+    for st in doc.stems:
+        if st == SENTENCE_BREAK or st in stopword_stems:
             continue
         yield st
 

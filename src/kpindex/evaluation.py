@@ -177,7 +177,7 @@ def tfidf_baseline(doc: Document, corpus: Corpus, config: Config,
     exactly once, same as gold. A key's surface is chosen as for a
     PRESENT row. idf is the corpus's compute_idf, built once per run.
     """
-    tf = Counter(index_stems(doc, corpus.stopwords, corpus.stopword_stems))
+    tf = Counter(index_stems(doc, corpus.stopword_stems))
     candidates = corpus.candidates_for(doc.id, config.max_len)
     scored = []
     for key in sorted(candidates):

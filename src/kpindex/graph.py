@@ -125,7 +125,7 @@ def expand_graph(g: SemMultiGraph, neighbors: list[tuple[str, float]],
     returned unchanged.
     """
     window, lambda_domain = config.window, config.lambda_domain
-    if lambda_domain == 0 or not neighbors:
+    if lambda_domain == 0:
         return g
 
     active = [(nid, sim) for nid, sim in neighbors if sim > 0]

@@ -134,8 +134,7 @@ def build_index(corpus: Corpus,
     doc_lengths: dict[str, dict[str, float]] = {}
     for doc_id in corpus.ids():
         counts = {field: Counter() for field in FIELDS}
-        counts[FIELD_TEXT].update(index_stems(corpus[doc_id], corpus.stopwords,
-                                              corpus.stopword_stems))
+        counts[FIELD_TEXT].update(index_stems(corpus[doc_id], corpus.stopword_stems))
         for rk in keyphrases.get(doc_id, []):
             field = (FIELD_KP_PRESENT if rk.origin is Origin.PRESENT
                      else FIELD_KP_ABSENT)

@@ -40,17 +40,15 @@ def compute_idf(corpus: Corpus) -> dict[str, float]:
         raise DataError("empty corpus")
     df: Counter = Counter()
     for doc in corpus:
-        df.update(set(index_stems(doc, corpus.stopwords, corpus.stopword_stems)))
+        df.update(set(index_stems(doc, corpus.stopword_stems)))
     n = len(corpus)
     return {t: math.log(1.0 + n / d) for t, d in df.items()}
 
 
 def vectorize(doc: Document, idf: dict[str, float]) -> dict[str, float]:
     """tf * idf weights, L2-normalized; empty for a document with no stem
-    in idf."""
+    in idf, whose zero norm then divides no weight."""
     counts = Counter(s for s in doc.stems if s in idf)
-    if not counts:
-        return {}
     weights = {t: c * idf[t] for t, c in sorted(counts.items())}
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
     return {t: w / norm for t, w in weights.items()}
@@ -61,8 +59,6 @@ def cosine(a: dict[str, float], b: dict[str, float]) -> float:
 
     fsum is correctly rounded, so the order of the terms cannot change it.
     """
-    if not a or not b:
-        return 0.0
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = math.fsum(w * large[t] for t, w in small.items() if t in large)
     return min(1.0, max(0.0, dot))

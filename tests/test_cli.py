@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import kpindex
-from kpindex import cli
+from kpindex import Config, cli
 from kpindex.cli import main
 
 from conftest import index_file_bytes, nested_json, write_jsonl, write_payload
@@ -224,6 +224,26 @@ class TestExitCodes:
         assert code == 1
         assert "bogus_knob" in err
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("window = 4\n# later\nwindow: 12\n", 3, "expected key = value"),
+        ("# run settings\nwindow = abc\n", 2,
+         "config key 'window': cannot parse 'abc'")])
+    def test_malformed_config_line_is_config_error(self, tmp_path, capsys,
+                                                   text, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and err == f"error: {cfg}:{line}: {message}\n"
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == "" and f"cannot read config file {cfg}:" in err
+
     def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("window = 4\n# later\nwindow = 12\n")
@@ -264,6 +284,32 @@ class TestExitCodes:
         code, out, err = run(["extract", path, "--config", str(cfg)], capsys)
         assert code == 1
         assert out == "" and "beta must be finite" in err
+
+    @pytest.mark.parametrize("record, message", [
+        ([{"id": "c", "title": "T", "abstract": "X."}],
+         "record is not an object"),
+        ({"id": "c", "title": ["T"], "abstract": "X."},
+         "field 'title' is not a string"),
+        ({"id": "c", "title": "T", "abstract": "X.", "keyphrases": "graph"},
+         "keyphrases must be an array of strings"),
+        ({"id": "c", "title": "T", "abstract": "X.", "keyphrases": ["graph", 3]},
+         "keyphrases must be an array of strings")])
+    def test_malformed_record_is_data_error(self, tmp_path, capsys, record,
+                                            message):
+        path = write_jsonl(tmp_path / "c.jsonl", [*TWO_DOC_RECORDS, record])
+        code, out, err = run(["extract", path], capsys)
+        assert code == 2
+        assert out == "" and err == f"error: line 3: {message}\n"
+
+    def test_index_in_missing_directory_names_the_index(self, tmp_path,
+                                                       capsys):
+        """Not the temporary file that the atomic write opens first."""
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        index_path = str(tmp_path / "missing" / "c.kpix")
+        code, out, err = run(["index", path, index_path], capsys)
+        assert code == 2
+        assert out == "" and err == (f"error: cannot write index to "
+                                     f"{index_path}: No such file or directory\n")
 
     def test_corpus_not_utf8_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
@@ -367,6 +413,16 @@ class TestConfigPrecedence:
         assert config["top_n"] == 3      # flag wins
         assert config["window"] == 4     # file beats default
         assert all(len(r["keyphrases"]) <= 3 for r in records)
+
+    @pytest.mark.parametrize("value", ['"4"', "'4'"])
+    def test_quoted_config_value_is_read_without_its_quotes(self, tmp_path,
+                                                            capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"window = {value}\n")
+        path = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        code, out, _ = run(["extract", path, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert parse_jsonl(out)[0]["window"] == 4
 
 
 class TestNeighborsCommand:
@@ -480,6 +536,17 @@ class TestEvaluateCommand:
         assert a["per_document"] == b["per_document"]
         assert a["macro"] == b["macro"]
 
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_no_expansion_reports_the_config_it_ran(self, tmp_path, capsys,
+                                                    csv):
+        path = write_jsonl(tmp_path / "c.jsonl", GOLD_RECORDS)
+        code, out, _ = run(["evaluate", path, "--model", "no-expansion",
+                            *(["--csv"] if csv else [])], capsys)
+        assert code == 0
+        config = (json.loads(out.splitlines()[0].removeprefix("# config: "))
+                  if csv else json.loads(out)["config"])
+        assert config == Config(k_neighbors=0).to_dict()
+
     @pytest.mark.parametrize("command, built", [
         ("extract", 1), ("extract --k-neighbors 0", 1), ("index", 1),
         ("evaluate --model full", 1), ("evaluate --model no-expansion", 1),
@@ -547,7 +614,7 @@ GOLDEN_BYTES = [
     ("evaluate --model tfidf --csv",
      "808e7a7208fcab8708d277fca82378b8d96da684bf21d1f0513c1cce906d131b"),
     ("evaluate --model no-expansion",
-     "d571b779b879eba60254db5664bc785a4f29ad2311b7b04bc87a63685693a5b6"),
+     "7ded36a0d9591d0a1ac5e5178f58679f3fb18b574db3a15fb085d23868794108"),
     ("neighbors",
      "b6a5a5831d1e688e8df9c44a83e4bd97ecc8cba52742cfeadbfa18a28efc298e"),
     # every pair passes the floor: documents sharing no stem score 0.0

@@ -180,6 +180,11 @@ class TestLoadCorpus:
         with pytest.raises(KeyError, match="unknown document id"):
             corpus["zzz"]
 
+    def test_membership_is_by_id(self, stopwords):
+        corpus = Corpus([Document.build("a", "T", "A.")], stopwords)
+        assert "a" in corpus
+        assert "zzz" not in corpus
+
 
 def doc_from_tokens(tokens, doc_id="d"):
     """Build a document whose token stream is exactly `tokens`."""
@@ -198,6 +203,11 @@ class TestExtractCandidates:
     def test_all_stopwords(self):
         doc = doc_from_tokens(["the", "of"])
         assert extract_candidates(doc, 3, frozenset({"the", "of"})) == {}
+
+    def test_max_len_below_one_is_value_error(self):
+        doc = doc_from_tokens(["neural", "network"])
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            extract_candidates(doc, 0, frozenset())
 
     def test_inflections_merge_under_one_key(self):
         doc = Document.build("d", "Networks", "The network grows.")

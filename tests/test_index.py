@@ -210,6 +210,11 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"'{field}'"):
             load_index(path)
 
+    def test_payload_that_is_no_object_is_corrupt(self, tmp_path):
+        path = write_payload(tmp_path / "c.kpix", [{"doc_lengths": {}}])
+        with pytest.raises(DataError, match=": corrupt index payload$"):
+            load_index(path)
+
     @given(st.lists(st.tuples(st.sampled_from("abé"), st.sampled_from(FIELDS),
                               st.integers(1, 9).map(float)), max_size=12))
     @example([("b", FIELD_TEXT, 1.0), ("a", FIELD_KP_ABSENT, 2.0),

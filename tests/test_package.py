@@ -119,6 +119,12 @@ def test_replace_applies_none_like_any_value():
     assert cfg == Config()
 
 
+def test_replace_of_an_unknown_key_is_a_config_error():
+    """Named by the check, where the dataclass would raise a TypeError."""
+    with pytest.raises(ConfigError, match="^unknown config key 'windw'$"):
+        Config().replace(windw=3)
+
+
 def test_flags_not_given_keep_the_config_file_values(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("window = 4\nstopwords_path = x.txt\n", encoding="utf-8")

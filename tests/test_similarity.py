@@ -144,6 +144,17 @@ class TestFindNeighbors:
         nbrs = TfidfSimilarity(corpus).neighbors("g1", k=0, min_sim=0.0)
         assert nbrs.neighbors == []
 
+    @pytest.mark.parametrize("k, min_sim, message", [
+        (-1, 0.1, "k must be >= 0"),
+        (5, -0.1, r"min_sim must lie in \[0, 1\]"),
+        (5, 1.5, r"min_sim must lie in \[0, 1\]"),
+        (5, math.nan, r"min_sim must lie in \[0, 1\]")])
+    def test_out_of_range_argument_is_value_error(self, stopwords, k, min_sim,
+                                                  message):
+        provider = TfidfSimilarity(make_corpus(TWO_TOPIC_ROWS, stopwords))
+        with pytest.raises(ValueError, match=message):
+            provider.neighbors("g1", k, min_sim)
+
     def test_duplicate_ranks_first_with_unit_similarity(self, stopwords):
         rows = TWO_TOPIC_ROWS + [("g1copy", "Graph ranking",
                                   "Graph ranking orders graph nodes by links.")]
