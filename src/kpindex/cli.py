@@ -177,20 +177,16 @@ def run_neighbors(args) -> list[str]:
         for doc_id in corpus.ids())]
 
 
-def _model_fn(name: str, corpus: Corpus, cfg: Config):
-    """Precompute predictions per document so evaluation stays a pure lookup."""
-    if name == "tfidf":
-        idf = compute_idf(corpus)
-        return lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
-    extracted = _extract_all(corpus, cfg)
-    return lambda doc: [rk.surface for rk in extracted[doc.id]]
-
-
 def run_evaluate(args) -> list[str]:
     cfg, corpus = _load(args)
     if args.model == "no-expansion":  # the report echoes the config it ran
         cfg = cfg.replace(k_neighbors=0)
-    model = _model_fn(args.model, corpus, cfg)
+    if args.model == "tfidf":
+        idf = compute_idf(corpus)
+        model = lambda doc: tfidf_baseline(doc, corpus, cfg, idf)
+    else:  # precomputed, so evaluation stays a pure lookup
+        extracted = _extract_all(corpus, cfg)
+        model = lambda doc: [rk.surface for rk in extracted[doc.id]]
     report = evaluate_corpus(corpus, model, cfg, model_name=args.model)
     if args.csv:
         return [f"# config: {_jsonl(cfg.to_dict())}",

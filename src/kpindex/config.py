@@ -42,11 +42,16 @@ class Config:
         self.validate()
 
     def validate(self) -> "Config":
+        limit = sys.float_info.max
         for f in fields(self):  # types first: the range checks compare eagerly
             value = getattr(self, f.name)
             if type(value) not in FIELD_KINDS[f.type][0]:
                 raise ConfigError(f"{f.name} must be {f.type}, "
                                   f"not {type(value).__name__}")
+            # a bounds test: NaN fails it, and so does an int beyond the
+            # float range, on which math.isfinite raises OverflowError
+            if f.type == "float" and not -limit <= value <= limit:
+                raise ConfigError(f"{f.name} must be finite")
         checks = [
             (self.max_len >= 1, "max_len must be >= 1"),
             (self.window >= 1, "window must be >= 1"),
@@ -64,13 +69,6 @@ class Config:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        limit = sys.float_info.max
-        for f in fields(self):
-            # a bounds test: NaN fails it, and so does an int beyond the
-            # float range, on which math.isfinite raises OverflowError
-            value = getattr(self, f.name)
-            if f.type == "float" and not -limit <= value <= limit:
-                raise ConfigError(f"{f.name} must be finite")
         return self
 
     def to_dict(self) -> dict:
@@ -90,7 +88,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 def _coerce(key: str, raw: str, where: str):
     raw = raw.strip()
-    if raw and raw[0] in "\"'" and raw[-1] == raw[0] and len(raw) >= 2:
+    if len(raw) >= 2 and raw[0] in "\"'" and raw[-1] == raw[0]:
         raw = raw[1:-1]
     try:
         return FIELD_KINDS[_FIELD_TYPES[key]][1](raw)

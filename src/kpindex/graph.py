@@ -13,7 +13,7 @@ node is its origin and its sorted source documents, and holds no surface.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import Config
@@ -37,16 +37,16 @@ class NodeInfo:
     sources: tuple[str, ...]  # sorted source document ids
 
 
+@dataclass(eq=False)
 class SemMultiGraph:
     """Undirected multigraph over candidate keys, two weighted edge layers.
 
     Each layer is one map from a sorted key pair to its weight.
     """
 
-    def __init__(self) -> None:
-        self.nodes: dict[str, NodeInfo] = {}
-        self.weights: dict[Layer, dict[tuple[str, str], float]] = {
-            Layer.DOCUMENT: {}, Layer.DOMAIN: {}}
+    nodes: dict[str, NodeInfo] = field(default_factory=dict)
+    weights: dict[Layer, dict[tuple[str, str], float]] = field(
+        default_factory=lambda: {Layer.DOCUMENT: {}, Layer.DOMAIN: {}})
 
     def edge_count(self, layer: Layer) -> int:
         return len(self.weights[layer])
@@ -90,8 +90,7 @@ def build_document_graph(doc: Document, candidates: dict[str, list[int]],
     Sentence breaks limit candidate spans, not co-occurrence.
     """
     g = SemMultiGraph()
-    g.nodes = dict.fromkeys(sorted(candidates),
-                            NodeInfo(Origin.PRESENT, (doc.id,)))
+    g.nodes = dict.fromkeys(candidates, NodeInfo(Origin.PRESENT, (doc.id,)))
     g.weights[Layer.DOCUMENT] = {
         pair: float(c)
         for pair, c in window_pairs(candidates, config.window).items()}
@@ -131,8 +130,7 @@ def expand_graph(g: SemMultiGraph, neighbors: list[tuple[str, float]],
     active = [(nid, sim) for nid, sim in neighbors if sim > 0]
     neighbor_cands = {nid: corpus.candidates_for(nid, config.max_len)
                       for nid, _ in active}
-    if config.absent_quota > 0:
-        _admit_absent(g, active, neighbor_cands, corpus, config)
+    _admit_absent(g, active, neighbor_cands, corpus, config)
 
     domain = g.weights[Layer.DOMAIN]
     for nid, sim in active:

@@ -176,19 +176,6 @@ def save_index(index: InvertedIndex, path: str) -> None:
         raise
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, process-wide, for the block; on
-    exit re-enable it only if it was enabled on entry, also on an error."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def load_index(path: str) -> InvertedIndex:
     """Read an index file; DataError names the payload field at fault.
 
@@ -214,8 +201,13 @@ def load_index(path: str) -> InvertedIndex:
     body = blob[13:]
     if len(body) != length:
         raise DataError(f"{path}: truncated index file")
-    with _collector_paused():
+    enabled = gc.isenabled()  # re-enabled only if it was, also on an error
+    gc.disable()
+    try:
         return _decode_payload(path, body)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _decode_payload(path: str, body: bytes) -> InvertedIndex:

@@ -214,5 +214,5 @@ def _stem_word(word: str) -> str:
 def stem(token: str) -> str:
     """Stem a lowercase token; hyphen-separated parts are stemmed independently."""
     if "-" in token:
-        return "-".join(_stem_word(p) if p else p for p in token.split("-"))
+        return "-".join(_stem_word(p) for p in token.split("-"))
     return _stem_word(token)

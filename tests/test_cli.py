@@ -6,6 +6,7 @@ import math
 import os
 import pkgutil
 import random
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -227,7 +228,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, line, message", [
         ("window = 4\n# later\nwindow: 12\n", 3, "expected key = value"),
         ("# run settings\nwindow = abc\n", 2,
-         "config key 'window': cannot parse 'abc'")])
+         "config key 'window': cannot parse 'abc'"),
+        ('window = "\n', 1, """config key 'window': cannot parse '"'"""),
+        ('window = ""\n', 1, "config key 'window': cannot parse ''")])
     def test_malformed_config_line_is_config_error(self, tmp_path, capsys,
                                                    text, line, message):
         cfg = tmp_path / "run.cfg"
@@ -668,6 +671,22 @@ GOLDEN_SEARCH_TOP_BYTES = [
 ]
 
 
+def other_interpreters():
+    """Each python3.10 to python3.13 on PATH, other than the running
+    version, that starts; a shim for a version it cannot run exits non-zero."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or (3, minor) == sys.version_info[:2]:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == str((3, minor)):
+            found.append(exe)
+    return found
+
+
 def assert_golden_bytes(tmp_path, corpus, command, sha256):
     """command is an argv prefix; the corpus and --output follow it."""
     out = tmp_path / "out"
@@ -762,6 +781,29 @@ class TestGoldenOutput:
                 blob = "".join(line + "\n" for line in lines).encode("utf-8")
                 assert hashlib.sha256(blob).hexdigest() == sha256
         assert index.contributions
+
+    @pytest.mark.parametrize("python", other_interpreters(),
+                             ids=os.path.basename)
+    def test_sample100_bytes_under_other_interpreters(self, tmp_path, python):
+        """The CLI run by another Python version writes the golden bytes."""
+        src = str(Path(kpindex.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out, path = tmp_path / "out", tmp_path / "c.kpix"
+
+        def digest(written, *argv):
+            subprocess.run([python, "-m", "kpindex.cli", *argv], env=env,
+                           check=True, timeout=600)
+            return hashlib.sha256(written.read_bytes()).hexdigest()
+
+        golden = dict(GOLDEN_BYTES)
+        for command in ("extract", "evaluate", "neighbors"):
+            assert digest(out, command, SAMPLE100,
+                          "--output", str(out)) == golden[command]
+        assert digest(path, "index", SAMPLE100, str(path)) == (
+            SAMPLE100_INDEX_SHA256)
+        query, sha256 = GOLDEN_SEARCH_BYTES[2]  # graph ranking
+        assert digest(out, "search", str(path), query,
+                      "--output", str(out)) == sha256
 
     def test_sample100_index_and_search_bytes_under_compensated_sum(
             self, tmp_path, monkeypatch):

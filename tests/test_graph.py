@@ -320,6 +320,9 @@ class TestExpandGraphOracle:
     @example(texts=["graph.", "neural. the of the graph."],
              sims=[0.7, 0.0, 0.0], window=1, lambda_domain=1.0, quota=2,
              max_len=3)
+    # quota 1 would admit "graph neural": quota 0 admits nothing
+    @example(texts=["graph.", "graph neural."], sims=[0.7, 0.0, 0.0],
+             window=1, lambda_domain=1.0, quota=0, max_len=3)
     @settings(max_examples=150, deadline=None)
     def test_matches_partner_free_admission(self, stopwords, texts, sims,
                                             window, lambda_domain, quota,

@@ -44,7 +44,7 @@ def test_all_is_the_documented_api():
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Config)
                                   if f.type == "float"])
 def test_float_field_must_be_finite(name, value):
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
         Config(**{name: value})
 
 

@@ -66,6 +66,7 @@ def test_short_words_unchanged(word, expected):
 def test_hyphenated_tokens_stem_per_part():
     assert stem("graph-based") == "graph-base"
     assert stem("co-occurrence") == "co-occurr"
+    assert stem("graph--based") == "graph--base"  # an empty part stays empty
 
 
 # The cascade is not idempotent on every English word (e.g. "agreed" ->

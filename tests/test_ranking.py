@@ -10,7 +10,7 @@ from kpindex import Config, ConfigError, TfidfSimilarity, extract_pipeline
 from kpindex.corpus import most_frequent_surface
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
-                           expand_graph)
+                           expand_graph, to_dot)
 from kpindex.ranking import (_power_iteration, build_enriched_graph,
                              pagerank, rank_keyphrases)
 
@@ -217,6 +217,11 @@ class TestPagerank:
         forward = graph_of("abc", edges)
         backward = graph_of("cba", list(reversed(edges)))
         assert pagerank(forward) == pagerank(backward)
+        # no reader uses node order: ranked rows and the dot dump agree too
+        corpus = corpus_of([("d", "", "a b c.")])
+        assert (rank_keyphrases(forward, pagerank(forward)[0], corpus)
+                == rank_keyphrases(backward, pagerank(backward)[0], corpus))
+        assert to_dot(forward) == to_dot(backward)
 
 
 class TestPowerIterationOracle:
