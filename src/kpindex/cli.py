@@ -6,15 +6,17 @@ is deterministic for a fixed (input, config) pair: documents are processed
 one at a time in the Corpus's sorted id order by pure per-document work.
 Each run_* computes all of its output lines before any output is opened,
 so a data error leaves no partial --output file, and `main` is the one
-writer: it opens --output (or stdout) once and prints the lines. JSON
-Lines outputs start with one {"config": ...} record echoing the effective
-configuration.
+writer: it opens --output (or stdout) once and prints the lines, as UTF-8
+whatever the locale. JSON Lines outputs start with one {"config": ...}
+record echoing the effective configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -189,8 +191,10 @@ def run_evaluate(args) -> list[str]:
         model = lambda doc: [rk.surface for rk in extracted[doc.id]]
     report = evaluate_corpus(corpus, model, cfg, model_name=args.model)
     if args.csv:
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(report.csv_rows())
         return [f"# config: {_jsonl(cfg.to_dict())}",
-                *(",".join(str(v) for v in row) for row in report.csv_rows())]
+                rows.getvalue().removesuffix("\n")]
     return [json.dumps(report.to_dict(), sort_keys=True, indent=2)]
 
 
@@ -199,6 +203,8 @@ def main(argv=None) -> int:
     try:
         lines = args.run(args)
         path = getattr(args, "output", None)  # index has no --output
+        if not path:
+            sys.stdout.reconfigure(encoding="utf-8")
         with (open(path, "w", encoding="utf-8") if path
               else contextlib.nullcontext(sys.stdout)) as out:
             for line in lines:

@@ -5,6 +5,20 @@ gold match in this package, so the stemmer is implemented here rather than
 pulled in as a dependency: output must be deterministic and reproducible
 bit-for-bit across environments.
 
+Every test the rules make reads one consonant/vowel pattern of the word,
+one letter per character: "v" for a, e, i, o, u and for a y that follows a
+consonant, "c" for every other character. Digits and non-ASCII letters are
+consonants, and no Unicode database is read, so a stem does not depend on
+the interpreter. A y's class depends only on what comes before it, so a
+stem's pattern is a prefix of its word's pattern. The measure m of a stem
+([C](VC)^m[V]) is the number of "vc" in its pattern.
+
+Steps 1a, 2, 3 and 4 are each one suffix -> replacement map: the longest
+suffix of the word that is in the map is replaced when the remaining stem's
+measure exceeds the step's minimum. If it does not, the word is left
+unchanged and no shorter suffix is tried (this keeps "feed" from becoming
+"fe").
+
 Words of length <= 2 are returned unchanged. Hyphenated tokens are stemmed
 part by part ("graph-based" -> "graph-base"), since the tokenizer keeps
 internal hyphens.
@@ -16,197 +30,146 @@ cache is bounded so that a long-lived process stays a few MB.
 
 from functools import lru_cache
 
-_VOWELS = "aeiou"
+
+class _Classes(dict):
+    """A str.translate table: a character it does not list is a consonant."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel when preceded by a consonant, a consonant otherwise
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+_CLASSES = _Classes({ord("y"): "y", **dict.fromkeys(map(ord, "aeiou"), "v")})
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-to-consonant transitions ([C](VC)^m[V] form)."""
-    m = 0
-    prev_cons = None
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if prev_cons is False and cons:
-            m += 1
-        prev_cons = cons
-    return m
+def _cv(word: str) -> str:
+    """The word's consonant/vowel pattern, each y resolved left to right."""
+    cv = word.translate(_CLASSES)
+    while "y" in cv:
+        i = cv.index("y")
+        cv = cv[:i] + ("v" if i and cv[i - 1] == "c" else "c") + cv[i + 1:]
+    return cv
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+_STEP1A = {
+    "sses": "ss",
+    "ies": "i",
+    "ss": "ss",
+    "s": "",
+}
+
+_STEP2 = {
+    "ational": "ate",
+    "tional": "tion",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "abli": "able",
+    "alli": "al",
+    "entli": "ent",
+    "eli": "e",
+    "ousli": "ous",
+    "ization": "ize",
+    "ation": "ate",
+    "ator": "ate",
+    "alism": "al",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "aliti": "al",
+    "iviti": "ive",
+    "biliti": "ble",
+}
+
+_STEP3 = {
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ful": "",
+    "ness": "",
+}
+
+_STEP4 = {
+    "al": "",
+    "ance": "",
+    "ence": "",
+    "er": "",
+    "ic": "",
+    "able": "",
+    "ible": "",
+    "ant": "",
+    "ement": "",
+    "ment": "",
+    "ent": "",
+    "ion": "",
+    "ou": "",
+    "ism": "",
+    "ate": "",
+    "iti": "",
+    "ous": "",
+    "ive": "",
+    "ize": "",
+}
+
+_LONGEST = max(map(len, {**_STEP1A, **_STEP2, **_STEP3, **_STEP4}))
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    # consonant-vowel-consonant, final consonant not w, x or y
-    if len(word) < 3:
-        return False
-    if word[-1] in "wxy":
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _apply(word: str, rules) -> str:
-    """Apply the one rule whose suffix is the longest match.
-
-    If that rule's condition fails the word is left unchanged; no shorter
-    suffix is tried (this is what keeps "feed" from becoming "fe").
-    """
-    best = None
-    for suffix, repl, cond in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl, cond)
-    if best is None:
-        return word
-    suffix, repl, cond = best
-    stem = word[: len(word) - len(suffix)]
-    if cond is None or cond(stem):
-        return stem + repl
+def _apply(word: str, rules: dict[str, str], min_m: int) -> str:
+    """Replace the longest suffix in rules if the stem's measure is > min_m."""
+    for i in range(max(0, len(word) - _LONGEST), len(word)):
+        suffix = word[i:]
+        if suffix in rules:
+            stem = word[:i]
+            # step 4's "ion" also needs an s or t before it
+            if (_cv(stem).count("vc") > min_m
+                    and (suffix != "ion" or stem.endswith(("s", "t")))):
+                return stem + rules[suffix]
+            return word
     return word
-
-
-def _m_gt_0(stem: str) -> bool:
-    return _measure(stem) > 0
-
-
-def _m_gt_1(stem: str) -> bool:
-    return _measure(stem) > 1
-
-
-_STEP1A = [
-    ("sses", "ss", None),
-    ("ies", "i", None),
-    ("ss", "ss", None),
-    ("s", "", None),
-]
-
-_STEP2 = [
-    ("ational", "ate", _m_gt_0),
-    ("tional", "tion", _m_gt_0),
-    ("enci", "ence", _m_gt_0),
-    ("anci", "ance", _m_gt_0),
-    ("izer", "ize", _m_gt_0),
-    ("abli", "able", _m_gt_0),
-    ("alli", "al", _m_gt_0),
-    ("entli", "ent", _m_gt_0),
-    ("eli", "e", _m_gt_0),
-    ("ousli", "ous", _m_gt_0),
-    ("ization", "ize", _m_gt_0),
-    ("ation", "ate", _m_gt_0),
-    ("ator", "ate", _m_gt_0),
-    ("alism", "al", _m_gt_0),
-    ("iveness", "ive", _m_gt_0),
-    ("fulness", "ful", _m_gt_0),
-    ("ousness", "ous", _m_gt_0),
-    ("aliti", "al", _m_gt_0),
-    ("iviti", "ive", _m_gt_0),
-    ("biliti", "ble", _m_gt_0),
-]
-
-_STEP3 = [
-    ("icate", "ic", _m_gt_0),
-    ("ative", "", _m_gt_0),
-    ("alize", "al", _m_gt_0),
-    ("iciti", "ic", _m_gt_0),
-    ("ical", "ic", _m_gt_0),
-    ("ful", "", _m_gt_0),
-    ("ness", "", _m_gt_0),
-]
-
-_STEP4 = [
-    ("al", "", _m_gt_1),
-    ("ance", "", _m_gt_1),
-    ("ence", "", _m_gt_1),
-    ("er", "", _m_gt_1),
-    ("ic", "", _m_gt_1),
-    ("able", "", _m_gt_1),
-    ("ible", "", _m_gt_1),
-    ("ant", "", _m_gt_1),
-    ("ement", "", _m_gt_1),
-    ("ment", "", _m_gt_1),
-    ("ent", "", _m_gt_1),
-    ("ion", "", lambda s: _m_gt_1(s) and s.endswith(("s", "t"))),
-    ("ou", "", _m_gt_1),
-    ("ism", "", _m_gt_1),
-    ("ate", "", _m_gt_1),
-    ("iti", "", _m_gt_1),
-    ("ous", "", _m_gt_1),
-    ("ive", "", _m_gt_1),
-    ("ize", "", _m_gt_1),
-]
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
+        return word[:-1] if _cv(word[:-3]).count("vc") > 0 else word
+    if word.endswith("ed"):
+        stem = word[:-2]
+    elif word.endswith("ing"):
         stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    for suffix in ("ing", "ed"):
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if not _has_vowel(stem):
-                return word
-            if stem.endswith(("at", "bl", "iz")):
-                return stem + "e"
-            if _ends_double_consonant(stem) and stem[-1] not in "lsz":
-                return stem[:-1]
-            if _measure(stem) == 1 and _ends_cvc(stem):
-                return stem + "e"
-            return stem
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if _m_gt_1(word) and _ends_double_consonant(word) and word[-1] == "l":
-        return word[:-1]
-    return word
+    else:
+        return word
+    cv = _cv(stem)
+    if "v" not in cv:
+        return word
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if (len(stem) > 1 and stem[-1] == stem[-2] and cv[-1] == "c"
+            and stem[-1] not in "lsz"):
+        return stem[:-1]
+    if cv.count("vc") == 1 and cv.endswith("cvc") and stem[-1] not in "wxy":
+        return stem + "e"
+    return stem
 
 
 def _stem_word(word: str) -> str:
     if len(word) <= 2:
         return word
-    word = _apply(word, _STEP1A)
+    word = _apply(word, _STEP1A, -1)
     word = _step1b(word)
-    word = _step1c(word)
-    word = _apply(word, _STEP2)
-    word = _apply(word, _STEP3)
-    word = _apply(word, _STEP4)
-    word = _step5a(word)
-    word = _step5b(word)
+    if word.endswith("y") and "v" in _cv(word[:-1]):  # step 1c
+        word = word[:-1] + "i"
+    word = _apply(word, _STEP2, 0)
+    word = _apply(word, _STEP3, 0)
+    word = _apply(word, _STEP4, 1)
+    cv = _cv(word)
+    if word.endswith("e"):  # step 5a
+        stem, stem_cv = word[:-1], cv[:-1]
+        m = stem_cv.count("vc")
+        if m > 1 or m == 1 and not (stem_cv.endswith("cvc")
+                                    and stem[-1] not in "wxy"):
+            word, cv = stem, stem_cv
+    if word.endswith("ll") and cv.count("vc") > 1:  # step 5b
+        word = word[:-1]
     return word
 
 

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import hashlib
 import importlib
 import json
@@ -133,22 +134,54 @@ class TestExtract:
         assert json.dumps(doc_id) in out
 
 
+def cli_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(kpindex.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestExitCodes:
     def test_stdout_closed_by_its_reader_is_141_and_quiet(self):
         """`extract … | head -1`: the 569 KB of output outgrow any pipe
         buffer, so the writer meets the closed pipe; that is no data error."""
-        src = str(Path(kpindex.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         with subprocess.Popen(
                 [sys.executable, "-m", "kpindex.cli", "extract", SAMPLE100,
                  "--top-n", "1000"],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                env=cli_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline().startswith(b'{"config": ')
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=300) == 141
         assert err == b""
+
+    @pytest.mark.parametrize("locale_env", [
+        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": None},
+        {"PYTHONIOENCODING": "latin-1"},
+    ], ids=["c-locale", "latin-1"])
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, locale_env):
+        """stdout gets the same bytes as --output, also for text that the
+        locale's encoding cannot write."""
+        path = write_jsonl(tmp_path / "c.jsonl", [
+            {"id": "a", "title": "Café graph ranking",
+             "abstract": "Café ranking of graphs. Naïve graph ranking works."},
+            {"id": "b", "title": "Naïve graph index",
+             "abstract": "Naïve index of the café graph. Ranking graphs."},
+        ])
+        out = tmp_path / "out.jsonl"
+        assert main(["extract", path, "--output", str(out)]) == 0
+        env = cli_env()
+        for name, value in locale_env.items():
+            env.pop(name, None)
+            if value is not None:
+                env[name] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpindex.cli", "extract", path],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+        assert "café".encode("utf-8") in proc.stdout
 
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -587,6 +620,19 @@ class TestEvaluateCommand:
         assert lines[0].startswith("# config:")
         assert lines[1] == "doc_id,scope,k,precision,recall,f1"
         assert len(lines) == 2 + 2 * 3 * 2
+
+    def test_csv_fields_are_quoted(self, tmp_path, capsys):
+        """An id holding a comma and a quote stays one field."""
+        doc_id = 'a,"b'
+        path = write_jsonl(tmp_path / "c.jsonl",
+                           [dict(GOLD_RECORDS[0], id=doc_id), GOLD_RECORDS[1]])
+        code, out, _ = run(["evaluate", path, "--model", "tfidf", "--csv"],
+                           capsys)
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()[1:]))
+        assert len(rows) == 1 + 2 * 3 * 2
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows].count(doc_id) == 3 * 2
 
 
 def compensated_sum(iterable, start=0):
