@@ -6,15 +6,14 @@ is deterministic for a fixed (input, config) pair: documents are processed
 one at a time in the Corpus's sorted id order by pure per-document work.
 Each run_* computes all of its output lines before any output is opened,
 so a data error leaves no partial --output file, and `main` is the one
-writer: it opens --output (or stdout) once and prints the lines, as UTF-8
-whatever the locale. JSON Lines outputs start with one {"config": ...}
-record echoing the effective configuration.
+writer: it encodes all the lines as UTF-8, whatever the locale, before it
+opens --output (or stdout) once and writes them. JSON Lines outputs start
+with one {"config": ...} record echoing the effective configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -198,17 +197,32 @@ def run_evaluate(args) -> list[str]:
     return [json.dumps(report.to_dict(), sort_keys=True, indent=2)]
 
 
+def _write_all(out, blob: bytes) -> None:
+    """Write blob to a binary stream. A pipe whose reader has gone takes
+    one large write in part without an error, so the rest is written
+    again until it is taken or the write raises BrokenPipeError."""
+    view = memoryview(blob)
+    while view:
+        view = view[out.write(view):]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lines = args.run(args)
+        try:
+            blob = "".join(line + "\n" for line in lines).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"output text is not valid UTF-8 "
+                            f"({exc.reason})") from None
         path = getattr(args, "output", None)  # index has no --output
-        if not path:
-            sys.stdout.reconfigure(encoding="utf-8")
-        with (open(path, "w", encoding="utf-8") if path
-              else contextlib.nullcontext(sys.stdout)) as out:
-            for line in lines:
-                print(line, file=out)
+        if path:
+            with open(path, "wb") as out:
+                _write_all(out, blob)
+        else:
+            sys.stdout.flush()
+            _write_all(sys.stdout.buffer, blob)
+            sys.stdout.buffer.flush()
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,8 @@ from .porter import stem
 #: token separators.
 SENTENCE_BREAK = "<s>"
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # not encodable as UTF-8
+
 #: A run of alphanumeric characters and hyphens, or a sentence-final mark.
 #: `[^\W_]` is exactly `str.isalnum` and `\s` exactly `str.isspace`.
 _TOKEN = re.compile(r"(?:[^\W_]|-)+|[.!?](?=\s|\Z)")
@@ -216,9 +218,9 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
     """Load a JSON Lines corpus: one object per line with id, title, abstract
     and an optional keyphrases array.
 
-    Raises DataError naming the offending line for malformed records,
-    naming the id for duplicates and naming the path when the file holds
-    no record.
+    Raises DataError naming the offending line for malformed records (an
+    id holding a lone surrogate could not be written as UTF-8), naming the
+    id for duplicates and naming the path when the file holds no record.
     """
     docs: list[Document] = []
     with open(path, "rb") as fh:
@@ -244,6 +246,10 @@ def load_corpus(path: str, stopwords: Iterable[str] | None = None) -> Corpus:
                     raise DataError(f"line {lineno}: missing field {fld!r}")
                 if not isinstance(record[fld], str):
                     raise DataError(f"line {lineno}: field {fld!r} is not a string")
+            surrogate = _SURROGATE.search(record["id"])
+            if surrogate:
+                raise DataError(f"line {lineno}: field 'id' holds the lone "
+                                f"surrogate U+{ord(surrogate[0]):04X}")
             gold = record.get("keyphrases")
             if gold is not None and (
                     not isinstance(gold, list)

@@ -11,11 +11,14 @@ complete once constructed: the constructor sorts the postings and derives
 the average weighted length and each document's length norm, whether the
 index was built or loaded. The first query that meets a term scores its
 postings into one BM25 contribution per document and caches them on the
-index, so that query costs time in proportion to the term's postings and
-every later one costs one addition per matching document; no query costs
-time in proportion to the number of documents. To pick the top n results,
-selection makes one float-only pass for the floor, the n-th largest score,
-and sorts only the documents scoring at or above it.
+index with their largest, the term's bound. Search takes a query's terms
+by descending bound, scores each document a taken term reaches exactly,
+and stops once the bounds of the terms left cannot lift an unscored
+document to the n-th largest score (MaxScore), so a query costs time in
+proportion to the postings of its new terms plus the documents its
+high-bound terms reach, never to the number of documents. The n largest
+scores kept while scoring give the floor, and only the documents scoring
+at or above it are sorted.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
@@ -58,6 +61,7 @@ _NUMBER = (int, float)  # what JSON numbers parse to; bool is excluded
 _MAGIC = b"KPIX"
 _VERSION = 1
 _DOC_FIELD = operator.itemgetter(0, 1)  # a posting's (doc id, field)
+_MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
 
 
 @dataclasses.dataclass
@@ -70,18 +74,21 @@ class InvertedIndex:
     K1 * (1 - B + B * dl / avgdl). It raises DataError when a document's
     weighted length dl, or the sum of all of them, is not finite. Nothing
     changes an index afterwards but one derived cache: `contributions`
-    maps each term that `search` has met and that has postings to its
-    (doc id, BM25 contribution) pairs. It is not compared and not saved,
-    and filling it is idempotent, so threads may share an index under the
-    GIL: two that fill one term at once store equal lists.
+    maps each term that `search` has met and that has postings to a
+    ({doc id: BM25 contribution} in posting order, bound) pair, the bound
+    being the largest contribution, or inf unless all are finite and >= 0.
+    It is not compared and not saved, and filling it is idempotent, so
+    threads may share an index under the GIL: two that fill one term at
+    once store equal entries.
     """
 
     postings: dict[str, list[tuple[str, str, float]]]
     doc_lengths: dict[str, dict[str, float]]
     config: dict = dataclasses.field(default_factory=dict)
     norms: dict[str, float] = dataclasses.field(init=False, compare=False)
-    contributions: dict[str, list[tuple[str, float]]] = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    contributions: dict[str, tuple[dict[str, float], float]] = (
+        dataclasses.field(default_factory=dict, init=False, compare=False,
+                          repr=False))
 
     def __post_init__(self) -> None:
         for plist in self.postings.values():
@@ -150,7 +157,8 @@ def build_index(corpus: Corpus,
 def save_index(index: InvertedIndex, path: str) -> None:
     """Write `index` to `path` atomically. The payload bytes are the UTF-8
     of `json.dumps(payload, sort_keys=True, ensure_ascii=False)`, which
-    writes each posting tuple as an array."""
+    writes each posting tuple as an array; DataError when a string holds
+    a lone surrogate, which UTF-8 cannot encode."""
     payload = {
         "format": "kpindex-inverted-index",
         "fields": list(FIELDS),
@@ -158,7 +166,12 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "doc_lengths": index.doc_lengths,
         "postings": index.postings,
     }
-    body = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    try:
+        body = json.dumps(payload, sort_keys=True,
+                          ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as in a file name
+        raise DataError(f"index text is not valid UTF-8 "
+                        f"({exc.reason})") from None
     # write a temporary file next to the target, then rename it over the
     # target, so a failed write leaves the previous index intact
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
@@ -274,45 +287,87 @@ def search(index: InvertedIndex, query: str,
     Only documents matching at least one query term are returned, ranked
     by score with ties broken by doc id. Query terms with no postings
     (including stopwords, which are never indexed) contribute nothing; a
-    repeated term contributes once per occurrence, and each document's
-    contributions are added in query-term order.
+    repeated term contributes once per occurrence. A document's score is
+    `acc += c` from 0.0 over its contributions in query-term order: the
+    same floats, added in the same order, as a scan of every posting (a
+    term that misses the document would add 0.0, which changes nothing).
 
-    When more than top_n documents match, one pass over the bare float
-    scores finds the floor, the top_n-th largest score; only the documents
-    scoring at or above it are sorted. Every member of the true top n
-    scores at least the floor, and every document tied at it is kept for
-    the tie-break, so the result equals a full sort cut to top_n.
-    Raises ConfigError when top_n is below 1.
+    Search skips the documents that only low-bound terms reach (MaxScore;
+    Turtle & Flood, IPM 1995). A term's bound is its multiplicity in the
+    query times its largest contribution, and terms are taken by
+    descending bound. Each document that the current term reaches and
+    that has no score yet is scored exactly, over the query terms not yet
+    taken (a term already taken reaches no new document). Once top_n
+    documents are scored, let theta be the top_n-th largest score: search
+    stops when the sum of the remaining terms' bounds, times (1 + 1e-9),
+    is below theta, since a document that only those terms reach scores
+    at most that sum. The contributions are then finite and >= 0, and a
+    float sum of k such values is within a factor (1 + k * 2**-53) of its
+    exact value, as is the sum of the bounds; the margin covers both for
+    any query of fewer than about four million terms. So a skipped
+    document scores below theta: it is neither in the top n nor tied at
+    the floor. A term whose contributions are not all finite and >= 0 has
+    an infinite bound; such a query is scored term by term in query order
+    with no stop, and every scored document is sorted, as the scan sorts.
+
+    The top_n largest scores so far give theta and, in the end, the floor,
+    the top_n-th largest score; only the documents scoring at or above it
+    are sorted. Every member of the true top n scores at least the floor,
+    and every document tied at it is kept for the tie-break, so the result
+    equals a full sort cut to top_n. Raises ConfigError when top_n is
+    below 1.
     """
     if top_n < 1:
         raise ConfigError("top_n (search --top) must be >= 1")
     cache = index.contributions
-    scores: dict[str, float] = {}
+    maps = []  # each query term's contributions, in query order
+    multiplicity: dict[str, int] = {}
     for term in query_terms(query):
-        pairs = cache.get(term)
-        if pairs is None:
+        entry = cache.get(term)
+        if entry is None:
             plist = index.postings.get(term)
             if not plist:
                 continue
-            pairs = cache[term] = _contributions(index, plist)
-        if not scores:
-            # every contribution is > 0, so 0.0 + c == c
-            scores = dict(pairs)
-            continue
-        get = scores.get
-        for doc_id, contribution in pairs:
-            scores[doc_id] = get(doc_id, 0.0) + contribution
+            entry = cache[term] = _contributions(index, plist)
+        maps.append(entry[0])
+        multiplicity[term] = multiplicity.get(term, 0) + 1
+    terms = [(cache[term][0], count * cache[term][1])
+             for term, count in multiplicity.items()]
+    bounded = math.isfinite(sum(bound for _, bound in terms) * _MARGIN)
+    stops = [math.inf] * len(terms)  # the margined bound of terms[i:]
+    if bounded:
+        terms.sort(key=lambda term: -term[1])
+        remaining = 0.0
+        for i in range(len(terms) - 1, -1, -1):
+            remaining += terms[i][1]
+            stops[i] = remaining * _MARGIN
+    scores: dict[str, float] = {}
+    top: list[float] = []  # the top_n largest scores, largest first
+    for stop, (contributions, _) in zip(stops, terms):
+        if len(top) == top_n and stop < top[-1]:
+            break
+        gets = [m.get for m in maps]
+        maps = [m for m in maps if m is not contributions]
+        new = []
+        for doc_id in contributions:
+            if doc_id not in scores:
+                acc = 0.0
+                for get in gets:
+                    acc += get(doc_id, 0.0)
+                scores[doc_id] = acc
+                new.append(acc)
+        top = heapq.nlargest(top_n, top + new)
     items = scores.items()
-    if len(scores) > top_n:
-        floor = heapq.nlargest(top_n, scores.values())[-1]
-        items = [item for item in items if item[1] >= floor]
+    if bounded and len(scores) > top_n:
+        items = [item for item in items if item[1] >= top[-1]]
     return sorted(items, key=lambda item: (-item[1], item[0]))[:top_n]
 
 
-def _contributions(index: InvertedIndex,
-                   plist: list[tuple[str, str, float]]) -> list[tuple[str, float]]:
+def _contributions(index: InvertedIndex, plist: list[tuple[str, str, float]]
+                   ) -> tuple[dict[str, float], float]:
     """Each document's BM25 score for one term, from the term's postings,
-    in posting order."""
+    in posting order, and the term's bound: the largest score, or inf when
+    the scores are not all finite and >= 0."""
     tf_weighted: dict[str, float] = defaultdict(float)
     for doc_id, field, weight in plist:
         tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
@@ -320,5 +375,9 @@ def _contributions(index: InvertedIndex,
     df = len(tf_weighted)
     idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
     norms = index.norms
-    return [(doc_id, idf * tf * (K1 + 1.0) / (tf + norms[doc_id]))
-            for doc_id, tf in tf_weighted.items()]
+    contributions = {doc_id: idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
+                     for doc_id, tf in tf_weighted.items()}
+    values = contributions.values()
+    bound = (max(values) if all(0.0 <= c < math.inf for c in values)
+             else math.inf)
+    return contributions, bound

@@ -10,10 +10,12 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import kpindex
 from kpindex import Config, cli
@@ -139,6 +141,11 @@ def cli_env():
     src = str(Path(kpindex.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def any_text(max_size):
+    """Text over every code point, lone surrogates included."""
+    return st.text(st.characters(exclude_categories=()), max_size=max_size)
 
 
 class TestExitCodes:
@@ -435,6 +442,75 @@ class TestExitCodes:
                              capsys)
         assert code == 2
         assert out == "" and f"{stop}:2:" in err and "one token" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "{corpus}", "--output", "{out}"],
+        ["extract", "{corpus}"],
+        ["index", "{corpus}", "{out}"],
+    ], ids=["extract-output", "extract-stdout", "index"])
+    def test_lone_surrogate_in_id_is_data_error(self, tmp_path, capsys, argv):
+        """JSON accepts the escape "\\ud800", but no UTF-8 output can
+        write it: the loader refuses the record and nothing is written."""
+        corpus = write_jsonl(tmp_path / "c.jsonl", [
+            dict(TWO_DOC_RECORDS[0], id="a\ud800"), TWO_DOC_RECORDS[1]])
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [arg.format(corpus=corpus, out=out) for arg in argv], capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: line 1: field 'id' holds the lone surrogate "
+                       "U+D800\n")
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
+    def test_lone_surrogate_in_title_is_no_token(self, tmp_path, capsys):
+        plain = write_jsonl(tmp_path / "plain.jsonl", TWO_DOC_RECORDS)
+        odd = write_jsonl(tmp_path / "odd.jsonl", [
+            dict(TWO_DOC_RECORDS[0],
+                 title="Graph ranking \udc00 for document collections"),
+            TWO_DOC_RECORDS[1]])
+        assert run(["extract", odd], capsys)[:2] == (
+            0, run(["extract", plain], capsys)[1])
+
+    @given(st.lists(st.fixed_dictionaries(
+        {"id": any_text(max_size=4), "title": any_text(max_size=30),
+         "abstract": any_text(max_size=60)},
+        optional={"keyphrases": st.lists(any_text(max_size=12),
+                                         max_size=3)}),
+        min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_any_record_text_is_written_or_a_data_error(self, records):
+        """Arbitrary text in every field, lone surrogates included: exit 0
+        with UTF-8 output, or exit 2 with no output file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = write_jsonl(Path(tmp) / "c.jsonl", records)
+            for argv, out in ((["extract", corpus, "--output"], "o.jsonl"),
+                              (["index", corpus], "c.kpix")):
+                path = Path(tmp) / out
+                code = main(argv + [str(path)])
+                event(f"{argv[0]} exit {code}")
+                assert code in (0, 2)
+                if code == 2:
+                    assert not path.exists()
+                elif out == "o.jsonl":
+                    path.read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("command, text", [
+        (["extract", "{corpus}", "--output", "{out}"], "output text"),
+        (["index", "{corpus}", "{out}"], "index text")])
+    def test_text_not_utf8_is_data_error(self, tmp_path, capsys, command,
+                                         text):
+        """A file name that is not UTF-8 reaches the config echo as lone
+        surrogates: one stderr line and no output file."""
+        stop = tmp_path / os.fsdecode(b"stop\xff.txt")
+        stop.write_text("the\n", encoding="utf-8")
+        corpus = write_jsonl(tmp_path / "c.jsonl", TWO_DOC_RECORDS)
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [arg.format(corpus=corpus, out=out) for arg in command]
+            + ["--stopwords", str(stop)], capsys)
+        assert code == 2 and stdout == ""
+        assert sorted(os.listdir(tmp_path)) == sorted(["c.jsonl", stop.name])
+        assert err.startswith(f"error: {text} is not valid UTF-8")
+        assert len(err.splitlines()) == 1
 
 
 class TestConfigPrecedence:

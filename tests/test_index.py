@@ -9,10 +9,12 @@ import sys
 import tempfile
 import threading
 from collections import Counter, defaultdict
+from importlib import resources
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+import kpindex.cli as cli
 import kpindex.index as index_module
 
 from kpindex import (Config, ConfigError, TfidfSimilarity, build_index,
@@ -24,6 +26,9 @@ from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
 
 from conftest import (index_file_bytes, make_corpus, nested_json,
                       write_payload)
+
+SAMPLE100 = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
+
 
 def extract_all(corpus, cfg):
     provider = TfidfSimilarity(corpus)
@@ -699,13 +704,14 @@ class TestContributionCache:
             assert fh.read() == cold == save_index_oracle(index)
         loaded = load_index(path)
         assert index == loaded and loaded.contributions == {}
-        for term, pairs in index.contributions.items():
-            assert [doc_id for doc_id, _ in pairs] == sorted(
+        for term, (contributions, bound) in index.contributions.items():
+            assert list(contributions) == sorted(
                 {doc_id for doc_id, _, _ in index.postings[term]})
+            assert bound == max(contributions.values())
 
     def test_threads_sharing_a_cold_index_get_the_oracle_results(self,
                                                                  stopwords):
-        """Threads that fill the same terms at once store equal lists, so
+        """Threads that fill the same terms at once store equal entries, so
         each sees the results a lone caller sees."""
         corpus = make_corpus(FIVE_DOC_ROWS, stopwords)
         query_seq = [title for _, title, _ in FIVE_DOC_ROWS] * 3
@@ -730,3 +736,162 @@ class TestContributionCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == {i: expected for i in range(8)}
+
+
+class Tracked(dict):
+    """A cached contribution map that records whether search walked it."""
+
+    walked = False
+
+    def __iter__(self):
+        self.walked = True
+        return super().__iter__()
+
+
+def track(index):
+    """Swap each cached entry of `index` for a tracked copy; the copies by
+    term."""
+    tracked = {}
+    for term, (contributions, bound) in index.contributions.items():
+        tracked[term] = Tracked(contributions)
+        index.contributions[term] = (tracked[term], bound)
+    return tracked
+
+
+def same(got, want):
+    """Result equality that also holds for NaN scores."""
+    return repr(got) == repr(want)
+
+
+def fields_of(text=(), present=()):
+    """A document's field -> stem counts from (stem, count) pairs."""
+    return {FIELD_TEXT: dict(text), FIELD_KP_PRESENT: dict(present),
+            FIELD_KP_ABSENT: {}}
+
+
+RARE = "semant"
+COMMON = ("graph", "rank", "index")
+# the documents a rare term reaches come in three shapes, so several of
+# them tie exactly, also at the cut-off
+RARE_SHAPES = [fields_of([(RARE, 5), ("graph", 1)]),
+               fields_of([(RARE, 5), ("graph", 1)], [(RARE, 2)]),
+               fields_of([(RARE, 4), ("rank", 2)], [(RARE, 2)])]
+common_documents = st.lists(st.sampled_from(COMMON), min_size=1,
+                            max_size=4).map(
+    lambda stems: fields_of(Counter(stems).items()))
+
+
+@st.composite
+def pruning_cases(draw):
+    """An index where one rare term reaches at least top_n high-scoring
+    documents and common terms reach most documents, with a query that
+    holds the rare term and common ones, repeats included."""
+    top_n = draw(st.integers(1, 7), label="top_n")
+    rare = draw(st.lists(st.sampled_from(RARE_SHAPES), min_size=top_n,
+                         max_size=top_n + 4))
+    common = draw(st.lists(common_documents, min_size=15, max_size=40))
+    docs = draw(st.permutations(rare + common))
+    words = ["semantic"] * draw(st.integers(1, 2)) + draw(st.lists(
+        st.sampled_from(["graph", "ranking", "index", "the", "zebra"]),
+        max_size=5))
+    return docs, " ".join(draw(st.permutations(words))), top_n
+
+
+class TestPruning:
+    @given(pruning_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_search_equals_oracles(self, case):
+        """Cold and with a warm cache, search gives what both oracles give,
+        although it often never walks the common terms."""
+        docs, query, top_n = case
+        cold = random_index(docs)
+        got = search(cold, query, top_n)
+        assert got == search_oracle(cold, query, top_n)
+        assert got == search_uncached_oracle(cold, query, top_n)
+        warm = random_index(docs)
+        for word in ("graph", "ranking", "index", "semantic", query):
+            search(warm, word, top_n)
+        tracked = track(warm)
+        assert search(warm, query, top_n) == got
+        walked = [tracked[t].walked for t in query_terms(query)
+                  if t in tracked]
+        event("pruned" if not all(walked) else "not pruned")
+
+    def test_terms_below_theta_are_never_walked(self):
+        """Two documents reach the rare term, 30 reach only common terms:
+        after the rare term the common terms' bound is below theta."""
+        docs = ([RARE_SHAPES[0]] * 2
+                + [fields_of([("graph", 2), ("rank", 1)])] * 30)
+        index = random_index(docs)
+        query = "graph semantic ranking graph"
+        expected = search_oracle(index, query, 2)
+        assert search(index, query, 2) == expected
+        tracked = track(index)
+        assert search(index, query, 2) == expected
+        assert tracked[RARE].walked
+        assert not tracked["graph"].walked and not tracked["rank"].walked
+        # at top_n 3 the rare term scores too few documents to stop
+        assert search(index, query, 3) == search_oracle(index, query, 3)
+        assert tracked["graph"].walked or tracked["rank"].walked
+
+    def test_later_term_can_tie_theta(self):
+        """Two terms with equal bounds, each reaching one of two equal
+        documents: after the first, theta equals the second's bound, and
+        the document only the second reaches ties at the floor and wins
+        the tie-break, so search must not stop there."""
+        docs = [fields_of([("rank", 1), ("index", 1)]),
+                fields_of([("graph", 1), ("index", 1)])]
+        index = random_index(docs)
+        scores = dict(search(index, "graph ranking"))
+        assert scores["d0"] == scores["d1"]
+        assert search(index, "graph ranking", 1) == [("d0", scores["d0"])]
+        assert search(index, "ranking graph", 1) == [("d0", scores["d0"])]
+
+    @pytest.mark.parametrize("top_n", [1, 2])
+    def test_non_finite_contributions_are_not_pruned(self, top_n):
+        """A hand-built weight near the float maximum scores NaN; that term
+        has an infinite bound, so nothing is skipped and the NaN document
+        ranks as the scans rank it."""
+        index = InvertedIndex(
+            {"graph": [("a", FIELD_KP_PRESENT, 1.7e308),
+                       ("b", FIELD_TEXT, 1.0)]},
+            {"a": text_lengths(1.0), "b": text_lengths(1.0)})
+        assert index.contributions == {}
+        got = search(index, "graph", top_n)
+        assert index.contributions["graph"][1] == math.inf
+        assert math.isnan(got[0][1]) and len(got) == top_n
+        assert same(got, search_oracle(index, "graph", top_n))
+        assert same(got, search_uncached_oracle(index, "graph", top_n))
+
+    @pytest.mark.parametrize("top_n", [1, 2, 3])
+    def test_negative_contributions_are_not_pruned(self, top_n):
+        """A hand-built negative weight scores below zero; such a term's
+        largest contribution bounds nothing, since a document it misses
+        gains 0.0 from it, so its bound is infinite too."""
+        index = InvertedIndex(
+            {"semant": [("r1", FIELD_TEXT, 4.0), ("r2", FIELD_TEXT, 1.0)],
+             "graph": [("p1", FIELD_TEXT, 0.5)],
+             "rank": [("n1", FIELD_TEXT, -1.0), ("n2", FIELD_TEXT, -1.0)]},
+            {doc_id: text_lengths(1.0)
+             for doc_id in ("r1", "r2", "p1", "n1", "n2")})
+        query = "semantic graph ranking"
+        got = search(index, query, top_n)
+        assert got == search_oracle(index, query, top_n)
+        assert got == search_uncached_oracle(index, query, top_n)
+        assert "p1" in dict(got) or top_n == 1
+
+
+def test_sample100_titles_and_gold_phrases_equal_oracles(tmp_path):
+    path = str(tmp_path / "c.kpix")
+    assert cli.main(["index", SAMPLE100, path]) == 0
+    index = load_index(path)
+    with open(SAMPLE100, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    queries = [r["title"] for r in records] + [
+        phrase for r in records for phrase in r.get("keyphrases", [])]
+    assert len(queries) > 500
+    for query in queries:
+        for top_n in (1, 10):
+            got = search(index, query, top_n)
+            assert got == search_oracle(index, query, top_n)
+            assert got == search_uncached_oracle(index, query, top_n)
