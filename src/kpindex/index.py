@@ -7,18 +7,22 @@ match a document that never contains the query terms in its text.
 
 Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
 fields count 1.5x in term frequency and in document length). An index is
-complete once constructed: the constructor sorts the postings and derives
-the average weighted length and each document's length norm, whether the
-index was built or loaded. The first query that meets a term scores its
-postings into one BM25 contribution per document and caches them on the
-index with their largest, the term's bound. Search takes a query's terms
-by descending bound, scores each document a taken term reaches exactly,
-and stops once the bounds of the terms left cannot lift an unscored
-document to the n-th largest score (MaxScore), so a query costs time in
-proportion to the postings of its new terms plus the documents its
-high-bound terms reach, never to the number of documents. The n largest
-scores kept while scoring give the floor, and only the documents scoring
-at or above it are sorted.
+complete once constructed, whether built, loaded or made by hand: the
+constructor checks each length and weight against MAX_COUNT = 2**53, the
+largest count a float holds exactly (they count tokens, so no corpus
+reaches it), sorts the postings and derives each document's length norm.
+The cap keeps every BM25 contribution finite and >= 0: for n documents
+the idf lies in (0, log(2n + 2)), the weighted term frequency tf is
+finite (at most 4.5 * 2**53 with one posting per field), every norm is at
+least K1 * (1 - B), so idf * tf * (K1 + 1) / (tf + norm) is below
+2.2 * idf, and a query's summed bounds cannot overflow.
+
+The first query that meets a term scores its postings into one BM25
+contribution per document and caches them on the index with their
+largest, the term's bound. Search skips the documents that only
+low-bound terms reach (MaxScore), so a query costs time in proportion to
+the postings of its new terms plus the documents its high-bound terms
+reach, never to the number of documents.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
@@ -36,6 +40,7 @@ import contextlib
 import dataclasses
 import gc
 import heapq
+import itertools
 import json
 import math
 import operator
@@ -62,6 +67,7 @@ _MAGIC = b"KPIX"
 _VERSION = 1
 _DOC_FIELD = operator.itemgetter(0, 1)  # a posting's (doc id, field)
 _MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
+MAX_COUNT = float(2**53)  # the largest length or weight an index holds
 
 
 @dataclasses.dataclass
@@ -69,14 +75,15 @@ class InvertedIndex:
     """stem -> (doc id, field, weight) postings plus each document's field
     lengths.
 
-    The constructor sorts every postings list in place into (doc id, field)
-    order and sets `norms`, each document's BM25 length norm
-    K1 * (1 - B + B * dl / avgdl). It raises DataError when a document's
-    weighted length dl, or the sum of all of them, is not finite. Nothing
-    changes an index afterwards but one derived cache: `contributions`
-    maps each term that `search` has met and that has postings to a
-    ({doc id: BM25 contribution} in posting order, bound) pair, the bound
-    being the largest contribution, or inf unless all are finite and >= 0.
+    The constructor is the one place that checks an index's numbers: a
+    field length outside [0, MAX_COUNT], checked first, or a posting weight
+    outside (0, MAX_COUNT], NaN included, is a DataError naming the
+    document and the field. It then sorts each postings list in place into
+    (doc id, field) order and sets `norms`, each document's BM25 length
+    norm K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
+    but one derived cache: `contributions` maps each term that `search`
+    has met and that has postings to a ({doc id: BM25 contribution} in
+    posting order, bound) pair, the bound being the largest contribution.
     It is not compared and not saved, and filling it is idempotent, so
     threads may share an index under the GIL: two that fill one term at
     once store equal entries.
@@ -91,42 +98,25 @@ class InvertedIndex:
                           repr=False))
 
     def __post_init__(self) -> None:
+        weighted = {}
+        for doc_id, lengths in sorted(self.doc_lengths.items()):
+            for f in FIELDS:
+                if not 0.0 <= lengths[f] <= MAX_COUNT:
+                    raise DataError(f"document {doc_id!r}: field {f!r}: "
+                                    f"length {lengths[f]!r} not in [0, 2**53]")
+            weighted[doc_id] = math.fsum(FIELD_WEIGHTS[f] * lengths[f]
+                                         for f in FIELDS)
         for plist in self.postings.values():
             plist.sort(key=_DOC_FIELD)
-        weighted = {doc_id: _weighted_length(doc_id, lengths)
-                    for doc_id, lengths in sorted(self.doc_lengths.items())}
-        try:
-            avgdl = (math.fsum(weighted.values()) / len(weighted)
-                     if weighted else 0.0)
-        except OverflowError:
-            raise DataError("the documents' weighted lengths sum past the "
-                            "float range") from None
+            for doc_id, field, weight in plist:
+                if not 0.0 < weight <= MAX_COUNT:
+                    raise DataError(f"document {doc_id!r}: field {field!r}: "
+                                    f"weight {weight!r} not in (0, 2**53]")
+        avgdl = (math.fsum(weighted.values()) / len(weighted)
+                 if weighted else 0.0)
         self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
                                                    else 0.0))
                       for doc_id, dl in weighted.items()}
-
-
-def _scaled_sum(lengths: dict[str, float], fields: tuple[str, ...]) -> float:
-    """fsum of the FIELD_WEIGHTS-scaled lengths of fields; inf when finite
-    terms sum past the float range."""
-    try:
-        return math.fsum(FIELD_WEIGHTS[f] * lengths[f] for f in fields)
-    except OverflowError:
-        return math.inf
-
-
-def _weighted_length(doc_id: str, lengths: dict[str, float]) -> float:
-    """A document's weighted length, the fsum of its FIELD_WEIGHTS-scaled
-    field lengths. A length norm from an infinite one would be NaN, and so
-    would every BM25 score of the document: DataError names the document
-    and the first field whose length makes the sum not finite."""
-    dl = _scaled_sum(lengths, FIELDS)
-    if not math.isfinite(dl):
-        field = next(f for end, f in enumerate(FIELDS, 1)
-                     if not math.isfinite(_scaled_sum(lengths, FIELDS[:end])))
-        raise DataError(f"document {doc_id!r}: field {field!r} makes its "
-                        f"weighted length not finite")
-    return dl
 
 
 def build_index(corpus: Corpus,
@@ -192,13 +182,13 @@ def save_index(index: InvertedIndex, path: str) -> None:
 def load_index(path: str) -> InvertedIndex:
     """Read an index file; DataError names the payload field at fault.
 
-    Every length and weight must be a finite JSON number, each length map
-    must name exactly FIELDS, and each field length must equal the fsum of
-    that document's posting weights in the field, as build_index writes it.
-    InvertedIndex then rejects a weighted length that is not finite, naming
+    Every length and weight must be a JSON number (no bool, no string)
+    within the float range, each length map must name exactly FIELDS, a
+    term may list a (doc id, field) once, and each field length must equal
+    the fsum of that document's posting weights in the field, as
+    build_index writes it. InvertedIndex then checks their ranges, naming
     the document and the field. The payload is decoded, checked and made
-    an InvertedIndex with the cyclic garbage collector paused
-    process-wide.
+    an InvertedIndex with the cyclic garbage collector paused process-wide.
     """
     try:
         with open(path, "rb") as fh:
@@ -244,9 +234,8 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
         for doc_id, lengths in payload[field].items():
             if lengths.keys() != set(FIELDS):
                 raise ValueError("a length map does not name exactly FIELDS")
-            if not all(type(v) in _NUMBER and 0.0 <= v < math.inf
-                       for v in lengths.values()):
-                raise ValueError("a field length is not a finite number >= 0")
+            if not all(type(v) in _NUMBER for v in lengths.values()):
+                raise ValueError("a field length is not a number")
             # OverflowError for an integer beyond the float range
             doc_lengths[doc_id] = {f: float(lengths[f]) for f in FIELDS}
         field = "postings"
@@ -256,8 +245,8 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
         for term, rows in payload[field].items():
             plist = postings[term] = []
             for doc_id, posting_field, weight in rows:
-                if type(weight) not in _NUMBER or not 0.0 < weight < math.inf:
-                    raise ValueError("a posting weight is not a finite number > 0")
+                if type(weight) not in _NUMBER:
+                    raise ValueError("a posting weight is not a number")
                 # KeyError for an unknown document or field
                 weights[doc_id][posting_field].append(weight)
                 plist.append((doc_id, posting_field, float(weight)))
@@ -301,14 +290,12 @@ def search(index: InvertedIndex, query: str,
     documents are scored, let theta be the top_n-th largest score: search
     stops when the sum of the remaining terms' bounds, times (1 + 1e-9),
     is below theta, since a document that only those terms reach scores
-    at most that sum. The contributions are then finite and >= 0, and a
-    float sum of k such values is within a factor (1 + k * 2**-53) of its
-    exact value, as is the sum of the bounds; the margin covers both for
-    any query of fewer than about four million terms. So a skipped
-    document scores below theta: it is neither in the top n nor tied at
-    the floor. A term whose contributions are not all finite and >= 0 has
-    an infinite bound; such a query is scored term by term in query order
-    with no stop, and every scored document is sorted, as the scan sorts.
+    at most that sum. The index's MAX_COUNT cap makes every contribution
+    finite and >= 0, so that sum is finite, and a float sum of k such
+    values is within a factor (1 + k * 2**-53) of its exact value, as is
+    the sum of the bounds; the margin covers both for any query of fewer
+    than about four million terms. So a skipped document scores below
+    theta: it is neither in the top n nor tied at the floor.
 
     The top_n largest scores so far give theta and, in the end, the floor,
     the top_n-th largest score; only the documents scoring at or above it
@@ -331,16 +318,12 @@ def search(index: InvertedIndex, query: str,
             entry = cache[term] = _contributions(index, plist)
         maps.append(entry[0])
         multiplicity[term] = multiplicity.get(term, 0) + 1
-    terms = [(cache[term][0], count * cache[term][1])
-             for term, count in multiplicity.items()]
-    bounded = math.isfinite(sum(bound for _, bound in terms) * _MARGIN)
-    stops = [math.inf] * len(terms)  # the margined bound of terms[i:]
-    if bounded:
-        terms.sort(key=lambda term: -term[1])
-        remaining = 0.0
-        for i in range(len(terms) - 1, -1, -1):
-            remaining += terms[i][1]
-            stops[i] = remaining * _MARGIN
+    terms = sorted(((cache[term][0], count * cache[term][1])
+                    for term, count in multiplicity.items()),
+                   key=lambda term: -term[1])
+    # the margined bound of terms[i:], for each i
+    stops = [remaining * _MARGIN for remaining in
+             itertools.accumulate(bound for _, bound in reversed(terms))][::-1]
     scores: dict[str, float] = {}
     top: list[float] = []  # the top_n largest scores, largest first
     for stop, (contributions, _) in zip(stops, terms):
@@ -358,7 +341,7 @@ def search(index: InvertedIndex, query: str,
                 new.append(acc)
         top = heapq.nlargest(top_n, top + new)
     items = scores.items()
-    if bounded and len(scores) > top_n:
+    if len(scores) > top_n:
         items = [item for item in items if item[1] >= top[-1]]
     return sorted(items, key=lambda item: (-item[1], item[0]))[:top_n]
 
@@ -366,8 +349,8 @@ def search(index: InvertedIndex, query: str,
 def _contributions(index: InvertedIndex, plist: list[tuple[str, str, float]]
                    ) -> tuple[dict[str, float], float]:
     """Each document's BM25 score for one term, from the term's postings,
-    in posting order, and the term's bound: the largest score, or inf when
-    the scores are not all finite and >= 0."""
+    in posting order, and the term's bound, the largest score. The
+    constructor's checks make every score finite and >= 0."""
     tf_weighted: dict[str, float] = defaultdict(float)
     for doc_id, field, weight in plist:
         tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
@@ -377,7 +360,4 @@ def _contributions(index: InvertedIndex, plist: list[tuple[str, str, float]]
     norms = index.norms
     contributions = {doc_id: idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
                      for doc_id, tf in tf_weighted.items()}
-    values = contributions.values()
-    bound = (max(values) if all(0.0 <= c < math.inf for c in values)
-             else math.inf)
-    return contributions, bound
+    return contributions, max(contributions.values())

@@ -587,8 +587,9 @@ class TestIndexAndSearch:
 
     def test_index_with_infinite_weighted_length_is_data_error(self, tmp_path,
                                                                 capsys):
-        """1.5 x a kp_present weight of 1.7e308 is inf: the index loads no
-        more, instead of scoring its document NaN."""
+        """A kp_present length and weight of 1.7e308, whose 1.5x is inf,
+        lie past the 2**53 cap: the index loads no more, instead of
+        scoring its document NaN."""
         lengths = {"text": 0.0, "kp_present": 1.7e308, "kp_absent": 0.0}
         bad = write_payload(tmp_path / "bad.kpix", {
             "doc_lengths": {"a": lengths,

@@ -21,8 +21,8 @@ from kpindex import (Config, ConfigError, TfidfSimilarity, build_index,
                      extract_pipeline, load_index, save_index, search)
 from kpindex.errors import DataError
 from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
-                           FIELD_WEIGHTS, FIELDS, K1, InvertedIndex,
-                           query_terms)
+                           FIELD_WEIGHTS, FIELDS, K1, MAX_COUNT,
+                           InvertedIndex, query_terms)
 
 from conftest import (index_file_bytes, make_corpus, nested_json,
                       write_payload)
@@ -76,6 +76,9 @@ class TestBuildIndex:
             pairs = [(doc_id, field) for doc_id, field, _ in plist]
             assert pairs == sorted(pairs)
             assert len(pairs) == len(set(pairs))
+
+
+PAST_CAP = math.nextafter(MAX_COUNT, math.inf)  # the first float above 2**53
 
 
 def text_lengths(text):
@@ -170,16 +173,18 @@ class TestPersistence:
          "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(-1.0)}, "postings": {}},
          "doc_lengths"),
+        # a weight out of range cannot sum to the length 1.0, so the
+        # length check refuses these files before the constructor would
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", -math.inf]]}}, "postings"),
+          "postings": {"x": [["a", "text", -math.inf]]}}, "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", math.inf]]}}, "postings"),
+          "postings": {"x": [["a", "text", math.inf]]}}, "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", math.nan]]}}, "postings"),
+          "postings": {"x": [["a", "text", math.nan]]}}, "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", -5.0]]}}, "postings"),
+          "postings": {"x": [["a", "text", -5.0]]}}, "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", 0.0]]}}, "postings"),
+          "postings": {"x": [["a", "text", 0.0]]}}, "doc_lengths"),
         ({"config": 5, "doc_lengths": {}, "postings": {}}, "config"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
           "postings": {"x": [["a", "text", 1.0, 2.0]]}}, "postings"),
@@ -252,9 +257,11 @@ def huge_kp_present_index_parts():
     return postings, lengths
 
 
-class TestWeightedLengthOverflow:
-    """A weighted length that is not finite would make a NaN norm and NaN
-    scores, whose rank is undefined; the index is refused instead."""
+class TestNumberRanges:
+    """A field length must lie in [0, 2**53] and a posting weight in
+    (0, 2**53]: 2**53 is the largest count a float holds exactly, and the
+    cap keeps every BM25 contribution finite and >= 0. The constructor
+    checks lengths before weights and names the document and field."""
 
     def test_built_index_names_document_and_field(self):
         postings, lengths = huge_kp_present_index_parts()
@@ -270,28 +277,45 @@ class TestWeightedLengthOverflow:
                                             "'kp_present'"):
             load_index(path)
 
-    def test_fields_that_overflow_only_together(self):
-        lengths = {FIELD_TEXT: 1e308, FIELD_KP_PRESENT: 1e308,
-                   FIELD_KP_ABSENT: 0.0}
-        with pytest.raises(DataError, match="document 'a': field "
-                                            "'kp_present'"):
-            InvertedIndex({}, {"a": lengths})
-
-    def test_documents_that_overflow_only_together(self):
-        with pytest.raises(DataError, match="weighted lengths sum"):
-            InvertedIndex({}, {"a": text_lengths(1e308),
-                               "b": text_lengths(1e308)})
-
-    def test_largest_finite_lengths_are_kept(self):
-        # 1.5 * 1e308 is still finite
-        postings, lengths = huge_kp_present_index_parts()
-        postings["graph"][0] = ("a", FIELD_KP_PRESENT, 1e308)
-        lengths["a"][FIELD_KP_PRESENT] = 1e308
+    def test_counts_at_the_cap_are_kept_and_score_finitely(self):
+        """2**53 in every field, as length and as weight, and the smallest
+        positive float as a weight."""
+        lengths = {"a": {f: MAX_COUNT for f in FIELDS},
+                   "b": text_lengths(1.0), "c": text_lengths(1.0),
+                   "d": text_lengths(0.0)}
+        postings = {"graph": [("a", f, MAX_COUNT) for f in FIELDS]
+                    + [("b", FIELD_TEXT, 1.0), ("c", FIELD_TEXT, 1.0),
+                       ("d", FIELD_KP_ABSENT, 5e-324)]}
         index = InvertedIndex(postings, lengths)
         assert all(math.isfinite(norm) for norm in index.norms.values())
-        hits = search(index, "graph", top_n=3)
-        assert [doc_id for doc_id, _ in hits] == ["a", "b", "c"]
-        assert all(math.isfinite(score) for _, score in hits)
+        hits = search(index, "graph", top_n=4)
+        assert [doc_id for doc_id, _ in hits] == ["a", "b", "c", "d"]
+        assert all(math.isfinite(score) and score >= 0.0 for _, score in hits)
+        assert hits == search_oracle(index, "graph", 4)
+        assert search(index, "graph", 1) == hits[:1]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_length_past_the_cap_is_refused(self, field):
+        lengths = text_lengths(0.0)
+        lengths[field] = PAST_CAP
+        with pytest.raises(DataError, match=f"^document 'a': field "
+                                            f"'{field}': length"):
+            InvertedIndex({}, {"a": lengths, "b": text_lengths(1.0)})
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_weight_past_the_cap_is_refused(self, field):
+        lengths = {f: MAX_COUNT for f in FIELDS}
+        with pytest.raises(DataError, match=f"^document 'a': field "
+                                            f"'{field}': weight"):
+            InvertedIndex({"graph": [("b", FIELD_TEXT, 1.0),
+                                     ("a", field, PAST_CAP)]},
+                          {"a": lengths, "b": text_lengths(1.0)})
+
+    def test_lengths_are_checked_before_weights(self):
+        lengths = {"a": text_lengths(1.0), "b": text_lengths(PAST_CAP)}
+        with pytest.raises(DataError, match="^document 'b': field 'text': "
+                                            "length"):
+            InvertedIndex({"graph": [("a", FIELD_TEXT, -1.0)]}, lengths)
 
 
 @contextlib.contextmanager
@@ -758,11 +782,6 @@ def track(index):
     return tracked
 
 
-def same(got, want):
-    """Result equality that also holds for NaN scores."""
-    return repr(got) == repr(want)
-
-
 def fields_of(text=(), present=()):
     """A document's field -> stem counts from (stem, count) pairs."""
     return {FIELD_TEXT: dict(text), FIELD_KP_PRESENT: dict(present),
@@ -847,38 +866,142 @@ class TestPruning:
         assert search(index, "graph ranking", 1) == [("d0", scores["d0"])]
         assert search(index, "ranking graph", 1) == [("d0", scores["d0"])]
 
-    @pytest.mark.parametrize("top_n", [1, 2])
-    def test_non_finite_contributions_are_not_pruned(self, top_n):
-        """A hand-built weight near the float maximum scores NaN; that term
-        has an infinite bound, so nothing is skipped and the NaN document
-        ranks as the scans rank it."""
-        index = InvertedIndex(
-            {"graph": [("a", FIELD_KP_PRESENT, 1.7e308),
-                       ("b", FIELD_TEXT, 1.0)]},
-            {"a": text_lengths(1.0), "b": text_lengths(1.0)})
-        assert index.contributions == {}
-        got = search(index, "graph", top_n)
-        assert index.contributions["graph"][1] == math.inf
-        assert math.isnan(got[0][1]) and len(got) == top_n
-        assert same(got, search_oracle(index, "graph", top_n))
-        assert same(got, search_uncached_oracle(index, "graph", top_n))
+    def test_non_finite_contributions_cannot_be_built(self):
+        """A hand-built weight near the float maximum once scored NaN and
+        gave its term an infinite bound; the constructor refuses it."""
+        with pytest.raises(DataError, match="^document 'a': field "
+                                            "'kp_present': weight"):
+            InvertedIndex({"graph": [("a", FIELD_KP_PRESENT, 1.7e308),
+                                     ("b", FIELD_TEXT, 1.0)]},
+                          {"a": text_lengths(1.0), "b": text_lengths(1.0)})
 
-    @pytest.mark.parametrize("top_n", [1, 2, 3])
-    def test_negative_contributions_are_not_pruned(self, top_n):
-        """A hand-built negative weight scores below zero; such a term's
-        largest contribution bounds nothing, since a document it misses
-        gains 0.0 from it, so its bound is infinite too."""
-        index = InvertedIndex(
-            {"semant": [("r1", FIELD_TEXT, 4.0), ("r2", FIELD_TEXT, 1.0)],
-             "graph": [("p1", FIELD_TEXT, 0.5)],
-             "rank": [("n1", FIELD_TEXT, -1.0), ("n2", FIELD_TEXT, -1.0)]},
-            {doc_id: text_lengths(1.0)
-             for doc_id in ("r1", "r2", "p1", "n1", "n2")})
-        query = "semantic graph ranking"
+    def test_negative_contributions_cannot_be_built(self):
+        """A hand-built negative weight once scored below zero, so its
+        term's largest contribution bounded nothing; the constructor
+        refuses it."""
+        with pytest.raises(DataError, match="^document 'n1': field 'text': "
+                                            "weight -1.0 "):
+            InvertedIndex(
+                {"semant": [("r1", FIELD_TEXT, 4.0), ("r2", FIELD_TEXT, 1.0)],
+                 "rank": [("n1", FIELD_TEXT, -1.0), ("n2", FIELD_TEXT, -1.0)]},
+                {doc_id: text_lengths(1.0)
+                 for doc_id in ("r1", "r2", "n1", "n2")})
+
+
+# lengths and weights anywhere in their ranges, the ends included
+in_range_lengths = st.one_of(st.sampled_from([0.0, 5e-324, MAX_COUNT]),
+                             st.floats(min_value=0.0, max_value=MAX_COUNT))
+in_range_weights = st.one_of(st.sampled_from([5e-324, 1.0, MAX_COUNT]),
+                             st.floats(min_value=5e-324, max_value=MAX_COUNT))
+# just outside them, NaN and both infinities included
+out_of_range_lengths = st.one_of(
+    st.just(math.nan), st.floats(max_value=-5e-324),
+    st.floats(min_value=PAST_CAP))
+out_of_range_weights = st.one_of(
+    st.just(math.nan), st.floats(max_value=0.0),
+    st.floats(min_value=PAST_CAP))
+
+
+@st.composite
+def hand_built_parts(draw):
+    """Postings and lengths of up to six documents, the lengths unrelated
+    to the postings, with up to six postings per stem, a (doc id, field)
+    pair possibly twice."""
+    ids = [f"d{i}" for i in range(draw(st.integers(1, 6)))]
+    lengths = {doc_id: draw(st.fixed_dictionaries(
+        {f: in_range_lengths for f in FIELDS})) for doc_id in ids}
+    rows = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS),
+                     in_range_weights)
+    postings = draw(st.dictionaries(st.sampled_from(STEMS),
+                                    st.lists(rows, min_size=1, max_size=6),
+                                    max_size=len(STEMS)))
+    return postings, lengths
+
+
+@st.composite
+def refused_cases(draw):
+    """Postings whose field lengths are the fsum of their weights, as
+    build_index writes them, with one length or one weight set out of its
+    range (for a weight, its field length is the new fsum). Returns the
+    parts and the (doc id, field) at fault."""
+    ids = [f"d{i}" for i in range(draw(st.integers(1, 4)))]
+    cells = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS))
+    small = st.one_of(st.integers(1, 9).map(float),
+                      st.floats(min_value=5e-324, max_value=2.0**50))
+    postings = {term: [(*cell, weight) for cell, weight in cell_map.items()]
+                for term, cell_map in draw(st.dictionaries(
+                    st.sampled_from(STEMS),
+                    st.dictionaries(cells, small, min_size=1, max_size=4),
+                    min_size=1, max_size=3)).items()}
+    if draw(st.booleans(), label="bad weight"):
+        term = draw(st.sampled_from(sorted(postings)))
+        i = draw(st.integers(0, len(postings[term]) - 1))
+        doc_id, field, _ = postings[term][i]
+        postings[term][i] = (doc_id, field, draw(out_of_range_weights))
+        bad_length = None
+    else:
+        doc_id, field = draw(cells)
+        bad_length = draw(out_of_range_lengths)
+    weights = defaultdict(list)
+    for plist in postings.values():
+        for row_doc, row_field, weight in plist:
+            weights[row_doc, row_field].append(weight)
+    lengths = {d: {f: math.fsum(weights[d, f]) for f in FIELDS} for d in ids}
+    if bad_length is not None:
+        lengths[doc_id][field] = bad_length
+    return postings, lengths, (doc_id, field), bad_length is None
+
+
+class TestNumberRangeProperties:
+    @given(hand_built_parts(), queries, st.integers(1, 7))
+    @example(({"graph": [("d0", FIELD_KP_PRESENT, MAX_COUNT),
+                         ("d1", FIELD_TEXT, 5e-324)],
+               "rank": [("d1", FIELD_TEXT, MAX_COUNT),
+                        ("d1", FIELD_TEXT, 5e-324)]},
+              {"d0": {f: MAX_COUNT for f in FIELDS},
+               "d1": text_lengths(5e-324)}),
+             "ranking graph ranking", 1)
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_indexes_score_finitely_and_equal_oracles(
+            self, parts, query, top_n):
+        index = InvertedIndex(*parts)
         got = search(index, query, top_n)
         assert got == search_oracle(index, query, top_n)
         assert got == search_uncached_oracle(index, query, top_n)
-        assert "p1" in dict(got) or top_n == 1
+        for word in WORDS:
+            search(index, word)
+        for contributions, bound in index.contributions.values():
+            assert all(0.0 <= c < math.inf for c in contributions.values())
+            assert bound == max(contributions.values())
+
+    @given(refused_cases())
+    @example(({"t0": [("a", FIELD_TEXT, 0.0)]}, {"a": text_lengths(0.0)},
+              ("a", FIELD_TEXT), True))
+    @example(({"t0": [("a", FIELD_TEXT, -5.0)],
+               "t1": [("a", FIELD_TEXT, 5.0)]},
+              {"a": text_lengths(0.0)}, ("a", FIELD_TEXT), True))
+    @example(({"t0": [("a", FIELD_TEXT, PAST_CAP)]},
+              {"a": text_lengths(PAST_CAP)}, ("a", FIELD_TEXT), True))
+    @settings(max_examples=300, deadline=None)
+    def test_out_of_range_numbers_are_refused_built_and_loaded(self, case):
+        """The constructor names the document and field at fault. A file
+        with a bad weight passes load's checks, since every length is its
+        weights' fsum, and the constructor refuses it; a bad length is not
+        its weights' fsum, and NaN equals nothing, so load's length check
+        refuses those."""
+        postings, lengths, (doc_id, field), bad_weight = case
+        fault = f"^document {doc_id!r}: field {field!r}: "
+        by_constructor = bad_weight and not math.isnan(lengths[doc_id][field])
+        payload = {"doc_lengths": lengths, "postings": postings}
+        with pytest.raises(DataError, match=fault):
+            InvertedIndex(postings, lengths)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            with open(path, "wb") as fh:
+                fh.write(index_file_bytes(json.dumps(payload).encode()))
+            with pytest.raises(DataError, match=fault if by_constructor
+                               else "'doc_lengths'"):
+                load_index(path)
 
 
 def test_sample100_titles_and_gold_phrases_equal_oracles(tmp_path):
