@@ -8,9 +8,11 @@ match a document that never contains the query terms in its text.
 Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
 fields count 1.5x in term frequency and in document length). An index is
 complete once constructed, whether built, loaded or made by hand: the
-constructor checks each length and weight against MAX_COUNT = 2**53, the
-largest count a float holds exactly (they count tokens, so no corpus
-reaches it), sorts the postings and derives each document's length norm.
+constructor checks that each posting names a document with lengths and
+a field of FIELDS, checks each length and weight against MAX_COUNT =
+2**53, the largest count a float holds exactly (they count tokens, so no
+corpus reaches it), sorts the postings and derives each document's
+length norm.
 The cap keeps every BM25 contribution finite and >= 0: for n documents
 the idf lies in (0, log(2n + 2)), the weighted term frequency tf is
 finite (at most 4.5 * 2**53 with one posting per field), every norm is at
@@ -29,9 +31,14 @@ version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
 The length norms and the contribution cache are derived data: they are not
 written to the file. Save encodes the postings as they are, with no copy.
-Load pauses the cyclic garbage collector and then restores it: decoding
-makes one small list per posting and no reference cycle, so collector
-passes over them only cost time.
+Load decodes the payload straight from the file buffer, with no copy of
+the bytes, and pauses the cyclic garbage collector while it checks them
+and builds the index, then restores it: the decoded rows form no
+reference cycle, so collector passes over them only cost time. Each
+term's decoded rows are released as soon as its postings are made, and
+every posting shares its doc id with the `doc_lengths` key and its field
+with the FIELDS constant, so the decoded payload and the loaded index
+are never both held whole.
 """
 
 from __future__ import annotations
@@ -75,10 +82,11 @@ class InvertedIndex:
     """stem -> (doc id, field, weight) postings plus each document's field
     lengths.
 
-    The constructor is the one place that checks an index's numbers: a
-    field length outside [0, MAX_COUNT], checked first, or a posting weight
-    outside (0, MAX_COUNT], NaN included, is a DataError naming the
-    document and the field. It then sorts each postings list in place into
+    The constructor is the one place that checks an index: a field length
+    outside [0, MAX_COUNT], checked first, or a posting weight outside
+    (0, MAX_COUNT], NaN included, is a DataError naming the document and
+    the field, and so is a posting whose document is not in `doc_lengths`
+    or whose field is not in FIELDS, named with its term. It then sorts each postings list in place into
     (doc id, field) order and sets `norms`, each document's BM25 length
     norm K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
     but one derived cache: `contributions` maps each term that `search`
@@ -106,9 +114,15 @@ class InvertedIndex:
                                     f"length {lengths[f]!r} not in [0, 2**53]")
             weighted[doc_id] = math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                          for f in FIELDS)
-        for plist in self.postings.values():
+        for term, plist in self.postings.items():
             plist.sort(key=_DOC_FIELD)
             for doc_id, field, weight in plist:
+                if doc_id not in weighted or field not in FIELD_WEIGHTS:
+                    unknown = ("document not in doc_lengths"
+                               if doc_id not in weighted
+                               else "field not in FIELDS")
+                    raise DataError(f"term {term!r}: document {doc_id!r}: "
+                                    f"field {field!r}: {unknown}")
                 if not 0.0 < weight <= MAX_COUNT:
                     raise DataError(f"document {doc_id!r}: field {field!r}: "
                                     f"weight {weight!r} not in (0, 2**53]")
@@ -187,8 +201,11 @@ def load_index(path: str) -> InvertedIndex:
     term may list a (doc id, field) once, and each field length must equal
     the fsum of that document's posting weights in the field, as
     build_index writes it. InvertedIndex then checks their ranges, naming
-    the document and the field. The payload is decoded, checked and made
-    an InvertedIndex with the cyclic garbage collector paused process-wide.
+    the document and the field. The payload is decoded from the file
+    buffer with no copy, then checked and made an InvertedIndex with the
+    cyclic garbage collector paused process-wide. Each term's decoded rows
+    are released once its postings are made, and each posting shares its
+    doc id string with the `doc_lengths` key and its field with FIELDS.
     """
     try:
         with open(path, "rb") as fh:
@@ -200,25 +217,28 @@ def load_index(path: str) -> InvertedIndex:
     version = blob[4]
     if version != _VERSION:
         raise DataError(f"{path}: unsupported index format version {version}")
-    length = int.from_bytes(blob[5:13], "big")
-    body = blob[13:]
-    if len(body) != length:
+    if len(blob) - 13 != int.from_bytes(blob[5:13], "big"):
         raise DataError(f"{path}: truncated index file")
+    try:
+        text = str(memoryview(blob)[13:], "utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: corrupt index payload") from None
+    del blob
     enabled = gc.isenabled()  # re-enabled only if it was, also on an error
     gc.disable()
     try:
-        return _decode_payload(path, body)
+        return _decode_payload(path, text)
     finally:
         if enabled:
             gc.enable()
 
 
-def _decode_payload(path: str, body: bytes) -> InvertedIndex:
+def _decode_payload(path: str, text: str) -> InvertedIndex:
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(text)
     except ValueError:
-        # invalid UTF-8, invalid JSON, or an integer past Python's
-        # int-string digit limit (a plain ValueError)
+        # invalid JSON, or an integer past Python's int-string digit
+        # limit (a plain ValueError)
         raise DataError(f"{path}: corrupt index payload") from None
     except RecursionError:
         raise DataError(f"{path}: index payload nested too deeply") from None
@@ -240,22 +260,30 @@ def _decode_payload(path: str, body: bytes) -> InvertedIndex:
             doc_lengths[doc_id] = {f: float(lengths[f]) for f in FIELDS}
         field = "postings"
         postings = {}
-        # each document's posting weights per field, for the length check
-        weights = {doc_id: {f: [] for f in FIELDS} for doc_id in doc_lengths}
+        # one cell per (doc id, field): [the doc_lengths key, the FIELDS
+        # constant, the last term that listed the pair, then the pair's
+        # posting weights]; postings share the cell's strings, the term
+        # marks a repeat and the weights feed the length check
+        cells = {doc_id: {f: [doc_id, f, None] for f in FIELDS}
+                 for doc_id in doc_lengths}
         for term, rows in payload[field].items():
             plist = postings[term] = []
             for doc_id, posting_field, weight in rows:
                 if type(weight) not in _NUMBER:
                     raise ValueError("a posting weight is not a number")
                 # KeyError for an unknown document or field
-                weights[doc_id][posting_field].append(weight)
-                plist.append((doc_id, posting_field, float(weight)))
-            if len({(p[0], p[1]) for p in plist}) < len(plist):
-                raise ValueError("a term lists a (doc id, field) twice")
+                cell = cells[doc_id][posting_field]
+                if cell[2] is term:
+                    raise ValueError("a term lists a (doc id, field) twice")
+                cell[2] = term
+                cell.append(weight)
+                plist.append((cell[0], cell[1], float(weight)))
+            rows.clear()  # free the decoded rows as the index grows
         field = "doc_lengths"
-        for doc_id, by_field in weights.items():
-            for f, values in by_field.items():
-                if math.fsum(values) != doc_lengths[doc_id][f]:
+        for doc_id, by_field in cells.items():
+            lengths = doc_lengths[doc_id]
+            for f, cell in by_field.items():
+                if math.fsum(cell[3:]) != lengths[f]:
                     raise ValueError("a field length is not the sum of its "
                                      "posting weights")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,

@@ -8,6 +8,7 @@ import random
 import sys
 import tempfile
 import threading
+import tracemalloc
 from collections import Counter, defaultdict
 from importlib import resources
 
@@ -167,6 +168,7 @@ class TestPersistence:
          "postings"),
         ({"doc_lengths": {"a": {"text": 1, "kp_present": 0, "kp_absent": 0}},
           "postings": {"x": [["a", "title", 1.0]]}}, "postings"),
+        ({"doc_lengths": {}, "postings": {"x": ""}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(math.nan)}, "postings": {}},
          "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(math.inf)}, "postings": {}},
@@ -233,7 +235,8 @@ class TestPersistence:
     @settings(max_examples=200, deadline=None)
     def test_constructor_orders_postings_by_doc_and_field(self, rows):
         """Rows sharing a (doc id, field) keep their input order."""
-        index = InvertedIndex({"x": list(rows)}, {})
+        index = InvertedIndex({"x": list(rows)},
+                              {doc_id: text_lengths(0.0) for doc_id in "abé"})
         assert index.postings["x"] == sorted(rows, key=lambda p: (p[0], p[1]))
 
     def test_lengths_that_sum_the_postings_load(self, tmp_path):
@@ -318,6 +321,87 @@ class TestNumberRanges:
             InvertedIndex({"graph": [("a", FIELD_TEXT, -1.0)]}, lengths)
 
 
+class TestUnknownDocumentOrField:
+    """A posting must name a document of doc_lengths and a field of
+    FIELDS. The constructor names the term, the document and the field;
+    a file holding such a posting is refused at load, in its postings."""
+
+    CASES = [
+        ({"graph": [("a", FIELD_TEXT, 1.0), ("zz", FIELD_TEXT, 1.0)]},
+         "^term 'graph': document 'zz': field 'text': document not in "
+         "doc_lengths$"),
+        ({"graph": [("a", FIELD_TEXT, 1.0)], "rank": [("a", "title", 1.0)]},
+         "^term 'rank': document 'a': field 'title': field not in FIELDS$"),
+    ]
+
+    @pytest.mark.parametrize("postings, error", CASES,
+                             ids=["document", "field"])
+    def test_hand_built_index_is_refused(self, postings, error):
+        with pytest.raises(DataError, match=error):
+            InvertedIndex(postings, {"a": text_lengths(1.0)})
+
+    @pytest.mark.parametrize("postings, _", CASES, ids=["document", "field"])
+    def test_index_file_is_refused_at_load(self, tmp_path, postings, _):
+        path = write_payload(tmp_path / "c.kpix",
+                             {"doc_lengths": {"a": text_lengths(1.0)},
+                              "postings": postings})
+        with pytest.raises(DataError, match="field 'postings' is missing or "
+                                            "malformed"):
+            load_index(path)
+
+
+def spread_index(n_docs, n_terms):
+    """An index whose document i lists term j in TEXT when i + j is even
+    and in KP_ABSENT when i + j is a multiple of 7, with non-ASCII ids."""
+    postings = defaultdict(list)
+    lengths = {}
+    for i in range(n_docs):
+        doc_id = f"dé-{i:05d}"
+        lengths[doc_id] = text_lengths(0.0)
+        for j in range(n_terms):
+            for field, step in ((FIELD_TEXT, 2), (FIELD_KP_ABSENT, 7)):
+                if (i + j) % step == 0:
+                    weight = float(1 + (i * j) % 3)
+                    postings[f"term{j:04d}"].append((doc_id, field, weight))
+                    lengths[doc_id][field] += weight
+    return InvertedIndex(dict(postings), lengths)
+
+
+class TestLoadedIndexSharing:
+    """A loaded index holds one string per document and per field: each
+    posting reuses the doc_lengths key and the FIELDS constant."""
+
+    def test_postings_share_doc_ids_and_fields(self, tmp_path):
+        path = str(tmp_path / "c.kpix")
+        save_index(spread_index(40, 30), path)
+        index = load_index(path)
+        doc_ids = {doc_id: doc_id for doc_id in index.doc_lengths}
+        postings = [p for plist in index.postings.values() for p in plist]
+        assert len(postings) > 500
+        for doc_id, field, _ in postings:
+            assert doc_id is doc_ids[doc_id]
+            assert any(field is f for f in FIELDS)
+
+    def test_load_peaks_and_keeps_few_bytes_per_posting(self, tmp_path):
+        """The loaded index keeps about 98 bytes per posting (the tuple,
+        its list slot and the weight); a decoded doc id and field string
+        per posting would add over 100. Load peaks at about 298 bytes per
+        posting; holding every term's decoded rows until the end would
+        peak at about 377, and a copy of the payload bytes at about 328."""
+        path = str(tmp_path / "c.kpix")
+        save_index(spread_index(400, 120), path)
+        tracemalloc.start()
+        try:
+            index = load_index(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_postings = sum(map(len, index.postings.values()))
+        assert n_postings >= 20_000
+        assert kept / n_postings < 150
+        assert peak / n_postings < 315
+
+
 @contextlib.contextmanager
 def collector(enabled):
     """Run the block with the cyclic collector on or off, then restore it."""
@@ -340,6 +424,7 @@ class TestCollectorPause:
         (b"NOPE" + bytes(20), "bad magic"),
         (index_file_bytes(b"{}")[:-1], "truncated"),
         (index_file_bytes(b"{not json"), "corrupt index payload"),
+        (index_file_bytes(b"\xff"), "corrupt index payload"),
         (index_file_bytes(b'{"postings": {}}'), "'doc_lengths'"),
         (index_file_bytes(json.dumps(
             {"doc_lengths": {"a": text_lengths(1.0)},
@@ -347,8 +432,8 @@ class TestCollectorPause:
          "'postings'"),
         (index_file_bytes(b'{"config": {"n": ' + nested_json().encode()
                           + b'}}'), "nested too deeply"),
-    ], ids=["valid", "bad-magic", "truncated", "corrupt", "no-doc-lengths",
-            "overflow", "nested"])
+    ], ids=["valid", "bad-magic", "truncated", "corrupt", "invalid-utf8",
+            "no-doc-lengths", "overflow", "nested"])
     @pytest.mark.parametrize("enabled", [True, False],
                              ids=["enabled", "disabled"])
     def test_load_restores_collector_state(self, tmp_path, blob, error,
@@ -407,18 +492,27 @@ json_values = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=8)
-indexes = st.builds(
-    InvertedIndex,
-    st.dictionaries(names, st.lists(st.tuples(names, st.sampled_from(FIELDS),
-                                              weights), max_size=4),
-                    max_size=5),
-    st.dictionaries(names, st.fixed_dictionaries({f: weights for f in FIELDS}),
-                    max_size=4),
-    st.dictionaries(st.text(max_size=4), json_values, max_size=4))
+
+
+@st.composite
+def indexes(draw):
+    """Up to four documents and five terms whose postings name only those
+    documents, with lengths unrelated to the postings."""
+    doc_lengths = draw(st.dictionaries(
+        names, st.fixed_dictionaries({f: weights for f in FIELDS}),
+        max_size=4))
+    plists = (st.lists(st.tuples(st.sampled_from(sorted(doc_lengths)),
+                                 st.sampled_from(FIELDS), weights),
+                       max_size=4)
+              if doc_lengths else st.builds(list))
+    postings = draw(st.dictionaries(names, plists, max_size=5))
+    config = draw(st.dictionaries(st.text(max_size=4), json_values,
+                                  max_size=4))
+    return InvertedIndex(postings, doc_lengths, config)
 
 
 class TestSaveOracle:
-    @given(indexes)
+    @given(indexes())
     @example(InvertedIndex({}, {}, {}))
     @example(InvertedIndex({"réseau": [("é", FIELD_TEXT, 0.25),
                                        ("d", FIELD_KP_ABSENT, 3.0)]},
