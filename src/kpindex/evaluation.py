@@ -180,7 +180,7 @@ def tfidf_baseline(doc: Document, corpus: Corpus, config: Config,
     tf = Counter(index_stems(doc, corpus.stopword_stems))
     candidates = corpus.candidates_for(doc.id, config.max_len)
     scored = []
-    for key in sorted(candidates):
+    for key in candidates:
         score = math.fsum(tf[s] * idf.get(s, 0.0) for s in key.split(" "))
         scored.append((key, score))
     scored.sort(key=lambda item: (-item[1], item[0]))

@@ -6,18 +6,14 @@ according to their origin. Indexing the absent field is what lets a query
 match a document that never contains the query terms in its text.
 
 Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
-fields count 1.5x in term frequency and in document length). An index is
-complete once constructed, whether built, loaded or made by hand: the
-constructor checks that each posting names a document with lengths and
-a field of FIELDS, checks each length and weight against MAX_COUNT =
-2**53, the largest count a float holds exactly (they count tokens, so no
-corpus reaches it), sorts the postings and derives each document's
-length norm.
-The cap keeps every BM25 contribution finite and >= 0: for n documents
-the idf lies in (0, log(2n + 2)), the weighted term frequency tf is
-finite (at most 4.5 * 2**53 with one posting per field), every norm is at
-least K1 * (1 - B), so idf * tf * (K1 + 1) / (tf + norm) is below
-2.2 * idf, and a query's summed bounds cannot overflow.
+fields count 1.5x in term frequency and in document length). The
+InvertedIndex docstring states the one rule of a valid index, built,
+loaded or made by hand, which its constructor checks. The rule's
+MAX_COUNT cap keeps every BM25 contribution finite and >= 0: for n
+documents the idf lies in (0, log(2n + 2)), the weighted term frequency
+tf is finite (at most 4.5 * 2**53 with one posting per field), every
+norm is at least K1 * (1 - B), so idf * tf * (K1 + 1) / (tf + norm) is
+below 2.2 * idf, and a query's summed bounds cannot overflow.
 
 The first query that meets a term scores its postings into one BM25
 contribution per document and caches them on the index with their
@@ -30,15 +26,9 @@ On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
 The length norms and the contribution cache are derived data: they are not
-written to the file. Save encodes the postings as they are, with no copy.
-Load decodes the payload straight from the file buffer, with no copy of
-the bytes, and pauses the cyclic garbage collector while it checks them
-and builds the index, then restores it: the decoded rows form no
-reference cycle, so collector passes over them only cost time. Each
-term's decoded rows are released as soon as its postings are made, and
-every posting shares its doc id with the `doc_lengths` key and its field
-with the FIELDS constant, so the decoded payload and the loaded index
-are never both held whole.
+written to the file. Save encodes the postings as they are, with no copy;
+load never holds the decoded payload and the loaded index both whole
+(see load_index).
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ import heapq
 import itertools
 import json
 import math
-import operator
 import os
 import uuid
 from collections import Counter, defaultdict
@@ -69,10 +58,9 @@ K1 = 1.2
 B = 0.75
 FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5, FIELD_KP_ABSENT: 1.5}
 
-_NUMBER = (int, float)  # what JSON numbers parse to; bool is excluded
+_NUMBER = (int, float)  # a length's or weight's types; bool is excluded
 _MAGIC = b"KPIX"
 _VERSION = 1
-_DOC_FIELD = operator.itemgetter(0, 1)  # a posting's (doc id, field)
 _MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
 MAX_COUNT = float(2**53)  # the largest length or weight an index holds
 
@@ -82,19 +70,25 @@ class InvertedIndex:
     """stem -> (doc id, field, weight) postings plus each document's field
     lengths.
 
-    The constructor is the one place that checks an index: a field length
-    outside [0, MAX_COUNT], checked first, or a posting weight outside
-    (0, MAX_COUNT], NaN included, is a DataError naming the document and
-    the field, and so is a posting whose document is not in `doc_lengths`
-    or whose field is not in FIELDS, named with its term. It then sorts each postings list in place into
-    (doc id, field) order and sets `norms`, each document's BM25 length
-    norm K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
-    but one derived cache: `contributions` maps each term that `search`
-    has met and that has postings to a ({doc id: BM25 contribution} in
-    posting order, bound) pair, the bound being the largest contribution.
-    It is not compared and not saved, and filling it is idempotent, so
-    threads may share an index under the GIL: two that fill one term at
-    once store equal entries.
+    The constructor states the one rule of a valid index, for built,
+    loaded and hand-built indexes alike: `config` is a dict; each
+    document's lengths are a dict naming exactly FIELDS, each an int or
+    float (not a bool) in [0, MAX_COUNT], all checked before any posting;
+    every posting names a document of `doc_lengths` and a field of
+    FIELDS, with an int or float weight in (0, MAX_COUNT]; each term's
+    postings strictly increase in (doc id, field). MAX_COUNT = 2**53 is
+    the largest count a float holds exactly; lengths and weights count
+    tokens, so no corpus reaches it. A breach is a DataError naming the
+    part at fault ('config', 'doc_lengths' or 'postings') and, where they
+    apply, the document, the field and the term. The constructor neither
+    sorts nor changes its arguments; it sets `norms`, each document's
+    BM25 length norm K1 * (1 - B + B * dl / avgdl). Nothing changes an
+    index afterwards but one derived cache: `contributions` maps each
+    term that `search` has met and that has postings to a ({doc id: BM25
+    contribution} in posting order, bound) pair, the bound being the
+    largest contribution. It is not compared and not saved, and filling
+    it is idempotent, so threads may share an index under the GIL: two
+    that fill one term at once store equal entries.
     """
 
     postings: dict[str, list[tuple[str, str, float]]]
@@ -106,31 +100,47 @@ class InvertedIndex:
                           repr=False))
 
     def __post_init__(self) -> None:
+        if not isinstance(self.config, dict):
+            raise DataError("'config': not a dict")
         weighted = {}
         for doc_id, lengths in sorted(self.doc_lengths.items()):
+            if not isinstance(lengths, dict) or lengths.keys() != FIELD_WEIGHTS.keys():
+                raise DataError(f"'doc_lengths': document {doc_id!r}: the "
+                                f"length map does not name exactly {FIELDS}")
             for f in FIELDS:
-                if not 0.0 <= lengths[f] <= MAX_COUNT:
-                    raise DataError(f"document {doc_id!r}: field {f!r}: "
-                                    f"length {lengths[f]!r} not in [0, 2**53]")
+                length = lengths[f]
+                if type(length) not in _NUMBER or not 0.0 <= length <= MAX_COUNT:
+                    raise DataError(f"'doc_lengths': document {doc_id!r}: field "
+                                    f"{f!r}: length {_shown(length)} not in [0, 2**53]")
             weighted[doc_id] = math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                          for f in FIELDS)
         for term, plist in self.postings.items():
-            plist.sort(key=_DOC_FIELD)
+            last = ()  # sorts before every (doc id, field)
             for doc_id, field, weight in plist:
-                if doc_id not in weighted or field not in FIELD_WEIGHTS:
-                    unknown = ("document not in doc_lengths"
-                               if doc_id not in weighted
-                               else "field not in FIELDS")
-                    raise DataError(f"term {term!r}: document {doc_id!r}: "
-                                    f"field {field!r}: {unknown}")
-                if not 0.0 < weight <= MAX_COUNT:
-                    raise DataError(f"document {doc_id!r}: field {field!r}: "
-                                    f"weight {weight!r} not in (0, 2**53]")
+                pair = (doc_id, field)
+                if doc_id not in weighted:
+                    problem = "document not in doc_lengths"
+                elif field not in FIELD_WEIGHTS:
+                    problem = "field not in FIELDS"
+                elif type(weight) not in _NUMBER or not 0.0 < weight <= MAX_COUNT:
+                    problem = f"weight {_shown(weight)} not in (0, 2**53]"
+                elif pair <= last:
+                    problem = "not after the previous posting's (doc id, field)"
+                else:
+                    last = pair
+                    continue
+                raise DataError(f"'postings': term {term!r}: document "
+                                f"{doc_id!r}: field {field!r}: {problem}")
         avgdl = (math.fsum(weighted.values()) / len(weighted)
                  if weighted else 0.0)
         self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
                                                    else 0.0))
                       for doc_id, dl in weighted.items()}
+
+
+def _shown(value) -> str:
+    """A number's repr; any other value's type, however deep it nests."""
+    return repr(value) if type(value) in _NUMBER else f"of type {type(value).__name__}"
 
 
 def build_index(corpus: Corpus,
@@ -150,7 +160,8 @@ def build_index(corpus: Corpus,
             field = (FIELD_KP_PRESENT if rk.origin is Origin.PRESENT
                      else FIELD_KP_ABSENT)
             counts[field].update(rk.key.split(" "))
-        for field, field_counts in counts.items():
+        # ids come sorted, so sorted fields give the order InvertedIndex takes
+        for field, field_counts in sorted(counts.items()):
             for term, count in field_counts.items():
                 postings[term].append((doc_id, field, float(count)))
         doc_lengths[doc_id] = {field: float(sum(field_counts.values()))
@@ -194,18 +205,21 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read an index file; DataError names the payload field at fault.
+    """Read an index file; every DataError names the file and the payload
+    field at fault.
 
-    Every length and weight must be a JSON number (no bool, no string)
-    within the float range, each length map must name exactly FIELDS, a
-    term may list a (doc id, field) once, and each field length must equal
-    the fsum of that document's posting weights in the field, as
-    build_index writes it. InvertedIndex then checks their ranges, naming
-    the document and the field. The payload is decoded from the file
-    buffer with no copy, then checked and made an InvertedIndex with the
-    cyclic garbage collector paused process-wide. Each term's decoded rows
-    are released once its postings are made, and each posting shares its
-    doc id string with the `doc_lengths` key and its field with FIELDS.
+    Load checks what JSON can get wrong: `doc_lengths` and `postings`
+    are objects, and each posting is a [doc id, field, weight] row naming
+    a document of `doc_lengths` and a field of FIELDS. The InvertedIndex
+    constructor checks the rest of the rule of a valid index; then each
+    field length must equal the math.fsum of that document's weights in
+    the field, as build_index writes it (a rule for files only). The
+    payload is decoded from the file buffer with no copy, and the index
+    made with the cyclic garbage collector paused process-wide: the
+    decoded rows form no reference cycle, so collector passes over them
+    only cost time. Each term's rows are freed once its postings are
+    made, and each posting shares its doc id string with the
+    `doc_lengths` key and its field with FIELDS.
     """
     try:
         with open(path, "rb") as fh:
@@ -245,52 +259,36 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
     if not isinstance(payload, dict):
         raise DataError(f"{path}: corrupt index payload")
     try:
-        field = "config"
-        config = payload.get(field, {})
-        if not isinstance(config, dict):
-            raise TypeError("config is not an object")
-        field = "doc_lengths"
-        doc_lengths = {}
-        for doc_id, lengths in payload[field].items():
-            if lengths.keys() != set(FIELDS):
-                raise ValueError("a length map does not name exactly FIELDS")
-            if not all(type(v) in _NUMBER for v in lengths.values()):
-                raise ValueError("a field length is not a number")
-            # OverflowError for an integer beyond the float range
-            doc_lengths[doc_id] = {f: float(lengths[f]) for f in FIELDS}
-        field = "postings"
+        part = "doc_lengths"
+        doc_lengths = payload[part]
+        # one cell per (doc id, field): [doc_lengths key, FIELDS constant,
+        # posting weights...]; postings share its strings, its weights feed
+        # the sum rule, and .keys() refuses a doc_lengths that is no object
+        cells = {doc_id: {f: [doc_id, f] for f in FIELDS}
+                 for doc_id in doc_lengths.keys()}
+        part = "postings"
         postings = {}
-        # one cell per (doc id, field): [the doc_lengths key, the FIELDS
-        # constant, the last term that listed the pair, then the pair's
-        # posting weights]; postings share the cell's strings, the term
-        # marks a repeat and the weights feed the length check
-        cells = {doc_id: {f: [doc_id, f, None] for f in FIELDS}
-                 for doc_id in doc_lengths}
-        for term, rows in payload[field].items():
+        for term, rows in payload[part].items():
             plist = postings[term] = []
-            for doc_id, posting_field, weight in rows:
-                if type(weight) not in _NUMBER:
-                    raise ValueError("a posting weight is not a number")
+            for doc_id, field, weight in rows:
                 # KeyError for an unknown document or field
-                cell = cells[doc_id][posting_field]
-                if cell[2] is term:
-                    raise ValueError("a term lists a (doc id, field) twice")
-                cell[2] = term
+                cell = cells[doc_id][field]
                 cell.append(weight)
-                plist.append((cell[0], cell[1], float(weight)))
+                plist.append((cell[0], cell[1], weight))
             rows.clear()  # free the decoded rows as the index grows
-        field = "doc_lengths"
-        for doc_id, by_field in cells.items():
-            lengths = doc_lengths[doc_id]
-            for f, cell in by_field.items():
-                if math.fsum(cell[3:]) != lengths[f]:
-                    raise ValueError("a field length is not the sum of its "
-                                     "posting weights")
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            OverflowError):
-        raise DataError(f"{path}: index payload field {field!r} is "
-                             f"missing or malformed") from None
-    return InvertedIndex(postings, doc_lengths, config)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise DataError(f"{path}: index payload field {part!r} is "
+                        f"missing or malformed") from None
+    try:
+        index = InvertedIndex(postings, doc_lengths, payload.get("config", {}))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    for doc_id, by_field in cells.items():
+        for f, cell in by_field.items():
+            if math.fsum(cell[2:]) != doc_lengths[doc_id][f]:
+                raise DataError(f"{path}: 'doc_lengths': document {doc_id!r}: "
+                                f"field {f!r}: not the fsum of its weights")
+    return index
 
 
 #: A query is normalized exactly as evaluation normalizes a phrase.

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -175,18 +176,18 @@ class TestPersistence:
          "doc_lengths"),
         ({"doc_lengths": {"a": text_lengths(-1.0)}, "postings": {}},
          "doc_lengths"),
-        # a weight out of range cannot sum to the length 1.0, so the
-        # length check refuses these files before the constructor would
+        # the constructor refuses a weight out of range before load's sum
+        # rule would see that it cannot sum to the length 1.0
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", -math.inf]]}}, "doc_lengths"),
+          "postings": {"x": [["a", "text", -math.inf]]}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", math.inf]]}}, "doc_lengths"),
+          "postings": {"x": [["a", "text", math.inf]]}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", math.nan]]}}, "doc_lengths"),
+          "postings": {"x": [["a", "text", math.nan]]}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", -5.0]]}}, "doc_lengths"),
+          "postings": {"x": [["a", "text", -5.0]]}}, "postings"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
-          "postings": {"x": [["a", "text", 0.0]]}}, "doc_lengths"),
+          "postings": {"x": [["a", "text", 0.0]]}}, "postings"),
         ({"config": 5, "doc_lengths": {}, "postings": {}}, "config"),
         ({"doc_lengths": {"a": text_lengths(1.0)},
           "postings": {"x": [["a", "text", 1.0, 2.0]]}}, "postings"),
@@ -232,12 +233,29 @@ class TestPersistence:
     @example([("b", FIELD_TEXT, 1.0), ("a", FIELD_KP_ABSENT, 2.0),
               ("b", FIELD_KP_PRESENT, 5.0), ("a", FIELD_TEXT, 4.0),
               ("b", FIELD_TEXT, 3.0), ("a", FIELD_KP_PRESENT, 6.0)])
+    @example([("a", FIELD_KP_ABSENT, 2.0), ("a", FIELD_TEXT, 4.0),
+              ("é", FIELD_KP_PRESENT, 6.0)])
     @settings(max_examples=200, deadline=None)
-    def test_constructor_orders_postings_by_doc_and_field(self, rows):
-        """Rows sharing a (doc id, field) keep their input order."""
-        index = InvertedIndex({"x": list(rows)},
-                              {doc_id: text_lengths(0.0) for doc_id in "abé"})
-        assert index.postings["x"] == sorted(rows, key=lambda p: (p[0], p[1]))
+    def test_constructor_takes_only_postings_in_doc_and_field_order(self,
+                                                                    rows):
+        """Rows that strictly increase in (doc id, field) are kept as
+        given, in the caller's own list; any other order, a repeated pair
+        included, is refused at the first row that breaks it."""
+        plist = list(rows)
+        pairs = [(doc_id, field) for doc_id, field, _ in rows]
+        lengths = {doc_id: text_lengths(0.0) for doc_id in "abé"}
+        if all(a < b for a, b in zip(pairs, pairs[1:])):
+            index = InvertedIndex({"x": plist}, lengths)
+            assert index.postings["x"] is plist and plist == rows
+        else:
+            i = next(i for i in range(1, len(pairs))
+                     if pairs[i] <= pairs[i - 1])
+            doc_id, field = pairs[i]
+            with pytest.raises(DataError, match=(
+                    f"^'postings': term 'x': document {doc_id!r}: field "
+                    f"{field!r}: not after the previous posting's")):
+                InvertedIndex({"x": plist}, lengths)
+            assert plist == rows
 
     def test_lengths_that_sum_the_postings_load(self, tmp_path):
         path = write_payload(tmp_path / "c.kpix", {
@@ -286,7 +304,7 @@ class TestNumberRanges:
         lengths = {"a": {f: MAX_COUNT for f in FIELDS},
                    "b": text_lengths(1.0), "c": text_lengths(1.0),
                    "d": text_lengths(0.0)}
-        postings = {"graph": [("a", f, MAX_COUNT) for f in FIELDS]
+        postings = {"graph": [("a", f, MAX_COUNT) for f in sorted(FIELDS)]
                     + [("b", FIELD_TEXT, 1.0), ("c", FIELD_TEXT, 1.0),
                        ("d", FIELD_KP_ABSENT, 5e-324)]}
         index = InvertedIndex(postings, lengths)
@@ -301,23 +319,24 @@ class TestNumberRanges:
     def test_length_past_the_cap_is_refused(self, field):
         lengths = text_lengths(0.0)
         lengths[field] = PAST_CAP
-        with pytest.raises(DataError, match=f"^document 'a': field "
-                                            f"'{field}': length"):
+        with pytest.raises(DataError, match=f"^'doc_lengths': document 'a': "
+                                            f"field '{field}': length"):
             InvertedIndex({}, {"a": lengths, "b": text_lengths(1.0)})
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_weight_past_the_cap_is_refused(self, field):
         lengths = {f: MAX_COUNT for f in FIELDS}
-        with pytest.raises(DataError, match=f"^document 'a': field "
+        with pytest.raises(DataError, match=f"^'postings': term 'graph': "
+                                            f"document 'a': field "
                                             f"'{field}': weight"):
-            InvertedIndex({"graph": [("b", FIELD_TEXT, 1.0),
-                                     ("a", field, PAST_CAP)]},
+            InvertedIndex({"graph": [("a", field, PAST_CAP),
+                                     ("b", FIELD_TEXT, 1.0)]},
                           {"a": lengths, "b": text_lengths(1.0)})
 
     def test_lengths_are_checked_before_weights(self):
         lengths = {"a": text_lengths(1.0), "b": text_lengths(PAST_CAP)}
-        with pytest.raises(DataError, match="^document 'b': field 'text': "
-                                            "length"):
+        with pytest.raises(DataError, match="^'doc_lengths': document 'b': "
+                                            "field 'text': length"):
             InvertedIndex({"graph": [("a", FIELD_TEXT, -1.0)]}, lengths)
 
 
@@ -328,10 +347,11 @@ class TestUnknownDocumentOrField:
 
     CASES = [
         ({"graph": [("a", FIELD_TEXT, 1.0), ("zz", FIELD_TEXT, 1.0)]},
-         "^term 'graph': document 'zz': field 'text': document not in "
-         "doc_lengths$"),
+         "^'postings': term 'graph': document 'zz': field 'text': document "
+         "not in doc_lengths$"),
         ({"graph": [("a", FIELD_TEXT, 1.0)], "rank": [("a", "title", 1.0)]},
-         "^term 'rank': document 'a': field 'title': field not in FIELDS$"),
+         "^'postings': term 'rank': document 'a': field 'title': field not "
+         "in FIELDS$"),
     ]
 
     @pytest.mark.parametrize("postings, error", CASES,
@@ -350,6 +370,100 @@ class TestUnknownDocumentOrField:
             load_index(path)
 
 
+class TestOneRule:
+    """The constructor refuses every index that load_index refuses, but
+    for load's sum rule: each case was accepted by the constructor, or
+    raised a bare KeyError, before the constructor held the whole rule.
+    A file holding the case is refused with the same message after its
+    path."""
+
+    CASES = {
+        "repeated-pair": (
+            {"x": [("a", FIELD_TEXT, 1.0), ("a", FIELD_TEXT, 1.0)]},
+            {"a": text_lengths(2.0)},
+            "'postings': term 'x': document 'a': field 'text': not after "
+            r"the previous posting's \(doc id, field\)$"),
+        "out-of-order": (
+            {"x": [("b", FIELD_TEXT, 1.0), ("a", FIELD_TEXT, 1.0)]},
+            {"a": text_lengths(1.0), "b": text_lengths(1.0)},
+            "'postings': term 'x': document 'a': field 'text': not after "),
+        "fields-out-of-order": (
+            {"x": [("a", FIELD_TEXT, 1.0), ("a", FIELD_KP_ABSENT, 1.0)]},
+            {"a": {**text_lengths(1.0), FIELD_KP_ABSENT: 1.0}},
+            "'postings': term 'x': document 'a': field 'kp_absent': not "
+            "after "),
+        "bool-weight": (
+            {"x": [("a", FIELD_TEXT, True)]}, {"a": text_lengths(1.0)},
+            "'postings': term 'x': document 'a': field 'text': weight of "
+            r"type bool not in \(0, 2\*\*53\]$"),
+        "string-weight": (
+            {"x": [("a", FIELD_TEXT, "1")]}, {"a": text_lengths(1.0)},
+            "'postings': term 'x': document 'a': field 'text': weight of "
+            "type str "),
+        "missing-lengths": (
+            {}, {"a": {FIELD_TEXT: 1.0}},
+            "'doc_lengths': document 'a': the length map does not name "
+            "exactly "),
+        "extra-length": (
+            {}, {"a": {**text_lengths(0.0), "title": 0.0}},
+            "'doc_lengths': document 'a': the length map does not name "
+            "exactly "),
+        "lengths-not-a-map": (
+            {}, {"a": [1.0, 0.0, 0.0]},
+            "'doc_lengths': document 'a': the length map does not name "
+            "exactly "),
+        "bool-length": (
+            {}, {"a": text_lengths(False)},
+            "'doc_lengths': document 'a': field 'text': length of type bool "),
+        "huge-length": (
+            {}, {"a": text_lengths(1e300)},
+            r"'doc_lengths': document 'a': field 'text': length 1e\+300 "
+            r"not in \[0, 2\*\*53\]$"),
+    }
+
+    @pytest.mark.parametrize("postings, lengths, error", CASES.values(),
+                             ids=CASES.keys())
+    def test_constructor_refuses(self, postings, lengths, error):
+        with pytest.raises(DataError, match="^" + error):
+            InvertedIndex(postings, lengths)
+
+    @pytest.mark.parametrize("postings, lengths, error", CASES.values(),
+                             ids=CASES.keys())
+    def test_load_refuses_naming_the_file(self, tmp_path, postings, lengths,
+                                          error):
+        path = write_payload(tmp_path / "c.kpix",
+                             {"doc_lengths": lengths, "postings": postings})
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: {error}"):
+            load_index(path)
+
+    def test_config_that_is_no_dict_is_refused(self, tmp_path):
+        with pytest.raises(DataError, match="^'config': not a dict$"):
+            InvertedIndex({}, {}, [1])
+        path = write_payload(tmp_path / "c.kpix", {
+            "config": [1], "doc_lengths": {}, "postings": {}})
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: 'config': "
+                                            f"not a dict$"):
+            load_index(path)
+
+    def test_constructor_leaves_its_arguments_unchanged(self):
+        """It once sorted each caller's postings list in place."""
+        rows = [("a", FIELD_KP_ABSENT, 2.0), ("a", FIELD_TEXT, 1.0),
+                ("b", FIELD_TEXT, 3)]
+        plist = list(rows)
+        postings = {"x": plist, "y": []}
+        lengths = {"a": {**text_lengths(1.0), FIELD_KP_ABSENT: 2.0},
+                   "b": text_lengths(3)}
+        before = json.dumps([postings, lengths])
+        index = InvertedIndex(postings, lengths)
+        assert index.postings is postings and postings["x"] is plist
+        assert plist == rows and json.dumps([postings, lengths]) == before
+        assert index.doc_lengths is lengths
+        assert type(lengths["b"][FIELD_TEXT]) is int
+        with pytest.raises(DataError, match="not after"):
+            InvertedIndex({"x": rows[::-1]}, lengths)
+        assert plist == rows
+
+
 def spread_index(n_docs, n_terms):
     """An index whose document i lists term j in TEXT when i + j is even
     and in KP_ABSENT when i + j is a multiple of 7, with non-ASCII ids."""
@@ -359,7 +473,7 @@ def spread_index(n_docs, n_terms):
         doc_id = f"dé-{i:05d}"
         lengths[doc_id] = text_lengths(0.0)
         for j in range(n_terms):
-            for field, step in ((FIELD_TEXT, 2), (FIELD_KP_ABSENT, 7)):
+            for field, step in ((FIELD_KP_ABSENT, 7), (FIELD_TEXT, 2)):
                 if (i + j) % step == 0:
                     weight = float(1 + (i * j) % 3)
                     postings[f"term{j:04d}"].append((doc_id, field, weight))
@@ -494,16 +608,23 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+def sorted_postings(weight_of):
+    """A postings list from a {(doc id, field): weight} map."""
+    return [(doc_id, field, weight_of[doc_id, field])
+            for doc_id, field in sorted(weight_of)]
+
+
 @st.composite
 def indexes(draw):
     """Up to four documents and five terms whose postings name only those
-    documents, with lengths unrelated to the postings."""
+    documents, each pair once and in (doc id, field) order, with lengths
+    unrelated to the postings."""
     doc_lengths = draw(st.dictionaries(
         names, st.fixed_dictionaries({f: weights for f in FIELDS}),
         max_size=4))
-    plists = (st.lists(st.tuples(st.sampled_from(sorted(doc_lengths)),
-                                 st.sampled_from(FIELDS), weights),
-                       max_size=4)
+    plists = (st.dictionaries(st.tuples(st.sampled_from(sorted(doc_lengths)),
+                                        st.sampled_from(FIELDS)),
+                              weights, max_size=4).map(sorted_postings)
               if doc_lengths else st.builds(list))
     postings = draw(st.dictionaries(names, plists, max_size=5))
     config = draw(st.dictionaries(st.text(max_size=4), json_values,
@@ -514,8 +635,8 @@ def indexes(draw):
 class TestSaveOracle:
     @given(indexes())
     @example(InvertedIndex({}, {}, {}))
-    @example(InvertedIndex({"réseau": [("é", FIELD_TEXT, 0.25),
-                                       ("d", FIELD_KP_ABSENT, 3.0)]},
+    @example(InvertedIndex({"réseau": [("d", FIELD_KP_ABSENT, 3.0),
+                                       ("é", FIELD_TEXT, 0.25)]},
                            {"é": text_lengths(0.25), "d": text_lengths(0.0)},
                            {"nested": {"list": [1, 2.5, "ü"]}}))
     @settings(max_examples=200, deadline=None)
@@ -525,6 +646,108 @@ class TestSaveOracle:
             save_index(index, path)
             with open(path, "rb") as fh:
                 assert fh.read() == save_index_oracle(index)
+
+
+@st.composite
+def summed_indexes(draw):
+    """An index the constructor accepts whose every field length is the
+    fsum of its posting weights, as build_index writes it. Weights are
+    ints or floats, small enough that five sum within MAX_COUNT, and an
+    integral length may be an int."""
+    ids = draw(st.lists(names, max_size=4, unique=True))
+    in_range = st.one_of(st.integers(1, 2**50),
+                         st.floats(min_value=5e-324, max_value=2.0**50))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS))
+    plists = (st.dictionaries(pairs, in_range, max_size=4) if ids
+              else st.just({}))
+    weight_maps = draw(st.dictionaries(names, plists, max_size=5))
+    weights = defaultdict(list)
+    for weight_of in weight_maps.values():
+        for pair, weight in weight_of.items():
+            weights[pair].append(weight)
+    doc_lengths = {}
+    for doc_id in ids:
+        doc_lengths[doc_id] = {}
+        for f in FIELDS:
+            length = math.fsum(weights[doc_id, f])
+            if length.is_integer() and draw(st.booleans()):
+                length = int(length)
+            doc_lengths[doc_id][f] = length
+    config = draw(st.dictionaries(st.text(max_size=4), json_values,
+                                  max_size=4))
+    return InvertedIndex({term: sorted_postings(weight_of)
+                          for term, weight_of in weight_maps.items()},
+                         doc_lengths, config)
+
+
+class TestRoundTrip:
+    @given(summed_indexes())
+    @example(InvertedIndex({}, {}, {}))
+    @example(InvertedIndex({"graph": [("a", FIELD_TEXT, 2), ("b", FIELD_TEXT,
+                                                                0.5)],
+                            "rank": [("a", FIELD_TEXT, 1.0)]},
+                           {"a": text_lengths(3), "b": text_lengths(0.5)}))
+    @settings(max_examples=200, deadline=None)
+    def test_load_gives_back_what_save_wrote(self, index):
+        """load_index(save_index(ix)) == ix, and saving the loaded index
+        writes the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = (os.path.join(tmp, name) for name in "ab")
+            save_index(index, first)
+            loaded = load_index(first)
+            assert loaded == index
+            save_index(loaded, second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+
+
+# payload parts that are arbitrary JSON, or near-valid shapes holding it
+junk_numbers = st.one_of(json_values, weights, st.floats(),
+                         st.integers(-2, 2**54), st.just(10**400))
+junk_length_maps = st.one_of(
+    json_values,
+    st.fixed_dictionaries({f: junk_numbers for f in FIELDS}),
+    st.dictionaries(st.sampled_from([*FIELDS, "title"]), junk_numbers,
+                    max_size=4))
+junk_rows = st.one_of(
+    json_values,
+    st.lists(st.one_of(
+        json_values,
+        st.tuples(st.one_of(st.sampled_from("ab"), json_values),
+                  st.one_of(st.sampled_from(FIELDS), json_values),
+                  junk_numbers).map(list)), max_size=3))
+junk_doc_lengths = st.dictionaries(st.sampled_from("ab"), junk_length_maps,
+                                   max_size=2)
+junk_postings = st.dictionaries(names, junk_rows, max_size=3)
+junk_payloads = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "config": json_values,
+        "doc_lengths": st.one_of(json_values, junk_doc_lengths),
+        "postings": st.one_of(json_values, junk_postings)}),
+    st.fixed_dictionaries({"doc_lengths": junk_doc_lengths,
+                           "postings": junk_postings},
+                          optional={"config": json_values}))
+
+
+class TestArbitraryPayloads:
+    @given(junk_payloads)
+    @example({"doc_lengths": {"a": text_lengths(None)}, "postings": {}})
+    @example({"doc_lengths": {"a": text_lengths(1.0)},
+              "postings": {"x": [["a", "text", [[1]]]]}})
+    @settings(max_examples=300, deadline=None)
+    def test_load_returns_an_index_or_raises_data_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            with open(path, "wb") as fh:
+                fh.write(index_file_bytes(json.dumps(payload).encode()))
+            try:
+                index = load_index(path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                event("refused")
+            else:
+                assert isinstance(index, InvertedIndex)
+                event("loaded")
 
 
 FIVE_DOC_ROWS = [
@@ -549,7 +772,10 @@ class TestSearch:
             results = search(index, title, top_n=10)
             assert results[0][0] == doc_id
 
-    def test_scores_invariant_to_posting_insertion_order(self):
+    def test_postings_out_of_doc_order_are_refused(self):
+        """The constructor no longer sorts, so the order in which a caller
+        lists documents cannot reach the scores: only doc id order is
+        taken, and the same postings in another order are refused."""
         counts = {"d1": Counter({"graph": 2, "rank": 1}),
                   "d2": Counter({"graph": 1, "text": 3})}
 
@@ -564,8 +790,11 @@ class TestSearch:
                  for doc_id in doc_ids})
 
         a = index_in_order(("d1", "d2"))
-        b = index_in_order(("d2", "d1"))
-        assert search(a, "graph text") == search(b, "graph text")
+        assert search(a, "graph text") == search_oracle(a, "graph text")
+        with pytest.raises(DataError, match="^'postings': term 'graph': "
+                                            "document 'd1': field 'text': "
+                                            "not after"):
+            index_in_order(("d2", "d1"))
 
     def test_vocabulary_mismatch_demonstration(self, two_doc_corpus):
         expanded_cfg = Config(k_neighbors=1, min_sim=0.0, top_n=15).validate()
@@ -701,7 +930,8 @@ def random_index(docs):
                 postings[term].append((doc_id, field, float(count)))
         doc_lengths[doc_id] = {field: float(sum(counts.values()))
                                for field, counts in fields.items()}
-    return InvertedIndex(dict(postings), doc_lengths)
+    return InvertedIndex({term: sorted(plist)
+                          for term, plist in postings.items()}, doc_lengths)
 
 
 class TestSearchOracle:
@@ -963,7 +1193,8 @@ class TestPruning:
     def test_non_finite_contributions_cannot_be_built(self):
         """A hand-built weight near the float maximum once scored NaN and
         gave its term an infinite bound; the constructor refuses it."""
-        with pytest.raises(DataError, match="^document 'a': field "
+        with pytest.raises(DataError, match="^'postings': term 'graph': "
+                                            "document 'a': field "
                                             "'kp_present': weight"):
             InvertedIndex({"graph": [("a", FIELD_KP_PRESENT, 1.7e308),
                                      ("b", FIELD_TEXT, 1.0)]},
@@ -973,7 +1204,8 @@ class TestPruning:
         """A hand-built negative weight once scored below zero, so its
         term's largest contribution bounded nothing; the constructor
         refuses it."""
-        with pytest.raises(DataError, match="^document 'n1': field 'text': "
+        with pytest.raises(DataError, match="^'postings': term 'rank': "
+                                            "document 'n1': field 'text': "
                                             "weight -1.0 "):
             InvertedIndex(
                 {"semant": [("r1", FIELD_TEXT, 4.0), ("r2", FIELD_TEXT, 1.0)],
@@ -999,15 +1231,16 @@ out_of_range_weights = st.one_of(
 @st.composite
 def hand_built_parts(draw):
     """Postings and lengths of up to six documents, the lengths unrelated
-    to the postings, with up to six postings per stem, a (doc id, field)
-    pair possibly twice."""
+    to the postings, with up to six postings per stem in (doc id, field)
+    order."""
     ids = [f"d{i}" for i in range(draw(st.integers(1, 6)))]
     lengths = {doc_id: draw(st.fixed_dictionaries(
         {f: in_range_lengths for f in FIELDS})) for doc_id in ids}
-    rows = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS),
-                     in_range_weights)
+    plists = st.dictionaries(st.tuples(st.sampled_from(ids),
+                                       st.sampled_from(FIELDS)),
+                             in_range_weights, min_size=1, max_size=6)
     postings = draw(st.dictionaries(st.sampled_from(STEMS),
-                                    st.lists(rows, min_size=1, max_size=6),
+                                    plists.map(sorted_postings),
                                     max_size=len(STEMS)))
     return postings, lengths
 
@@ -1022,7 +1255,7 @@ def refused_cases(draw):
     cells = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS))
     small = st.one_of(st.integers(1, 9).map(float),
                       st.floats(min_value=5e-324, max_value=2.0**50))
-    postings = {term: [(*cell, weight) for cell, weight in cell_map.items()]
+    postings = {term: sorted_postings(cell_map)
                 for term, cell_map in draw(st.dictionaries(
                     st.sampled_from(STEMS),
                     st.dictionaries(cells, small, min_size=1, max_size=4),
@@ -1050,7 +1283,7 @@ class TestNumberRangeProperties:
     @given(hand_built_parts(), queries, st.integers(1, 7))
     @example(({"graph": [("d0", FIELD_KP_PRESENT, MAX_COUNT),
                          ("d1", FIELD_TEXT, 5e-324)],
-               "rank": [("d1", FIELD_TEXT, MAX_COUNT),
+               "rank": [("d1", FIELD_KP_ABSENT, MAX_COUNT),
                         ("d1", FIELD_TEXT, 5e-324)]},
               {"d0": {f: MAX_COUNT for f in FIELDS},
                "d1": text_lengths(5e-324)}),
@@ -1078,23 +1311,27 @@ class TestNumberRangeProperties:
               {"a": text_lengths(PAST_CAP)}, ("a", FIELD_TEXT), True))
     @settings(max_examples=300, deadline=None)
     def test_out_of_range_numbers_are_refused_built_and_loaded(self, case):
-        """The constructor names the document and field at fault. A file
-        with a bad weight passes load's checks, since every length is its
-        weights' fsum, and the constructor refuses it; a bad length is not
-        its weights' fsum, and NaN equals nothing, so load's length check
-        refuses those."""
+        """The constructor names the part, the document and the field at
+        fault, and the term of a posting. It checks lengths first, so a bad
+        weight whose fsum puts its length out of range is refused as that
+        length. Load runs the constructor before its sum rule, so a file
+        is refused with the same message after the file's path."""
         postings, lengths, (doc_id, field), bad_weight = case
-        fault = f"^document {doc_id!r}: field {field!r}: "
-        by_constructor = bad_weight and not math.isnan(lengths[doc_id][field])
+        if 0.0 <= lengths[doc_id][field] <= MAX_COUNT:
+            assert bad_weight
+            fault = (f"'postings': term '[^']+': document {doc_id!r}: "
+                     f"field {field!r}: weight ")
+        else:
+            fault = f"'doc_lengths': document {doc_id!r}: field {field!r}: "
         payload = {"doc_lengths": lengths, "postings": postings}
-        with pytest.raises(DataError, match=fault):
+        with pytest.raises(DataError, match="^" + fault):
             InvertedIndex(postings, lengths)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.kpix")
             with open(path, "wb") as fh:
                 fh.write(index_file_bytes(json.dumps(payload).encode()))
-            with pytest.raises(DataError, match=fault if by_constructor
-                               else "'doc_lengths'"):
+            with pytest.raises(DataError,
+                               match=f"^{re.escape(path)}: {fault}"):
                 load_index(path)
 
 
