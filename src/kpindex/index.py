@@ -27,8 +27,8 @@ version, 8-byte big-endian payload length, then a self-describing UTF-8
 JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
 The length norms and the contribution cache are derived data: they are not
 written to the file. Save encodes the postings as they are, with no copy;
-load never holds the decoded payload and the loaded index both whole
-(see load_index).
+load walks the postings one term at a time, so it never holds the whole
+decoded payload (see load_index).
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ _MAGIC = b"KPIX"
 _VERSION = 1
 _MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
 MAX_COUNT = float(2**53)  # the largest length or weight an index holds
+# json.loads's own C scanner and whitespace: load walks the payload with them
+_scan_once = json.JSONDecoder().scan_once
+_scanstring = json.decoder.scanstring
+_skip = json.decoder.WHITESPACE.match
 
 
 @dataclasses.dataclass
@@ -71,24 +75,25 @@ class InvertedIndex:
     lengths.
 
     The constructor states the one rule of a valid index, for built,
-    loaded and hand-built indexes alike: `config` is a dict; each
-    document's lengths are a dict naming exactly FIELDS, each an int or
-    float (not a bool) in [0, MAX_COUNT], all checked before any posting;
-    every posting names a document of `doc_lengths` and a field of
-    FIELDS, with an int or float weight in (0, MAX_COUNT]; each term's
-    postings strictly increase in (doc id, field). MAX_COUNT = 2**53 is
-    the largest count a float holds exactly; lengths and weights count
-    tokens, so no corpus reaches it. A breach is a DataError naming the
-    part at fault ('config', 'doc_lengths' or 'postings') and, where they
-    apply, the document, the field and the term. The constructor neither
-    sorts nor changes its arguments; it sets `norms`, each document's
-    BM25 length norm K1 * (1 - B + B * dl / avgdl). Nothing changes an
-    index afterwards but one derived cache: `contributions` maps each
-    term that `search` has met and that has postings to a ({doc id: BM25
-    contribution} in posting order, bound) pair, the bound being the
-    largest contribution. It is not compared and not saved, and filling
-    it is idempotent, so threads may share an index under the GIL: two
-    that fill one term at once store equal entries.
+    loaded and hand-built indexes alike: `config` is a dict; every doc
+    id and term is a str; each document's lengths are a dict naming
+    exactly FIELDS, each an int or float (not a bool) in [0, MAX_COUNT],
+    all checked before any posting; every posting names a document of
+    `doc_lengths` and a field of FIELDS, with an int or float weight in
+    (0, MAX_COUNT]; each term's postings strictly increase in (doc id,
+    field). MAX_COUNT = 2**53 is the largest count a float holds
+    exactly; lengths and weights count tokens, so no corpus reaches it.
+    A breach is a DataError naming the part at fault ('config',
+    'doc_lengths' or 'postings') and, where they apply, the document, the
+    field and the term. The constructor neither sorts nor changes its
+    arguments; it sets `norms`, each document's BM25 length norm
+    K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
+    but one derived cache: `contributions` maps each term that `search`
+    has met and that has postings to a ({doc id: BM25 contribution} in
+    posting order, bound) pair, the bound being the largest
+    contribution. It is not compared and not saved, and filling it is
+    idempotent, so threads may share an index under the GIL: two that
+    fill one term at once store equal entries.
     """
 
     postings: dict[str, list[tuple[str, str, float]]]
@@ -102,6 +107,10 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.config, dict):
             raise DataError("'config': not a dict")
+        for doc_id in self.doc_lengths:
+            if type(doc_id) is not str:
+                raise DataError(f"'doc_lengths': document id {_shown(doc_id)} "
+                                f"is not a str")
         weighted = {}
         for doc_id, lengths in sorted(self.doc_lengths.items()):
             if not isinstance(lengths, dict) or lengths.keys() != FIELD_WEIGHTS.keys():
@@ -115,6 +124,8 @@ class InvertedIndex:
             weighted[doc_id] = math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                          for f in FIELDS)
         for term, plist in self.postings.items():
+            if type(term) is not str:
+                raise DataError(f"'postings': term {_shown(term)} is not a str")
             last = ()  # sorts before every (doc id, field)
             for doc_id, field, weight in plist:
                 pair = (doc_id, field)
@@ -182,11 +193,15 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "postings": index.postings,
     }
     try:
-        body = json.dumps(payload, sort_keys=True,
-                          ensure_ascii=False).encode("utf-8")
+        body = json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                          allow_nan=False).encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, as in a file name
         raise DataError(f"index text is not valid UTF-8 "
                         f"({exc.reason})") from None
+    except (TypeError, ValueError) as exc:
+        # the constructor checks every value but the config's: a set, a
+        # tuple key, a nan or a cycle
+        raise DataError(f"'config': not a JSON value ({exc})") from None
     # write a temporary file next to the target, then rename it over the
     # target, so a failed write leaves the previous index intact
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
@@ -213,13 +228,22 @@ def load_index(path: str) -> InvertedIndex:
     a document of `doc_lengths` and a field of FIELDS. The InvertedIndex
     constructor checks the rest of the rule of a valid index; then each
     field length must equal the math.fsum of that document's weights in
-    the field, as build_index writes it (a rule for files only). The
-    payload is decoded from the file buffer with no copy, and the index
-    made with the cyclic garbage collector paused process-wide: the
-    decoded rows form no reference cycle, so collector passes over them
-    only cost time. Each term's rows are freed once its postings are
-    made, and each posting shares its doc id string with the
-    `doc_lengths` key and its field with FIELDS.
+    the field, as build_index writes it (a rule for files only).
+
+    The payload text is decoded from the file buffer with no copy, then
+    walked with json.loads's own C scanner: every top-level member but
+    `postings` is decoded whole, and `postings` one term at a time, each
+    term's rows decoded, made into postings and dropped before the next
+    term is read. So load holds the text, the index and one term's rows,
+    never the whole decoded payload: on the `index-search` benchmark's
+    5.19 MB file, tracemalloc puts load's peak at 29 MB and the index it
+    keeps at 21 MB. Each posting shares its doc id string with the
+    `doc_lengths` key and its field with FIELDS. The walk gives what
+    json.loads would: members in any order, a repeated key's last value,
+    a syntax error anywhere before any error of shape. The index is made
+    with the cyclic garbage collector paused process-wide: the decoded
+    rows form no reference cycle, so collector passes over them only
+    cost time.
     """
     try:
         with open(path, "rb") as fh:
@@ -248,39 +272,48 @@ def load_index(path: str) -> InvertedIndex:
 
 
 def _decode_payload(path: str, text: str) -> InvertedIndex:
+    members = {}  # top-level members but postings; a repeated key's last wins
+    last = None  # the last postings member: (its index, the doc_lengths it
+    #              was read against, its postings, their cells)
+
+    def member(key, at):
+        nonlocal last
+        if key != "postings":
+            members[key], end = _value(text, at)
+            return end
+        last = None  # a later postings member wins: free the earlier one
+        read_against = members.get("doc_lengths")
+        end, postings, cells = _walk_postings(text, at, read_against)
+        last = (at, read_against, postings, cells)
+        return end
+
     try:
-        payload = json.loads(text)
+        start = _skip(text, 0).end()
+        if not text.startswith("{", start):
+            _value(text, start)  # json.loads tells a too deep value apart
+            raise ValueError("not an object")
+        end = _walk_object(text, start, member)
+        if _skip(text, end).end() != len(text):
+            raise ValueError("extra data")
     except ValueError:
-        # invalid JSON, or an integer past Python's int-string digit
-        # limit (a plain ValueError)
+        # invalid JSON, no object, or an integer past Python's int-string
+        # digit limit (a plain ValueError)
         raise DataError(f"{path}: corrupt index payload") from None
     except RecursionError:
         raise DataError(f"{path}: index payload nested too deeply") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: corrupt index payload")
+    doc_lengths = members.get("doc_lengths")
+    if not isinstance(doc_lengths, dict):
+        raise _malformed(path, "doc_lengths")
+    if last is None:
+        raise _malformed(path, "postings")
+    at, read_against, postings, cells = last
+    if read_against is not doc_lengths:
+        # the postings came before the last doc_lengths: read them again
+        _, postings, cells = _walk_postings(text, at, doc_lengths)
+    if postings is None:
+        raise _malformed(path, "postings")
     try:
-        part = "doc_lengths"
-        doc_lengths = payload[part]
-        # one cell per (doc id, field): [doc_lengths key, FIELDS constant,
-        # posting weights...]; postings share its strings, its weights feed
-        # the sum rule, and .keys() refuses a doc_lengths that is no object
-        cells = {doc_id: {f: [doc_id, f] for f in FIELDS}
-                 for doc_id in doc_lengths.keys()}
-        part = "postings"
-        postings = {}
-        for term, rows in payload[part].items():
-            plist = postings[term] = []
-            for doc_id, field, weight in rows:
-                # KeyError for an unknown document or field
-                cell = cells[doc_id][field]
-                cell.append(weight)
-                plist.append((cell[0], cell[1], weight))
-            rows.clear()  # free the decoded rows as the index grows
-    except (KeyError, TypeError, ValueError, AttributeError):
-        raise DataError(f"{path}: index payload field {part!r} is "
-                        f"missing or malformed") from None
-    try:
-        index = InvertedIndex(postings, doc_lengths, payload.get("config", {}))
+        index = InvertedIndex(postings, doc_lengths, members.get("config", {}))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     for doc_id, by_field in cells.items():
@@ -289,6 +322,99 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
                 raise DataError(f"{path}: 'doc_lengths': document {doc_id!r}: "
                                 f"field {f!r}: not the fsum of its weights")
     return index
+
+
+def _malformed(path: str, part: str) -> DataError:
+    return DataError(f"{path}: index payload field {part!r} is missing or "
+                     f"malformed")
+
+
+def _walk_postings(text: str, at: int, doc_lengths):
+    """Read the postings member whose value is at text[at] against
+    `doc_lengths`, one term at a time: decode the term's rows, make its
+    postings, drop the rows. Returns the index after the member, the
+    postings and their cells; postings is None when it is malformed, and
+    both are None when doc_lengths is no object, the member then being
+    only checked for syntax."""
+    if not text.startswith("{", at):
+        return _value(text, at)[1], None, None
+    if not isinstance(doc_lengths, dict):
+        return _walk_object(text, at, lambda _, i: _value(text, i)[1]), None, None
+    cells = _cells(doc_lengths)
+    postings = {}
+    malformed = set()  # the terms whose last rows are malformed
+    repeated = False
+
+    def read_term(term, i):
+        nonlocal repeated
+        rows, end = _value(text, i)
+        repeated = repeated or term in postings
+        # a repeated term keeps its first place, as in a json.loads dict
+        plist = postings[term] = []
+        try:
+            # an object iterates its names, never rows: only {} passes
+            if type(rows) not in (list, dict):
+                raise TypeError
+            for doc_id, field, weight in rows:
+                # KeyError for an unknown document or field
+                cell = cells[doc_id][field]
+                cell.append(weight)
+                plist.append((cell[0], cell[1], weight))
+        except (KeyError, TypeError, ValueError):
+            malformed.add(term)
+        else:
+            malformed.discard(term)
+        return end
+
+    end = _walk_object(text, at, read_term)
+    if malformed:
+        return end, None, None
+    if repeated:  # the cells still hold the weights of earlier copies
+        cells = _cells(doc_lengths)
+        for plist in postings.values():
+            for doc_id, field, weight in plist:
+                cells[doc_id][field].append(weight)
+    return end, postings, cells
+
+
+def _cells(doc_lengths: dict) -> dict:
+    """One cell per (doc id, field): [doc_lengths key, FIELDS constant,
+    posting weights...]. Postings share its strings, and its weights feed
+    the sum rule."""
+    return {doc_id: {f: [doc_id, f] for f in FIELDS} for doc_id in doc_lengths}
+
+
+def _walk_object(text: str, at: int, member) -> int:
+    """Walk the JSON object that opens at text[at], with the syntax
+    json.loads takes: for each member in order, call member(key, i), i
+    being the index of its value, which member reads and returns the
+    index after. Returns the index after the object; a syntax error is a
+    ValueError."""
+    end = _skip(text, at + 1).end()
+    if text.startswith("}", end):
+        return end + 1
+    while True:
+        if not text.startswith('"', end):
+            raise ValueError("expecting a member name")
+        key, end = _scanstring(text, end + 1)
+        end = _skip(text, end).end()
+        if not text.startswith(":", end):
+            raise ValueError("expecting ':'")
+        end = _skip(text, member(key, _skip(text, end + 1).end())).end()
+        if text.startswith("}", end):
+            return end + 1
+        if not text.startswith(",", end):
+            raise ValueError("expecting ',' or '}'")
+        end = _skip(text, end + 1).end()
+
+
+def _value(text: str, at: int):
+    """The JSON value at text[at], decoded whole, and the index after it;
+    a ValueError where no value starts."""
+    try:
+        return _scan_once(text, at)
+    except StopIteration:
+        raise ValueError("expecting a value") from None
 
 
 #: A query is normalized exactly as evaluation normalizes a phrase.
