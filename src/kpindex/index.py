@@ -5,6 +5,16 @@ extracted keyphrases add postings in a KP_PRESENT or KP_ABSENT field
 according to their origin. Indexing the absent field is what lets a query
 match a document that never contains the query terms in its text.
 
+Each term's postings are three columns (a Postings record): document
+rows, field codes and weights. A document's row is its place in
+sorted(doc_lengths) and a field's code its place in sorted(FIELDS)
+(kp_absent, kp_present, text), so (row, code) order is (doc id, field)
+order. Plain posting arrays are the usual inverted-file layout (Zobel &
+Moffat, ACM Computing Surveys 2006). On the `index-search` benchmark's
+seed-1 corpus (186,198 postings, 9,443 terms) tracemalloc puts a built
+index at 5.9 MB and a loaded one at 6.7 MB, 32 and 36 bytes a posting,
+where a (doc id, field, weight) tuple per posting kept 20.1 and 20.8 MB.
+
 Search is BM25 with fixed parameters K1, B and FIELD_WEIGHTS (keyphrase
 fields count 1.5x in term frequency and in document length). The
 InvertedIndex docstring states the one rule of a valid index, built,
@@ -24,15 +34,17 @@ reach, never to the number of documents.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
 version, 8-byte big-endian payload length, then a self-describing UTF-8
-JSON payload. JSON floats round-trip exactly, so save -> load is bit-exact.
-The length norms and the contribution cache are derived data: they are not
-written to the file. Save encodes the postings as they are, with no copy;
-load walks the postings one term at a time, so it never holds the whole
-decoded payload (see load_index).
+JSON payload that writes each posting as a [doc id, field, weight] row.
+JSON floats round-trip exactly, so save -> load is bit-exact. The length
+norms and the contribution cache are derived data: they are not written
+to the file. Save expands one term's rows at a time and load turns one
+term's rows into columns at a time, so neither holds every posting as
+rows (see save_index and load_index).
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import dataclasses
 import gc
@@ -40,8 +52,10 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import os
 import uuid
+from array import array
 from collections import Counter, defaultdict
 
 from .corpus import Corpus, index_stems, phrase_stems
@@ -58,9 +72,14 @@ K1 = 1.2
 B = 0.75
 FIELD_WEIGHTS = {FIELD_TEXT: 1.0, FIELD_KP_PRESENT: 1.5, FIELD_KP_ABSENT: 1.5}
 
-_NUMBER = (int, float)  # a length's or weight's types; bool is excluded
+_CODE_FIELDS = tuple(sorted(FIELDS))  # a field's code is its place here
+_FIELD_CODES = {f: code for code, f in enumerate(_CODE_FIELDS)}
+_CODE_WEIGHTS = tuple(FIELD_WEIGHTS[f] for f in _CODE_FIELDS)
+_NUMBER = (int, float)  # a length's types; bool is excluded
+_JSON_SCALARS = (str, int, float, type(None))  # bool is an int
 _MAGIC = b"KPIX"
 _VERSION = 1
+_BLOCK = 1 << 16  # load decodes the payload this many bytes at a time
 _MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
 MAX_COUNT = float(2**53)  # the largest length or weight an index holds
 # json.loads's own C scanner and whitespace: load walks the payload with them
@@ -69,24 +88,42 @@ _scanstring = json.decoder.scanstring
 _skip = json.decoder.WHITESPACE.match
 
 
+@dataclasses.dataclass(slots=True)
+class Postings:
+    """One term's postings as three columns of one length: `rows`, an
+    array('i') of document rows; `codes`, a bytes of field codes; and
+    `weights`, an array('d'). Its len() is the number of postings."""
+
+    rows: array
+    codes: bytes
+    weights: array
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclasses.dataclass
 class InvertedIndex:
-    """stem -> (doc id, field, weight) postings plus each document's field
-    lengths.
+    """stem -> Postings columns plus each document's field lengths.
 
     The constructor states the one rule of a valid index, for built,
-    loaded and hand-built indexes alike: `config` is a dict; every doc
-    id and term is a str; each document's lengths are a dict naming
-    exactly FIELDS, each an int or float (not a bool) in [0, MAX_COUNT],
-    all checked before any posting; every posting names a document of
-    `doc_lengths` and a field of FIELDS, with an int or float weight in
-    (0, MAX_COUNT]; each term's postings strictly increase in (doc id,
-    field). MAX_COUNT = 2**53 is the largest count a float holds
-    exactly; lengths and weights count tokens, so no corpus reaches it.
-    A breach is a DataError naming the part at fault ('config',
-    'doc_lengths' or 'postings') and, where they apply, the document, the
-    field and the term. The constructor neither sorts nor changes its
-    arguments; it sets `norms`, each document's BM25 length norm
+    loaded and hand-built indexes alike: `config` is a dict that JSON
+    gives back equal (str keys; dict, list, str, int, finite float, bool
+    and None values); every doc id and term is a str; each document's
+    lengths are a dict naming exactly FIELDS, each an int or float (not a
+    bool) in [0, MAX_COUNT], all checked before any posting; each term's
+    postings are a Postings of array('i') rows, bytes codes and
+    array('d') weights, of one length; every row is below the number of
+    documents, every code below 3, every weight in (0, MAX_COUNT]; and
+    each term's postings strictly increase in (row, code), which is
+    (doc id, field) order. MAX_COUNT = 2**53 is the largest count a float
+    holds exactly; lengths and weights count tokens, so no corpus
+    reaches it. A breach is a DataError naming the part at fault
+    ('config', 'doc_lengths' or 'postings') and, where they apply, the
+    term, the document and the field (a row or code out of range is
+    named by its number). The constructor neither sorts nor changes its
+    arguments. It sets `doc_ids`, sorted(doc_lengths), which maps a row
+    to its doc id, and `norms`, each row's BM25 length norm
     K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
     but one derived cache: `contributions` maps each term that `search`
     has met and that has postings to a ({doc id: BM25 contribution} in
@@ -96,10 +133,12 @@ class InvertedIndex:
     fill one term at once store equal entries.
     """
 
-    postings: dict[str, list[tuple[str, str, float]]]
+    postings: dict[str, Postings]
     doc_lengths: dict[str, dict[str, float]]
     config: dict = dataclasses.field(default_factory=dict)
-    norms: dict[str, float] = dataclasses.field(init=False, compare=False)
+    doc_ids: list[str] = dataclasses.field(init=False, compare=False,
+                                           repr=False)
+    norms: list[float] = dataclasses.field(init=False, compare=False)
     contributions: dict[str, tuple[dict[str, float], float]] = (
         dataclasses.field(default_factory=dict, init=False, compare=False,
                           repr=False))
@@ -107,12 +146,15 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.config, dict):
             raise DataError("'config': not a dict")
+        _check_json(self.config)
         for doc_id in self.doc_lengths:
             if type(doc_id) is not str:
                 raise DataError(f"'doc_lengths': document id {_shown(doc_id)} "
                                 f"is not a str")
-        weighted = {}
-        for doc_id, lengths in sorted(self.doc_lengths.items()):
+        self.doc_ids = sorted(self.doc_lengths)
+        weighted = []
+        for doc_id in self.doc_ids:
+            lengths = self.doc_lengths[doc_id]
             if not isinstance(lengths, dict) or lengths.keys() != FIELD_WEIGHTS.keys():
                 raise DataError(f"'doc_lengths': document {doc_id!r}: the "
                                 f"length map does not name exactly {FIELDS}")
@@ -121,32 +163,71 @@ class InvertedIndex:
                 if type(length) not in _NUMBER or not 0.0 <= length <= MAX_COUNT:
                     raise DataError(f"'doc_lengths': document {doc_id!r}: field "
                                     f"{f!r}: length {_shown(length)} not in [0, 2**53]")
-            weighted[doc_id] = math.fsum(FIELD_WEIGHTS[f] * lengths[f]
-                                         for f in FIELDS)
+            weighted.append(math.fsum(FIELD_WEIGHTS[f] * lengths[f]
+                                      for f in FIELDS))
         for term, plist in self.postings.items():
             if type(term) is not str:
                 raise DataError(f"'postings': term {_shown(term)} is not a str")
-            last = ()  # sorts before every (doc id, field)
-            for doc_id, field, weight in plist:
-                pair = (doc_id, field)
-                if doc_id not in weighted:
-                    problem = "document not in doc_lengths"
-                elif field not in FIELD_WEIGHTS:
-                    problem = "field not in FIELDS"
-                elif type(weight) not in _NUMBER or not 0.0 < weight <= MAX_COUNT:
-                    problem = f"weight {_shown(weight)} not in (0, 2**53]"
-                elif pair <= last:
-                    problem = "not after the previous posting's (doc id, field)"
-                else:
-                    last = pair
-                    continue
-                raise DataError(f"'postings': term {term!r}: document "
-                                f"{doc_id!r}: field {field!r}: {problem}")
-        avgdl = (math.fsum(weighted.values()) / len(weighted)
-                 if weighted else 0.0)
-        self.norms = {doc_id: K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0
-                                                   else 0.0))
-                      for doc_id, dl in weighted.items()}
+            _check_postings(term, plist, self.doc_ids)
+        avgdl = math.fsum(weighted) / len(weighted) if weighted else 0.0
+        self.norms = [K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0 else 0.0))
+                      for dl in weighted]
+
+
+def _check_postings(term: str, plist, doc_ids: list[str]) -> None:
+    """Refuse a term's postings that break the rule, naming the first
+    posting at fault."""
+    if not (type(plist) is Postings
+            and type(plist.rows) is array and plist.rows.typecode == "i"
+            and type(plist.codes) is bytes
+            and type(plist.weights) is array and plist.weights.typecode == "d"
+            and len(plist.rows) == len(plist.codes) == len(plist.weights)):
+        raise DataError(f"'postings': term {term!r}: not a Postings of "
+                        f"array('i') rows, bytes codes and array('d') "
+                        f"weights of one length")
+    n = len(doc_ids)
+    last = -1  # below every 3 * row + code
+    for row, code, weight in zip(plist.rows, plist.codes, plist.weights):
+        if not 0 <= row < n:
+            problem = "document not in doc_lengths"
+        elif code > 2:
+            problem = "field not in FIELDS"
+        elif not 0.0 < weight <= MAX_COUNT:
+            problem = f"weight {weight!r} not in (0, 2**53]"
+        elif (key := 3 * row + code) <= last:
+            problem = "not after the previous posting's (doc id, field)"
+        else:
+            last = key
+            continue
+        doc = repr(doc_ids[row]) if 0 <= row < n else f"row {row}"
+        field = repr(_CODE_FIELDS[code]) if code < 3 else f"code {code}"
+        raise DataError(f"'postings': term {term!r}: document {doc}: "
+                        f"field {field}: {problem}")
+
+
+def _check_json(config: dict) -> None:
+    """Refuse a config that JSON would not give back equal. Each dict and
+    list is walked once, so a cycle ends here; save_index refuses it."""
+    seen = set()
+    stack = [config]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list)):
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, list):
+                stack.extend(value)
+                continue
+            for key in value:
+                if not isinstance(key, str):
+                    raise DataError(f"'config': key {_shown(key)} is not a str")
+            stack.extend(value.values())
+        elif not isinstance(value, _JSON_SCALARS):
+            raise DataError(f"'config': value {_shown(value)} is not a JSON "
+                            f"value")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"'config': value {value!r} is not finite")
 
 
 def _shown(value) -> str:
@@ -162,29 +243,39 @@ def build_index(corpus: Corpus,
     `keyphrases` maps document ids to their ranked extraction output; a
     missing id simply gets no keyphrase postings.
     """
-    postings: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
+    flat: dict[str, list[int]] = defaultdict(list)  # row, code, count, ...
     doc_lengths: dict[str, dict[str, float]] = {}
-    for doc_id in corpus.ids():
+    # ids come sorted, so a document's place is its row, and codes follow
+    # the sorted fields: postings come in the (row, code) order the
+    # constructor takes
+    for row, doc_id in enumerate(corpus.ids()):
         counts = {field: Counter() for field in FIELDS}
         counts[FIELD_TEXT].update(index_stems(corpus[doc_id], corpus.stopword_stems))
         for rk in keyphrases.get(doc_id, []):
             field = (FIELD_KP_PRESENT if rk.origin is Origin.PRESENT
                      else FIELD_KP_ABSENT)
             counts[field].update(rk.key.split(" "))
-        # ids come sorted, so sorted fields give the order InvertedIndex takes
-        for field, field_counts in sorted(counts.items()):
-            for term, count in field_counts.items():
-                postings[term].append((doc_id, field, float(count)))
+        for code, field in enumerate(_CODE_FIELDS):
+            for term, count in counts[field].items():
+                flat[term].extend((row, code, count))
         doc_lengths[doc_id] = {field: float(sum(field_counts.values()))
                                for field, field_counts in counts.items()}
-    return InvertedIndex(dict(postings), doc_lengths, config or {})
+    postings = {term: Postings(array("i", values[::3]), bytes(values[1::3]),
+                               array("d", values[2::3]))
+                for term, values in flat.items()}
+    del flat  # freed before the constructor's checks
+    return InvertedIndex(postings, doc_lengths, config or {})
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
     """Write `index` to `path` atomically. The payload bytes are the UTF-8
-    of `json.dumps(payload, sort_keys=True, ensure_ascii=False)`, which
-    writes each posting tuple as an array; DataError when a string holds
-    a lone surrogate, which UTF-8 cannot encode."""
+    of `json.dumps(payload, sort_keys=True, ensure_ascii=False,
+    allow_nan=False)`, the payload writing each posting as a [doc id,
+    field, weight] row. json.dumps asks for one term's rows at a time and
+    drops them once written, so save never holds every posting as rows.
+    DataError when a string holds a lone surrogate, which UTF-8 cannot
+    encode, or when the config cannot be written (a cycle, or nested past
+    the recursion limit)."""
     payload = {
         "format": "kpindex-inverted-index",
         "fields": list(FIELDS),
@@ -192,15 +283,25 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "doc_lengths": index.doc_lengths,
         "postings": index.postings,
     }
+    doc_id, field = index.doc_ids.__getitem__, _CODE_FIELDS.__getitem__
+
+    def rows(plist):
+        """A term's rows, as (doc id, field, weight) tuples: JSON writes a
+        tuple as an array."""
+        if type(plist) is not Postings:
+            raise TypeError(f"Object of type {type(plist).__name__} is not "
+                            f"JSON serializable")
+        return list(zip(map(doc_id, plist.rows), map(field, plist.codes),
+                        plist.weights))
+
     try:
         body = json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                          allow_nan=False).encode("utf-8")
+                          allow_nan=False, default=rows).encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, as in a file name
         raise DataError(f"index text is not valid UTF-8 "
                         f"({exc.reason})") from None
-    except (TypeError, ValueError) as exc:
-        # the constructor checks every value but the config's: a set, a
-        # tuple key, a nan or a cycle
+    except (TypeError, ValueError, RecursionError) as exc:
+        # the constructor checks every value but a config's cycle or depth
         raise DataError(f"'config': not a JSON value ({exc})") from None
     # write a temporary file next to the target, then rename it over the
     # target, so a failed write leaves the previous index intact
@@ -225,25 +326,28 @@ def load_index(path: str) -> InvertedIndex:
 
     Load checks what JSON can get wrong: `doc_lengths` and `postings`
     are objects, and each posting is a [doc id, field, weight] row naming
-    a document of `doc_lengths` and a field of FIELDS. The InvertedIndex
+    a document of `doc_lengths` and a field of FIELDS, with an int or
+    float weight (an int one must be a float exactly). The InvertedIndex
     constructor checks the rest of the rule of a valid index; then each
     field length must equal the math.fsum of that document's weights in
     the field, as build_index writes it (a rule for files only).
 
-    The payload text is decoded from the file buffer with no copy, then
-    walked with json.loads's own C scanner: every top-level member but
+    The payload text is decoded from the file buffer 64 KiB at a time.
+    This only matters for a payload holding non-ASCII text, which decoded
+    whole peaks at twice its size; an ASCII one, like every benchmark
+    file, peaks the same either way. The text is then walked
+    with json.loads's own C scanner: every top-level member but
     `postings` is decoded whole, and `postings` one term at a time, each
-    term's rows decoded, made into postings and dropped before the next
+    term's rows decoded, made into columns and dropped before the next
     term is read. So load holds the text, the index and one term's rows,
     never the whole decoded payload: on the `index-search` benchmark's
-    5.19 MB file, tracemalloc puts load's peak at 29 MB and the index it
-    keeps at 21 MB. Each posting shares its doc id string with the
-    `doc_lengths` key and its field with FIELDS. The walk gives what
-    json.loads would: members in any order, a repeated key's last value,
-    a syntax error anywhere before any error of shape. The index is made
-    with the cyclic garbage collector paused process-wide: the decoded
-    rows form no reference cycle, so collector passes over them only
-    cost time.
+    5.19 MB file, tracemalloc puts load's peak at 12.7 MB and the index it
+    keeps at 6.7 MB (29.2 and 20.8 MB with a tuple per posting). The walk
+    gives what json.loads would: members in any order, a repeated key's
+    last value, a syntax error anywhere before any error of shape. The
+    index is made with the cyclic garbage collector paused process-wide:
+    the decoded rows form no reference cycle, so collector passes over
+    them only cost time.
     """
     try:
         with open(path, "rb") as fh:
@@ -257,11 +361,17 @@ def load_index(path: str) -> InvertedIndex:
         raise DataError(f"{path}: unsupported index format version {version}")
     if len(blob) - 13 != int.from_bytes(blob[5:13], "big"):
         raise DataError(f"{path}: truncated index file")
-    try:
-        text = str(memoryview(blob)[13:], "utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: corrupt index payload") from None
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with memoryview(blob) as view:
+        try:
+            pieces = [decoder.decode(view[i:i + _BLOCK])
+                      for i in range(13, len(blob), _BLOCK)]
+            pieces.append(decoder.decode(b"", True))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: corrupt index payload") from None
     del blob
+    text = "".join(pieces)
+    del pieces
     enabled = gc.isenabled()  # re-enabled only if it was, also on an error
     gc.disable()
     try:
@@ -274,7 +384,7 @@ def load_index(path: str) -> InvertedIndex:
 def _decode_payload(path: str, text: str) -> InvertedIndex:
     members = {}  # top-level members but postings; a repeated key's last wins
     last = None  # the last postings member: (its index, the doc_lengths it
-    #              was read against, its postings, their cells)
+    #              was read against, its postings)
 
     def member(key, at):
         nonlocal last
@@ -283,8 +393,8 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
             return end
         last = None  # a later postings member wins: free the earlier one
         read_against = members.get("doc_lengths")
-        end, postings, cells = _walk_postings(text, at, read_against)
-        last = (at, read_against, postings, cells)
+        end, postings = _walk_postings(text, at, read_against)
+        last = (at, read_against, postings)
         return end
 
     try:
@@ -306,22 +416,55 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
         raise _malformed(path, "doc_lengths")
     if last is None:
         raise _malformed(path, "postings")
-    at, read_against, postings, cells = last
+    at, read_against, postings = last
     if read_against is not doc_lengths:
         # the postings came before the last doc_lengths: read them again
-        _, postings, cells = _walk_postings(text, at, doc_lengths)
+        _, postings = _walk_postings(text, at, doc_lengths)
     if postings is None:
         raise _malformed(path, "postings")
     try:
         index = InvertedIndex(postings, doc_lengths, members.get("config", {}))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    for doc_id, by_field in cells.items():
-        for f, cell in by_field.items():
-            if math.fsum(cell[2:]) != doc_lengths[doc_id][f]:
+    sums = _cell_sums(index)
+    for row, doc_id in enumerate(index.doc_ids):
+        for f in FIELDS:
+            if sums[3 * row + _FIELD_CODES[f]] != doc_lengths[doc_id][f]:
                 raise DataError(f"{path}: 'doc_lengths': document {doc_id!r}: "
                                 f"field {f!r}: not the fsum of its weights")
     return index
+
+
+def _cell_sums(index: InvertedIndex) -> list[float]:
+    """The math.fsum of each (row, code) cell's weights, at 3 * row + code.
+
+    fsum does not depend on order, so the cells are summed term by term.
+    While every weight is an integer and every sum stays below 2**53, each
+    float addition is exact and so gives the fsum, with no float object
+    kept per posting; otherwise each cell's weights are gathered for fsum.
+    """
+    columns = [(plist.rows, plist.codes, plist.weights)
+               for plist in index.postings.values()]
+    sums = [0.0] * (3 * len(index.doc_ids))
+    for rows, codes, weights in columns:
+        for cell, weight in zip(_cells(rows, codes), weights):
+            sums[cell] += weight
+    if (all(total < MAX_COUNT for total in sums)
+            and all(all(map(float.is_integer, weights))
+                    for _, _, weights in columns)):
+        return sums
+    cells = [[] for _ in sums]
+    for rows, codes, weights in columns:
+        for cell, weight in zip(_cells(rows, codes), weights):
+            cells[cell].append(weight)
+    return [math.fsum(cell) for cell in cells]
+
+
+def _cells(rows: array, codes: bytes):
+    """Each posting's cell, 3 * row + code: (row, code) order is its
+    order."""
+    return map(operator.add, map(operator.mul, rows, itertools.repeat(3)),
+               codes)
 
 
 def _malformed(path: str, part: str) -> DataError:
@@ -332,56 +475,51 @@ def _malformed(path: str, part: str) -> DataError:
 def _walk_postings(text: str, at: int, doc_lengths):
     """Read the postings member whose value is at text[at] against
     `doc_lengths`, one term at a time: decode the term's rows, make its
-    postings, drop the rows. Returns the index after the member, the
-    postings and their cells; postings is None when it is malformed, and
-    both are None when doc_lengths is no object, the member then being
-    only checked for syntax."""
+    columns, drop the rows. Returns the index after the member and the
+    postings, which are None when the member is malformed or when
+    doc_lengths is no object, the member then being only checked for
+    syntax."""
     if not text.startswith("{", at):
-        return _value(text, at)[1], None, None
+        return _value(text, at)[1], None
     if not isinstance(doc_lengths, dict):
-        return _walk_object(text, at, lambda _, i: _value(text, i)[1]), None, None
-    cells = _cells(doc_lengths)
+        return _walk_object(text, at, lambda _, i: _value(text, i)[1]), None
+    row_of = {doc_id: row for row, doc_id in enumerate(sorted(doc_lengths))}
     postings = {}
-    malformed = set()  # the terms whose last rows are malformed
-    repeated = False
 
     def read_term(term, i):
-        nonlocal repeated
         rows, end = _value(text, i)
-        repeated = repeated or term in postings
         # a repeated term keeps its first place, as in a json.loads dict
-        plist = postings[term] = []
-        try:
-            # an object iterates its names, never rows: only {} passes
-            if type(rows) not in (list, dict):
-                raise TypeError
-            for doc_id, field, weight in rows:
-                # KeyError for an unknown document or field
-                cell = cells[doc_id][field]
-                cell.append(weight)
-                plist.append((cell[0], cell[1], weight))
-        except (KeyError, TypeError, ValueError):
-            malformed.add(term)
-        else:
-            malformed.discard(term)
+        postings[term] = _columns(rows, row_of)
         return end
 
     end = _walk_object(text, at, read_term)
-    if malformed:
-        return end, None, None
-    if repeated:  # the cells still hold the weights of earlier copies
-        cells = _cells(doc_lengths)
-        for plist in postings.values():
-            for doc_id, field, weight in plist:
-                cells[doc_id][field].append(weight)
-    return end, postings, cells
+    if any(plist is None for plist in postings.values()):
+        return end, None
+    return end, postings
 
 
-def _cells(doc_lengths: dict) -> dict:
-    """One cell per (doc id, field): [doc_lengths key, FIELDS constant,
-    posting weights...]. Postings share its strings, and its weights feed
-    the sum rule."""
-    return {doc_id: {f: [doc_id, f] for f in FIELDS} for doc_id in doc_lengths}
+def _columns(rows, row_of: dict[str, int]) -> Postings | None:
+    """A term's decoded rows as columns, or None when they are not a list
+    of [doc id, field, weight] rows naming documents of row_of and fields
+    of FIELDS, with int or float weights, an int one a float exactly."""
+    # an object iterates its names, never rows: only {} passes
+    if type(rows) not in (list, dict):
+        return None
+    if not rows:
+        return Postings(array("i"), b"", array("d"))
+    try:
+        if set(map(len, rows)) != {3}:
+            return None
+        ids, fields, weights = zip(*rows)
+        if not set(map(type, weights)) <= {float} and not all(
+                type(w) is float or (type(w) is int and float(w) == w)
+                for w in weights):
+            return None
+        return Postings(array("i", list(map(row_of.__getitem__, ids))),
+                        bytes(map(_FIELD_CODES.__getitem__, fields)),
+                        array("d", weights))
+    except (KeyError, TypeError, OverflowError):
+        return None
 
 
 def _walk_object(text: str, at: int, member) -> int:
@@ -498,18 +636,19 @@ def search(index: InvertedIndex, query: str,
     return sorted(items, key=lambda item: (-item[1], item[0]))[:top_n]
 
 
-def _contributions(index: InvertedIndex, plist: list[tuple[str, str, float]]
+def _contributions(index: InvertedIndex, plist: Postings
                    ) -> tuple[dict[str, float], float]:
     """Each document's BM25 score for one term, from the term's postings,
     in posting order, and the term's bound, the largest score. The
     constructor's checks make every score finite and >= 0."""
-    tf_weighted: dict[str, float] = defaultdict(float)
-    for doc_id, field, weight in plist:
-        tf_weighted[doc_id] += FIELD_WEIGHTS[field] * weight
-    n = len(index.doc_lengths)
+    tf_weighted: dict[int, float] = defaultdict(float)
+    for row, code, weight in zip(plist.rows, plist.codes, plist.weights):
+        tf_weighted[row] += _CODE_WEIGHTS[code] * weight
+    n = len(index.doc_ids)
     df = len(tf_weighted)
     idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-    norms = index.norms
-    contributions = {doc_id: idf * tf * (K1 + 1.0) / (tf + norms[doc_id])
-                     for doc_id, tf in tf_weighted.items()}
+    doc_ids, norms = index.doc_ids, index.norms
+    # keyed by the doc id strings that doc_ids shares with doc_lengths
+    contributions = {doc_ids[row]: idf * tf * (K1 + 1.0) / (tf + norms[row])
+                     for row, tf in tf_weighted.items()}
     return contributions, max(contributions.values())
