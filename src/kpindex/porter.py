@@ -25,7 +25,9 @@ internal hyphens.
 
 ``stem`` is a pure function, so it is memoized: a corpus has far fewer
 distinct tokens than tokens, and each distinct one is stemmed once. The
-cache is bounded so that a long-lived process stays a few MB.
+tokenizer memoizes its normalization of a run the same way, and both caches
+are bounded at 65,536 entries so that a long-lived process keeps a few MB
+in them.
 """
 
 from functools import lru_cache

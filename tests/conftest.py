@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,18 @@ def write_jsonl(path, records):
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return str(path)
+
+
+def kept_and_peak(make):
+    """What make() returns, and the tracemalloc bytes it keeps and peaks at
+    while it runs."""
+    tracemalloc.start()
+    try:
+        made = make()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, kept, peak
 
 
 def index_file_bytes(body):

@@ -9,7 +9,6 @@ import re
 import sys
 import tempfile
 import threading
-import tracemalloc
 from array import array
 from collections import Counter, defaultdict
 from importlib import resources
@@ -29,8 +28,8 @@ from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            InvertedIndex, Postings, query_terms)
 from kpindex.ranking import RankedKeyphrase
 
-from conftest import (index_file_bytes, make_corpus, nested_json,
-                      write_payload)
+from conftest import (index_file_bytes, kept_and_peak, make_corpus,
+                      nested_json, write_payload)
 
 SAMPLE100 = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
 CODE_FIELDS = sorted(FIELDS)  # a field's code is its place here
@@ -663,18 +662,6 @@ def wide_corpus(stopwords, n_docs, n_words):
     return make_corpus([(f"dé-{i:05d}", "", " ".join(
         w for j, w in enumerate(words) if (i + j) % 2 == 0) + ".")
                         for i in range(n_docs)], stopwords)
-
-
-def kept_and_peak(make):
-    """What make() returns, and the tracemalloc bytes it keeps and peaks at
-    while it runs."""
-    tracemalloc.start()
-    try:
-        made = make()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return made, kept, peak
 
 
 class TestColumns:
