@@ -928,6 +928,19 @@ class TestGoldenOutput:
         assert digest(out, "search", str(path), query,
                       "--output", str(out)) == sha256
 
+    @pytest.mark.parametrize("python", other_interpreters(),
+                             ids=os.path.basename)
+    def test_tokenizer_equals_oracle_under_other_interpreters(self, python):
+        """tokenize rests on each interpreter's regex `\\w` and `\\s`; under
+        another Python version it splits every code point as the character
+        loop does, with each separator of tests/tokenize_oracle.py."""
+        src = str(Path(kpindex.__file__).resolve().parent.parent)
+        oracle = Path(__file__).resolve().parent / "tokenize_oracle.py"
+        proc = subprocess.run([python, str(oracle)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
     def test_sample100_index_and_search_bytes_under_compensated_sum(
             self, tmp_path, monkeypatch):
         use_compensated_sum(monkeypatch)

@@ -12,38 +12,14 @@ from kpindex.errors import DataError
 from kpindex.porter import stem
 
 from conftest import kept_and_peak, write_jsonl
+from tokenize_oracle import SEPARATORS, differing_blocks, tokenize_oracle
 
 
-def tokenize_oracle(text):
-    """The character loop that the one-regex tokenize replaced; kept as its
-    oracle. "İ" (U+0130) lowercases to a plain "i", as in tokenize."""
-    tokens = []
-    buf = []
-
-    def flush():
-        if buf:
-            tok = "".join(buf).strip("-")
-            if any(c.isalnum() for c in tok):
-                tokens.append(tok)
-            buf.clear()
-
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch.isalnum() or ch == "-":
-            buf.append("i" if ch == "\u0130" else ch.lower())
-            continue
-        flush()
-        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
-            tokens.append(SENTENCE_BREAK)
-    flush()
-    return tokens
-
-
-# Separators, sentence marks, Unicode whitespace, letters whose lowercase
-# differs by context or is longer than one character, a superscript digit
-# and combining marks.
+# Separators (among them U+0000, which tokenize maps "_" to), sentence
+# marks, Unicode whitespace, letters whose lowercase differs by context or
+# is longer than one character, a superscript digit and combining marks.
 TRICKY = st.text(alphabet=list(
-    "aZ9-_.!?,' \t\n\x0b\x1c\x85\xa0\u2028\u3000"
+    "aZ9-_\x00.!?,' \t\n\x0b\x1c\x85\xa0\u2028\u3000"
     "\u03a3\u03c3\u03c2\u039f\u0130\u0131\xdf\u1e9e\xb2\u0663\u2167\u212a"
     "\u0301\u0307\u20dd"), max_size=60)
 
@@ -68,11 +44,21 @@ class TestTokenizeOracle:
         words = [t for t in tokenize(text) if t != SENTENCE_BREAK]
         assert tokenize(" ".join(words)) == words
 
-    @pytest.mark.parametrize("sep", ["", " ", ". "])
+    @pytest.mark.parametrize("text, tokens", [
+        ("end._ next", ["end", "next"]),
+        ("a_. b", ["a", SENTENCE_BREAK, "b"]),
+        ("x-_-y", ["x", "y"]),
+        ("snake_case. Next", ["snake", "case", SENTENCE_BREAK, "next"]),
+        ("\x00. a", [SENTENCE_BREAK, "a"]),
+    ])
+    def test_underscore_and_nul_separate(self, text, tokens):
+        """tokenize maps "_" to U+0000: both separate tokens, and neither
+        is the whitespace that makes a sentence mark a break."""
+        assert tokenize(text) == tokenize_oracle(text) == tokens
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
     def test_every_code_point(self, sep):
-        for block in range(0, 0x110000, 4096):
-            text = sep.join(map(chr, range(block, block + 4096)))
-            assert tokenize(text) == tokenize_oracle(text), hex(block)
+        assert differing_blocks(sep) == []
 
 
 def repeated_word_records(n_docs=200, n_words=300, seed=7):
@@ -100,6 +86,15 @@ class TestTokenMemo:
 
     def test_memo_is_bounded(self):
         assert _normalize.cache_info().maxsize == 1 << 16
+
+    @pytest.mark.parametrize("parts", [("memo", "kept", "once"),
+                                       ("caf\xe9", "memo", "kept")])
+    def test_run_that_is_its_own_token_is_kept_once(self, parts):
+        """The memo holds such a run as its key and its token, one str,
+        not the run and an equal lowercased copy."""
+        _normalize.cache_clear()
+        run = "".join(parts)  # a new str, interned nowhere else
+        assert _normalize(run) is run
 
     def test_loaded_corpus_shares_equal_tokens(self, tmp_path):
         """Corpora hold each distinct token once, also where runs differ in
@@ -154,7 +149,24 @@ class TestTokenize:
             assert any(c.isalnum() for c in tok)
 
 
+def stems_oracle(tokens):
+    """The comprehension Document.build used before it stemmed every token,
+    sentence breaks included; kept as its oracle."""
+    return [t if t == SENTENCE_BREAK else stem(t) for t in tokens]
+
+
 class TestDocument:
+    def test_sentence_break_stems_to_itself(self):
+        """So Document.build can stem every token, markers included."""
+        assert stem(SENTENCE_BREAK) == SENTENCE_BREAK
+
+    @given(st.one_of(st.text(max_size=100), TRICKY),
+           st.one_of(st.text(max_size=200), TRICKY))
+    @settings(max_examples=200)
+    def test_stems_equal_oracle(self, title, abstract):
+        doc = Document.build("d", title, abstract)
+        assert doc.stems == stems_oracle(doc.tokens)
+
     def test_field_break_and_alignment(self):
         doc = Document.build("d", "Neural ranking", "Graphs help. A lot.")
         assert doc.tokens == ["neural", "ranking", SENTENCE_BREAK, "graphs",
@@ -235,7 +247,7 @@ def doc_from_tokens(tokens, doc_id="d"):
     """Build a document whose token stream is exactly `tokens`."""
     doc = Document.build(doc_id, "", "")
     doc.tokens = list(tokens)
-    doc.stems = [t if t == SENTENCE_BREAK else stem(t) for t in tokens]
+    doc.stems = stems_oracle(tokens)
     return doc
 
 
