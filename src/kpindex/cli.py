@@ -23,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import FIELD_KINDS, Config, load_config
-from .corpus import Corpus, load_corpus, load_stopwords
+from .corpus import Corpus, collector_paused, load_corpus, load_stopwords
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_corpus, tfidf_baseline
 from .graph import to_dot
@@ -209,7 +209,8 @@ def _write_all(out, blob: bytes) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        lines = args.run(args)
+        # _extract_all runs the stages itself, not through extract_pipeline
+        lines = collector_paused(args.run)(args)
         try:
             blob = "".join(line + "\n" for line in lines).encode("utf-8")
         except UnicodeEncodeError as exc:

@@ -137,11 +137,12 @@ def expand_graph(g: SemMultiGraph, neighbors: list[tuple[str, float]],
         scale = lambda_domain * sim
         nodes = {key: starts for key, starts in neighbor_cands[nid].items()
                  if key in g.nodes}
-        for pair, c in window_pairs(nodes, window).items():
-            weight = scale * c
-            if weight <= 0:
-                raise ConfigError("lambda_domain is too small: a weight rounds to 0")
-            domain[pair] = domain.get(pair, 0.0) + weight
+        pairs = window_pairs(nodes, window)
+        # every count c is an int >= 1, so scale * c > 0 exactly when scale > 0
+        if pairs and scale <= 0:
+            raise ConfigError("lambda_domain is too small: a weight rounds to 0")
+        for pair, c in pairs.items():
+            domain[pair] = domain.get(pair, 0.0) + scale * c
     return g
 
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import codecs
 import contextlib
 import dataclasses
-import gc
 import heapq
 import itertools
 import json
@@ -58,7 +57,7 @@ import uuid
 from array import array
 from collections import Counter, defaultdict
 
-from .corpus import Corpus, index_stems, phrase_stems
+from .corpus import Corpus, collector_paused, index_stems, phrase_stems
 from .errors import ConfigError, DataError
 from .graph import Origin
 from .ranking import RankedKeyphrase
@@ -235,6 +234,7 @@ def _shown(value) -> str:
     return repr(value) if type(value) in _NUMBER else f"of type {type(value).__name__}"
 
 
+@collector_paused
 def build_index(corpus: Corpus,
                 keyphrases: dict[str, list[RankedKeyphrase]],
                 config: dict | None = None) -> InvertedIndex:
@@ -320,6 +320,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
         raise
 
 
+@collector_paused
 def load_index(path: str) -> InvertedIndex:
     """Read an index file; every DataError names the file and the payload
     field at fault.
@@ -344,10 +345,10 @@ def load_index(path: str) -> InvertedIndex:
     5.19 MB file, tracemalloc puts load's peak at 12.7 MB and the index it
     keeps at 6.7 MB (29.2 and 20.8 MB with a tuple per posting). The walk
     gives what json.loads would: members in any order, a repeated key's
-    last value, a syntax error anywhere before any error of shape. The
-    index is made with the cyclic garbage collector paused process-wide:
-    the decoded rows form no reference cycle, so collector passes over
-    them only cost time.
+    last value, a syntax error anywhere before any error of shape. Like
+    the package's other bulk work, load runs with the cyclic garbage
+    collector paused (corpus.collector_paused): the decoded rows form no
+    reference cycle.
     """
     try:
         with open(path, "rb") as fh:
@@ -372,13 +373,7 @@ def load_index(path: str) -> InvertedIndex:
     del blob
     text = "".join(pieces)
     del pieces
-    enabled = gc.isenabled()  # re-enabled only if it was, also on an error
-    gc.disable()
-    try:
-        return _decode_payload(path, text)
-    finally:
-        if enabled:
-            gc.enable()
+    return _decode_payload(path, text)
 
 
 def _decode_payload(path: str, text: str) -> InvertedIndex:

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import Config
-from .corpus import (Corpus, most_frequent_surface, preferred_surface,
-                     surface_counts)
+from .corpus import (Corpus, collector_paused, most_frequent_surface,
+                     preferred_surface, surface_counts)
 from .errors import ConfigError
 from .graph import (Layer, Origin, SemMultiGraph, bridge_components,
                     build_document_graph, expand_graph)
@@ -148,12 +148,14 @@ def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
     return bridge_components(g, config)
 
 
+@collector_paused
 def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
                      provider: TfidfSimilarity) -> list[RankedKeyphrase]:
     """Full per-document pipeline; deterministic for fixed (corpus, config).
 
     The provider holds the corpus's tf-idf vectors: build one
-    TfidfSimilarity(corpus) and pass it for every document.
+    TfidfSimilarity(corpus) and pass it for every document. It runs with
+    the cyclic garbage collector paused (corpus.collector_paused).
     """
     g = build_enriched_graph(doc_id, corpus, config, provider)
     scores, _ = pagerank(g, config)

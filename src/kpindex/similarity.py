@@ -17,7 +17,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .corpus import Corpus, Document, index_stems
+from .corpus import Corpus, Document, collector_paused, index_stems
 from .errors import DataError
 
 
@@ -72,9 +72,12 @@ class TfidfSimilarity:
     document's row is its position there. `postings` maps each stem to a
     (rows, weights) pair of lists: the ascending rows of the documents
     holding the stem, and each one's weight for it. The weights are the
-    float objects of `vectors`, so the postings copy no float.
+    float objects of `vectors`, so the postings copy no float. They are
+    built with the cyclic garbage collector paused
+    (corpus.collector_paused); neighbor queries are not paused.
     """
 
+    @collector_paused
     def __init__(self, corpus: Corpus) -> None:
         idf = compute_idf(corpus)
         self.vectors = {doc.id: vectorize(doc, idf) for doc in corpus}

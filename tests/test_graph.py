@@ -158,6 +158,23 @@ class TestExpandGraph:
             expand_graph(present_graph_for(corpus, "a"), nbrs, corpus,
                          Config(lambda_domain=5e-324, absent_quota=quota))
 
+    def test_tiny_scale_is_checked_per_neighbor_with_a_pair(self, stopwords):
+        """The underflow check reads lambda_domain * sim once per neighbor:
+        a neighbor with no pair between graph nodes raises nothing, and a
+        scale that stays above 0 gives every count a weight above 0."""
+        corpus = make_corpus([("a", "Graph ranking", ""),
+                              ("b", "", "semantic index model."),
+                              ("c", "", "graph ranking model.")], stopwords)
+        cfg = Config(lambda_domain=5e-324, absent_quota=0)
+        g = expand_graph(present_graph_for(corpus, "a"), [("b", 0.5)],
+                         corpus, cfg)
+        assert g.weights[Layer.DOMAIN] == {}
+        g = expand_graph(present_graph_for(corpus, "a"), [("c", 1.0)],
+                         corpus, cfg)
+        assert g.weights[Layer.DOMAIN] == {("graph", "graph rank"): 5e-324,
+                                           ("graph", "rank"): 5e-324,
+                                           ("graph rank", "rank"): 5e-324}
+
     def test_domain_edge_weight_is_lambda_sim_count(self, stopwords):
         corpus = self.fixture(stopwords)
         g = present_graph_for(corpus, "a", window=2)

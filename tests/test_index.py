@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import heapq
+import inspect
 import json
 import math
 import os
@@ -11,16 +12,22 @@ import tempfile
 import threading
 from array import array
 from collections import Counter, defaultdict
+from functools import partial
 from importlib import resources
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import kpindex.cli as cli
+import kpindex.corpus as corpus_module
 import kpindex.index as index_module
+import kpindex.ranking as ranking_module
+import kpindex.similarity as similarity_module
 
-from kpindex import (Config, ConfigError, TfidfSimilarity, build_index,
-                     extract_pipeline, load_index, save_index, search)
+from kpindex import (Config, ConfigError, Corpus, TfidfSimilarity,
+                     build_index, evaluate_corpus, extract_pipeline,
+                     load_corpus, load_index, save_index, search)
+from kpindex.corpus import Document, load_stopwords
 from kpindex.errors import DataError
 from kpindex.graph import Origin
 from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
@@ -737,6 +744,13 @@ def small_index():
 
 
 class TestCollectorPause:
+    """The package's bulk entry points run with the cyclic garbage
+    collector paused, through the one helper corpus.collector_paused, and
+    give its previous state back whether they return or raise. The CLI
+    pauses around each command, since _extract_all calls the stages
+    itself. save_index and the queries (search, neighbors) are not
+    paused: they ran no faster without the collector."""
+
     @pytest.mark.parametrize("blob, error", [
         (None, None),
         (b"NOPE" + bytes(20), "bad magic"),
@@ -769,20 +783,174 @@ class TestCollectorPause:
                     load_index(str(path))
             assert gc.isenabled() is enabled
 
-    def test_collector_is_paused_while_the_index_is_made(self, tmp_path,
-                                                         monkeypatch):
-        path = str(tmp_path / "c.kpix")
-        save_index(small_index(), path)
-        seen = []
+    @pytest.mark.parametrize("call, error", [
+        (lambda tmp: load_corpus(SAMPLE100), None),
+        (lambda tmp: load_corpus(corpus_file(tmp, '{"id": "a", "title": "t", '
+                                             '"abstract": ""}\n{not json\n')),
+         (DataError, "^line 2: invalid JSON")),
+        (lambda tmp: TfidfSimilarity(pause_corpus()), None),
+        (lambda tmp: TfidfSimilarity(Corpus([], [])),
+         (DataError, "^empty corpus$")),
+        (lambda tmp: extract_pipeline("a", pause_corpus(), Config(),
+                                      TfidfSimilarity(pause_corpus())), None),
+        (lambda tmp: extract_pipeline("zz", pause_corpus(), Config(),
+                                      TfidfSimilarity(pause_corpus())),
+         (KeyError, "unknown document id zz")),
+        (lambda tmp: build_index(pause_corpus(), {}), None),
+        (lambda tmp: build_index(pause_corpus(), {}, {1: 2}),
+         (DataError, "key 1 is not a str")),
+        (lambda tmp: save_index(small_index(), str(tmp / "c.kpix")), None),
+        (lambda tmp: save_index(hand_index(
+            {"graph": [("a\ud800", FIELD_TEXT, 2.0)]},
+            {"a\ud800": text_lengths(2.0)}), str(tmp / "c.kpix")),
+         (DataError, "^index text is not valid UTF-8")),
+        (lambda tmp: cli.main(["extract", corpus_file(tmp, PAUSE_RECORDS)]),
+         0),
+        (lambda tmp: cli.main(["extract", corpus_file(tmp, "{not json\n")]),
+         2),
+        (lambda tmp: cli.main(["extract", corpus_file(tmp, PAUSE_RECORDS),
+                               "--damping", "1.5"]), 1),
+    ], ids=["load_corpus", "load_corpus-bad-line", "TfidfSimilarity",
+            "TfidfSimilarity-empty", "extract_pipeline",
+            "extract_pipeline-unknown-id", "build_index",
+            "build_index-bad-config", "save_index", "save_index-surrogate-id",
+            "main", "main-data-error",
+            "main-config-error"])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_restores_collector_state(self, tmp_path, capsys, call, error,
+                                      enabled):
+        """`error` is the exception and message a call raises, or the exit
+        code main returns: main reports a DataError (2) or a ConfigError
+        (1) after the pause around its command has ended. save_index is
+        not paused, and leaves the collector as it found it too."""
+        with collector(enabled):
+            if isinstance(error, tuple):
+                with pytest.raises(error[0], match=error[1]):
+                    call(tmp_path)
+            else:
+                returned = call(tmp_path)
+                assert error is None or returned == error
+            assert gc.isenabled() is enabled
 
-        def spy(*args):
-            seen.append(gc.isenabled())
-            return InvertedIndex(*args)
-        monkeypatch.setattr(index_module, "InvertedIndex", spy)
+    def test_main_restores_collector_state_after_any_error(self, tmp_path,
+                                                           monkeypatch):
+        def broken(*args):
+            raise RuntimeError("a bug")
+        monkeypatch.setattr(cli, "build_enriched_graph", broken)
         with collector(True):
-            load_index(path)
+            with pytest.raises(RuntimeError, match="a bug"):
+                cli.main(["extract", corpus_file(tmp_path, PAUSE_RECORDS)])
             assert gc.isenabled()
-        assert seen == [False]
+
+    @pytest.mark.parametrize("prepare, owner, name", [
+        (lambda tmp: partial(load_corpus, SAMPLE100), corpus_module, "Corpus"),
+        (lambda tmp: partial(TfidfSimilarity, pause_corpus()),
+         similarity_module, "compute_idf"),
+        (lambda tmp: partial(extract_pipeline, "a", pause_corpus(), Config(),
+                             TfidfSimilarity(pause_corpus())),
+         ranking_module, "pagerank"),
+        (lambda tmp: partial(build_index, pause_corpus(), {}), index_module,
+         "InvertedIndex"),
+        (lambda tmp: partial(load_index, saved(tmp, small_index())),
+         index_module, "InvertedIndex"),
+        (lambda tmp: partial(cli.main, ["extract", corpus_file(
+            tmp, PAUSE_RECORDS)]), cli, "build_enriched_graph"),
+    ], ids=["load_corpus", "TfidfSimilarity", "extract_pipeline",
+            "build_index", "load_index", "main"])
+    def test_collector_is_off_inside(self, tmp_path, capsys, monkeypatch,
+                                     prepare, owner, name):
+        """A spy on one step inside the entry point sees the collector off.
+        The CLI's spy is a stage that _extract_all calls itself, outside
+        every paused library function."""
+        call, original, seen = prepare(tmp_path), getattr(owner, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+        with collector(True):
+            call()
+            assert gc.isenabled()
+        assert seen and not any(seen)
+
+    def test_the_pause_defers_no_garbage(self, tmp_path):
+        """The pause's premise: sample100 through every bulk entry point,
+        save_index and the queries makes no reference cycle, so with the
+        collector off throughout, a collection afterwards finds
+        nothing."""
+        path = str(tmp_path / "c.kpix")
+        gc.collect()
+        with collector(False):
+            corpus = load_corpus(SAMPLE100)
+            provider = TfidfSimilarity(corpus)
+            cfg = Config()
+            extracted = {doc_id: extract_pipeline(doc_id, corpus, cfg,
+                                                  provider)
+                         for doc_id in corpus.ids()}
+            save_index(build_index(corpus, extracted, cfg.to_dict()), path)
+            index = load_index(path)
+            for doc in corpus:
+                search(index, " ".join(doc.tokens[:8]))
+            report = evaluate_corpus(
+                corpus, lambda doc: [rk.surface for rk in extracted[doc.id]],
+                cfg)
+            assert report.macro["all"][10].f1 > 0
+            assert gc.collect() == 0
+
+    def test_one_helper_pauses_the_collector(self):
+        """Only corpus.collector_paused touches the collector, and every
+        paused entry point is wrapped by it and keeps its own signature,
+        which test_package.py's stage-input checks read."""
+        sources = {path.name: path.read_text("utf-8")
+                   for path in resources.files("kpindex").iterdir()
+                   if path.name.endswith(".py")}
+        assert {name for name, text in sources.items()
+                if re.search(r"\bgc\.", text)} == {"corpus.py"}
+        assert sources["corpus.py"].count("gc.disable(") == 1
+        assert "gc.disable(" in inspect.getsource(
+            corpus_module.collector_paused)
+        paused = corpus_module.collector_paused(len).__code__
+        for fn in PAUSED:
+            assert fn.__code__ is paused
+            params = inspect.signature(fn).parameters
+            assert params == inspect.signature(fn.__wrapped__).parameters
+            assert not {p.kind for p in params.values()} & {
+                inspect.Parameter.VAR_POSITIONAL,
+                inspect.Parameter.VAR_KEYWORD}
+        for fn in (save_index, search, TfidfSimilarity.neighbors,
+                   evaluate_corpus, corpus_module.collector_paused):
+            assert not hasattr(fn, "__wrapped__")
+
+
+#: The entry points that pause the collector; cli.main pauses around the
+#: command it runs.
+PAUSED = [load_corpus, TfidfSimilarity.__init__, extract_pipeline,
+          build_index, load_index]
+
+PAUSE_RECORDS = "".join(json.dumps(record) + "\n" for record in [
+    {"id": "a", "title": "Graph ranking",
+     "abstract": "Graph ranking models rank the nodes of a graph."},
+    {"id": "b", "title": "Graph models",
+     "abstract": "Ranking models score graph nodes by their links."}])
+
+
+def pause_corpus():
+    return Corpus([Document.build(r["id"], r["title"], r["abstract"])
+                   for r in map(json.loads, PAUSE_RECORDS.splitlines())],
+                  load_stopwords(None))
+
+
+def corpus_file(tmp_path, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def saved(tmp_path, index):
+    path = str(tmp_path / "c.kpix")
+    save_index(index, path)
+    return path
 
 
 def tuple_postings(index):

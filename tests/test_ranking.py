@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kpindex import Config, ConfigError, TfidfSimilarity, extract_pipeline
+from kpindex import (Config, ConfigError, TfidfSimilarity, extract_pipeline,
+                     load_corpus)
 from kpindex.corpus import most_frequent_surface
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
@@ -16,6 +17,7 @@ from kpindex.ranking import (_power_iteration, build_enriched_graph,
 
 from conftest import make_corpus
 from synth import build_synthetic_records
+from test_cli import EXTREME_LAMBDA_DOMAIN, SAMPLE100
 from test_graph import edge_snapshot, expand_graph_oracle, graph_of
 from test_similarity import small_corpora
 
@@ -439,6 +441,18 @@ class TestEnrichedGraphAtKZero:
 
 
 class TestExtractPipeline:
+    @pytest.mark.parametrize("value", sorted(EXTREME_LAMBDA_DOMAIN))
+    def test_extreme_lambda_domain_on_sample100_is_config_error(self, value):
+        """The library raises what `kpindex extract --lambda-domain` reports
+        (test_cli.py): some sample100 document meets the limit."""
+        corpus = load_corpus(SAMPLE100)
+        provider = TfidfSimilarity(corpus)
+        cfg = Config(lambda_domain=float(value))
+        with pytest.raises(ConfigError, match=(
+                f"^{re.escape(EXTREME_LAMBDA_DOMAIN[value])}$")):
+            for doc_id in corpus.ids():
+                extract_pipeline(doc_id, corpus, cfg, provider)
+
     def test_disabled_enrichment_equals_single_document_baseline(self, stopwords):
         corpus = make_corpus([
             ("a", "Graph ranking", "Graph ranking of documents. Quality matters."),
