@@ -33,8 +33,9 @@ the postings of its new terms plus the documents its high-bound terms
 reach, never to the number of documents.
 
 On disk the index is a single binary file: 4-byte magic, 1-byte format
-version, 8-byte big-endian payload length, then a self-describing UTF-8
-JSON payload that writes each posting as a [doc id, field, weight] row.
+version, 8-byte big-endian payload length, then a UTF-8 JSON payload:
+json.dumps(sort_keys=True) of the five members _MEMBERS, each posting
+written as a [doc id, field, weight] row. Load accepts exactly that form.
 JSON floats round-trip exactly, so save -> load is bit-exact. The length
 norms and the contribution cache are derived data: they are not written
 to the file. Save expands one term's rows at a time and load turns one
@@ -78,6 +79,9 @@ _NUMBER = (int, float)  # a length's types; bool is excluded
 _JSON_SCALARS = (str, int, float, type(None))  # bool is an int
 _MAGIC = b"KPIX"
 _VERSION = 1
+_FORMAT = "kpindex-inverted-index"  # the payload's `format` member
+# the payload's members, in the order json.dumps(sort_keys=True) writes them
+_MEMBERS = ("config", "doc_lengths", "fields", "format", "postings")
 _BLOCK = 1 << 16  # load decodes the payload this many bytes at a time
 _MARGIN = 1.0 + 1e-9  # search's stopping margin over float rounding
 MAX_COUNT = float(2**53)  # the largest length or weight an index holds
@@ -276,13 +280,8 @@ def save_index(index: InvertedIndex, path: str) -> None:
     DataError when a string holds a lone surrogate, which UTF-8 cannot
     encode, or when the config cannot be written (a cycle, or nested past
     the recursion limit)."""
-    payload = {
-        "format": "kpindex-inverted-index",
-        "fields": list(FIELDS),
-        "config": index.config,
-        "doc_lengths": index.doc_lengths,
-        "postings": index.postings,
-    }
+    payload = dict(zip(_MEMBERS, (index.config, index.doc_lengths,
+                                  list(FIELDS), _FORMAT, index.postings)))
     doc_id, field = index.doc_ids.__getitem__, _CODE_FIELDS.__getitem__
 
     def rows(plist):
@@ -322,31 +321,32 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 @collector_paused
 def load_index(path: str) -> InvertedIndex:
-    """Read an index file; every DataError names the file and the payload
-    field at fault.
+    """Read an index file as save_index writes it; every DataError names
+    the file and the payload member at fault.
 
-    Load checks what JSON can get wrong: `doc_lengths` and `postings`
-    are objects, and each posting is a [doc id, field, weight] row naming
-    a document of `doc_lengths` and a field of FIELDS, with an int or
-    float weight (an int one must be a float exactly). The InvertedIndex
-    constructor checks the rest of the rule of a valid index; then each
-    field length must equal the math.fsum of that document's weights in
-    the field, as build_index writes it (a rule for files only).
+    The payload must be one JSON object holding the members _MEMBERS in
+    that order, each once: `format` is _FORMAT, `fields` list(FIELDS),
+    `doc_lengths` an object and `postings` an object of strictly
+    increasing terms, each a list of [doc id, field, float weight] rows
+    naming a document of `doc_lengths` and a field of FIELDS. The
+    InvertedIndex constructor checks the rest of the rule of a valid
+    index; then each field length must equal the math.fsum of that
+    document's weights in the field, as build_index writes it (a rule
+    for files only). Load stops at the first fault it meets, so a fault
+    of shape hides a later syntax error.
 
     The payload text is decoded from the file buffer 64 KiB at a time.
     This only matters for a payload holding non-ASCII text, which decoded
     whole peaks at twice its size; an ASCII one, like every benchmark
     file, peaks the same either way. The text is then walked
-    with json.loads's own C scanner: every top-level member but
-    `postings` is decoded whole, and `postings` one term at a time, each
-    term's rows decoded, made into columns and dropped before the next
-    term is read. So load holds the text, the index and one term's rows,
-    never the whole decoded payload: on the `index-search` benchmark's
-    5.19 MB file, tracemalloc puts load's peak at 12.7 MB and the index it
-    keeps at 6.7 MB (29.2 and 20.8 MB with a tuple per posting). The walk
-    gives what json.loads would: members in any order, a repeated key's
-    last value, a syntax error anywhere before any error of shape. Like
-    the package's other bulk work, load runs with the cyclic garbage
+    with json.loads's own C scanner: every member but `postings` is
+    decoded whole, and `postings` one term at a time, each term's rows
+    decoded, made into columns and dropped before the next term is read.
+    So load holds the text, the index and one term's rows, never the
+    whole decoded payload: on the `index-search` benchmark's 5.19 MB
+    file, tracemalloc puts load's peak at 12.7 MB and the index it keeps
+    at 6.7 MB (29.2 and 20.8 MB with a tuple per posting). Like the
+    package's other bulk work, load runs with the cyclic garbage
     collector paused (corpus.collector_paused): the decoded rows form no
     reference cycle.
     """
@@ -377,19 +377,23 @@ def load_index(path: str) -> InvertedIndex:
 
 
 def _decode_payload(path: str, text: str) -> InvertedIndex:
-    members = {}  # top-level members but postings; a repeated key's last wins
-    last = None  # the last postings member: (its index, the doc_lengths it
-    #              was read against, its postings)
+    values = {}  # each member's value, in _MEMBERS order
 
     def member(key, at):
-        nonlocal last
-        if key != "postings":
-            members[key], end = _value(text, at)
+        n = len(values)
+        if n == len(_MEMBERS) or key != _MEMBERS[n]:
+            expected = repr(_MEMBERS[n]) if n < len(_MEMBERS) else "the end"
+            raise DataError(f"{path}: index payload field {key!r} where "
+                            f"{expected} belongs")
+        if key == "postings":
+            values[key], end = _walk_postings(path, text, at,
+                                              values["doc_lengths"])
             return end
-        last = None  # a later postings member wins: free the earlier one
-        read_against = members.get("doc_lengths")
-        end, postings = _walk_postings(text, at, read_against)
-        last = (at, read_against, postings)
+        values[key], end = _value(text, at)
+        if (key == "doc_lengths" and not isinstance(values[key], dict)
+                or key == "fields" and values[key] != list(FIELDS)
+                or key == "format" and values[key] != _FORMAT):
+            raise _malformed(path, key)
         return end
 
     try:
@@ -406,19 +410,12 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
         raise DataError(f"{path}: corrupt index payload") from None
     except RecursionError:
         raise DataError(f"{path}: index payload nested too deeply") from None
-    doc_lengths = members.get("doc_lengths")
-    if not isinstance(doc_lengths, dict):
-        raise _malformed(path, "doc_lengths")
-    if last is None:
-        raise _malformed(path, "postings")
-    at, read_against, postings = last
-    if read_against is not doc_lengths:
-        # the postings came before the last doc_lengths: read them again
-        _, postings = _walk_postings(text, at, doc_lengths)
-    if postings is None:
-        raise _malformed(path, "postings")
+    if len(values) < len(_MEMBERS):
+        raise _malformed(path, _MEMBERS[len(values)])
+    doc_lengths = values["doc_lengths"]
     try:
-        index = InvertedIndex(postings, doc_lengths, members.get("config", {}))
+        index = InvertedIndex(values["postings"], doc_lengths,
+                              values["config"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     sums = _cell_sums(index)
@@ -467,38 +464,39 @@ def _malformed(path: str, part: str) -> DataError:
                      f"malformed")
 
 
-def _walk_postings(text: str, at: int, doc_lengths):
+def _walk_postings(path: str, text: str, at: int, doc_lengths: dict):
     """Read the postings member whose value is at text[at] against
-    `doc_lengths`, one term at a time: decode the term's rows, make its
-    columns, drop the rows. Returns the index after the member and the
-    postings, which are None when the member is malformed or when
-    doc_lengths is no object, the member then being only checked for
-    syntax."""
+    `doc_lengths`, one term at a time: check that the term follows the
+    previous one, decode its rows, make its columns, drop the rows.
+    Returns the postings and the index after the member."""
     if not text.startswith("{", at):
-        return _value(text, at)[1], None
-    if not isinstance(doc_lengths, dict):
-        return _walk_object(text, at, lambda _, i: _value(text, i)[1]), None
+        _value(text, at)  # a syntax error there is a corrupt payload
+        raise _malformed(path, "postings")
     row_of = {doc_id: row for row, doc_id in enumerate(sorted(doc_lengths))}
     postings = {}
+    last = None
 
     def read_term(term, i):
+        nonlocal last
+        if last is not None and term <= last:
+            raise DataError(f"{path}: index payload field 'postings': term "
+                            f"{term!r} is not after {last!r}")
         rows, end = _value(text, i)
-        # a repeated term keeps its first place, as in a json.loads dict
-        postings[term] = _columns(rows, row_of)
+        plist = _columns(rows, row_of)
+        if plist is None:
+            raise _malformed(path, "postings")
+        postings[term] = plist
+        last = term
         return end
 
-    end = _walk_object(text, at, read_term)
-    if any(plist is None for plist in postings.values()):
-        return end, None
-    return end, postings
+    return postings, _walk_object(text, at, read_term)
 
 
 def _columns(rows, row_of: dict[str, int]) -> Postings | None:
     """A term's decoded rows as columns, or None when they are not a list
     of [doc id, field, weight] rows naming documents of row_of and fields
-    of FIELDS, with int or float weights, an int one a float exactly."""
-    # an object iterates its names, never rows: only {} passes
-    if type(rows) not in (list, dict):
+    of FIELDS, with float weights."""
+    if type(rows) is not list:
         return None
     if not rows:
         return Postings(array("i"), b"", array("d"))
@@ -506,14 +504,12 @@ def _columns(rows, row_of: dict[str, int]) -> Postings | None:
         if set(map(len, rows)) != {3}:
             return None
         ids, fields, weights = zip(*rows)
-        if not set(map(type, weights)) <= {float} and not all(
-                type(w) is float or (type(w) is int and float(w) == w)
-                for w in weights):
+        if set(map(type, weights)) != {float}:
             return None
         return Postings(array("i", list(map(row_of.__getitem__, ids))),
                         bytes(map(_FIELD_CODES.__getitem__, fields)),
                         array("d", weights))
-    except (KeyError, TypeError, OverflowError):
+    except (KeyError, TypeError):
         return None
 
 

@@ -47,9 +47,20 @@ def nested_json(depth=100_000):
     return "[" * depth + "]" * depth
 
 
+def canonical_payload(payload):
+    """The payload bytes of the members of the dict `payload` over the
+    canonical ones (an empty config, the fields and the format name), in
+    sorted order as save_index writes them, with every object's names
+    sorted."""
+    members = {"config": {}, "fields": ["text", "kp_present", "kp_absent"],
+               "format": "kpindex-inverted-index", **payload}
+    return json.dumps(members, sort_keys=True).encode("utf-8")
+
+
 def write_payload(path, payload):
-    """An index file with a valid header around an arbitrary JSON payload."""
-    path.write_bytes(index_file_bytes(json.dumps(payload).encode("utf-8")))
+    """An index file with a valid header around canonical_payload(payload),
+    so that each test of one member's check reaches that check."""
+    path.write_bytes(index_file_bytes(canonical_payload(payload)))
     return str(path)
 
 

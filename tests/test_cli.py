@@ -590,6 +590,14 @@ class TestIndexAndSearch:
         assert code == 2
         assert "'doc_lengths'" in err
 
+    def test_payload_of_another_format_is_data_error(self, tmp_path, capsys):
+        bad = write_payload(tmp_path / "bad.kpix", {
+            "doc_lengths": {}, "format": "bogus", "postings": {}})
+        code, out, err = run(["search", bad, "graph"], capsys)
+        assert code == 2
+        assert out == "" and err == (f"error: {bad}: index payload field "
+                                     f"'format' is missing or malformed\n")
+
     def test_index_with_infinite_weighted_length_is_data_error(self, tmp_path,
                                                                 capsys):
         """A kp_present length and weight of 1.7e308, whose 1.5x is inf,

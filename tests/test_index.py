@@ -35,8 +35,8 @@ from kpindex.index import (B, FIELD_KP_ABSENT, FIELD_KP_PRESENT, FIELD_TEXT,
                            InvertedIndex, Postings, query_terms)
 from kpindex.ranking import RankedKeyphrase
 
-from conftest import (index_file_bytes, kept_and_peak, make_corpus,
-                      nested_json, write_payload)
+from conftest import (canonical_payload, index_file_bytes, kept_and_peak,
+                      make_corpus, nested_json, write_payload)
 
 SAMPLE100 = str(resources.files("kpindex").joinpath("data/sample100.jsonl"))
 CODE_FIELDS = sorted(FIELDS)  # a field's code is its place here
@@ -304,7 +304,9 @@ class TestPersistence:
             load_index(path)
 
     def test_payload_that_is_no_object_is_corrupt(self, tmp_path):
-        path = write_payload(tmp_path / "c.kpix", [{"doc_lengths": {}}])
+        path = tmp_path / "c.kpix"
+        path.write_bytes(index_file_bytes(b'[{"doc_lengths": {}}]'))
+        path = str(path)
         with pytest.raises(DataError, match=": corrupt index payload$"):
             load_index(path)
 
@@ -342,8 +344,8 @@ class TestPersistence:
     def test_lengths_that_sum_the_postings_load(self, tmp_path):
         path = write_payload(tmp_path / "c.kpix", {
             "doc_lengths": {"a": text_lengths(3), "b": text_lengths(0.75)},
-            "postings": {"graph": [["a", "text", 2], ["b", "text", 0.5]],
-                         "rank": [["a", "text", 1], ["b", "text", 0.25]]}})
+            "postings": {"graph": [["a", "text", 2.0], ["b", "text", 0.5]],
+                         "rank": [["a", "text", 1.0], ["b", "text", 0.25]]}})
         index = load_index(path)
         assert index.doc_lengths["a"] == text_lengths(3.0)
         assert sorted(doc_id for doc_id, _ in search(index, "graph")) == ["a", "b"]
@@ -568,13 +570,13 @@ class TestOneRule:
         with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
             hand_index(postings, lengths)
 
-    @pytest.mark.parametrize("weight", [True, "1", None, [1.0], 2**53 + 1,
+    @pytest.mark.parametrize("weight", [True, "1", None, [1.0], 1, 2**53 + 1,
                                         10**400],
-                             ids=["bool", "str", "null", "array", "inexact-int",
-                                  "huge-int"])
+                             ids=["bool", "str", "null", "array", "int",
+                                  "inexact-int", "huge-int"])
     def test_load_refuses_weights_no_column_holds(self, tmp_path, weight):
-        """A weights column holds floats: a file's weight must be a JSON
-        number, and an integer one a float exactly."""
+        """A weights column holds floats, and save_index writes each as a
+        JSON float: a file's weight must be one, never an integer."""
         path = write_payload(tmp_path / "c.kpix", {
             "doc_lengths": {"a": text_lengths(1.0)},
             "postings": {"x": [["a", FIELD_TEXT, weight]]}})
@@ -757,11 +759,11 @@ class TestCollectorPause:
         (index_file_bytes(b"{}")[:-1], "truncated"),
         (index_file_bytes(b"{not json"), "corrupt index payload"),
         (index_file_bytes(b"\xff"), "corrupt index payload"),
-        (index_file_bytes(b'{"postings": {}}'), "'doc_lengths'"),
-        (index_file_bytes(json.dumps(
+        (index_file_bytes(canonical_payload({"postings": {}})),
+         "'doc_lengths'"),
+        (index_file_bytes(canonical_payload(
             {"doc_lengths": {"a": text_lengths(1.0)},
-             "postings": {"x": [["a", "text", 10**400]]}}).encode()),
-         "'postings'"),
+             "postings": {"x": [["a", "text", 10**400]]}})), "'postings'"),
         (index_file_bytes(b'{"config": {"n": ' + nested_json().encode()
                           + b'}}'), "nested too deeply"),
     ], ids=["valid", "bad-magic", "truncated", "corrupt", "invalid-utf8",
@@ -1174,7 +1176,7 @@ class TestArbitraryPayloads:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.kpix")
             with open(path, "wb") as fh:
-                fh.write(index_file_bytes(json.dumps(payload).encode()))
+                fh.write(index_file_bytes(canonical_payload(payload)))
             try:
                 index = load_index(path)
             except DataError as exc:
@@ -1185,43 +1187,81 @@ class TestArbitraryPayloads:
                 event("loaded")
 
 
+#: the members of an index payload, in the order save_index writes them
+PAYLOAD_MEMBERS = ["config", "doc_lengths", "fields", "format", "postings"]
+
+
+class Pairs(dict):
+    """A decoded JSON object, as json.loads makes it, that also keeps its
+    (name, value) pairs in order, repeated names included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def decode_payload_oracle(path, text):
     """load_index's payload decoder as one json.loads of the whole payload,
-    then a loop that makes each term's rows columns, one row at a time."""
+    each object keeping its pairs, then the check of the canonical form,
+    member by member and term by term in the order the text holds them,
+    with a loop that makes each term's rows columns, one row at a time."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=Pairs)
     except ValueError:
         raise DataError(f"{path}: corrupt index payload") from None
     except RecursionError:
         raise DataError(f"{path}: index payload nested too deeply") from None
-    if not isinstance(payload, dict):
+    if not isinstance(payload, Pairs):
         raise DataError(f"{path}: corrupt index payload")
-    try:
-        part = "doc_lengths"
-        doc_lengths = payload[part]
-        row_of = {doc_id: row
-                  for row, doc_id in enumerate(sorted(doc_lengths.keys()))}
-        part = "postings"
-        postings = {}
-        for term, rows in payload[part].items():
-            if type(rows) not in (list, dict):
-                raise TypeError("no rows")
+
+    def malformed(part):
+        return DataError(f"{path}: index payload field {part!r} is missing "
+                         f"or malformed")
+
+    def columns_of(terms, row_of):
+        postings, previous = {}, None
+        for term, rows in terms.pairs:
+            if previous is not None and term <= previous:
+                raise DataError(f"{path}: index payload field 'postings': "
+                                f"term {term!r} is not after {previous!r}")
+            previous = term
             doc_rows, codes, weights = [], [], []
-            for doc_id, field, weight in rows:
-                doc_rows.append(row_of[doc_id])
-                codes.append(CODE_FIELDS.index(field))
-                if type(weight) is int and float(weight) == weight:
-                    weight = float(weight)
-                elif type(weight) is not float:
-                    raise TypeError("no weight")
-                weights.append(weight)
+            try:
+                if type(rows) is not list:
+                    raise TypeError("no rows")
+                for doc_id, field, weight in rows:
+                    if type(weight) is not float:
+                        raise TypeError("no weight")
+                    doc_rows.append(row_of[doc_id])
+                    codes.append(CODE_FIELDS.index(field))
+                    weights.append(weight)
+            except (KeyError, TypeError, ValueError):
+                raise malformed("postings") from None
             postings[term] = Postings(array("i", doc_rows), bytes(codes),
                                       array("d", weights))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
-        raise DataError(f"{path}: index payload field {part!r} is "
-                        f"missing or malformed") from None
+        return postings
+
+    members = {}
+    for n, (key, value) in enumerate(payload.pairs):
+        if PAYLOAD_MEMBERS[n:n + 1] != [key]:
+            expected = (repr(PAYLOAD_MEMBERS[n]) if n < len(PAYLOAD_MEMBERS)
+                        else "the end")
+            raise DataError(f"{path}: index payload field {key!r} where "
+                            f"{expected} belongs")
+        if (key in ("doc_lengths", "postings") and not isinstance(value, dict)
+                or key == "fields" and value != list(FIELDS)
+                or key == "format" and value != "kpindex-inverted-index"):
+            raise malformed(key)
+        # the terms are checked where they stand, before any later member
+        members[key] = value if key != "postings" else columns_of(
+            value, {doc_id: row for row, doc_id
+                    in enumerate(sorted(members["doc_lengths"]))})
+    if len(members) < len(PAYLOAD_MEMBERS):
+        raise malformed(PAYLOAD_MEMBERS[len(members)])
+    doc_lengths = members["doc_lengths"]
     try:
-        index = InvertedIndex(postings, doc_lengths, payload.get("config", {}))
+        index = InvertedIndex(members["postings"], doc_lengths,
+                              members["config"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     cells = defaultdict(list)
@@ -1272,12 +1312,13 @@ def saved_text(index):
 @st.composite
 def payload_texts(draw):
     """A saved index's payload text, or the same members written with
-    other whitespace, in another order, with repeated terms and repeated
-    doc_lengths or postings members holding a copy or arbitrary JSON."""
+    other whitespace, maybe in another order, with repeated terms and
+    repeated doc_lengths or postings members holding a copy or arbitrary
+    JSON. All but the saved text and its respacing are refused."""
     index = draw(st.one_of(indexes(), summed_indexes()))
     if draw(st.booleans()):
         return saved_text(index)
-    postings = Members(tuple_postings(index).items())
+    postings = Members(sorted(tuple_postings(index).items()))
     for _ in range(draw(st.integers(0, 3))):
         term = draw(st.sampled_from([t for t, _ in postings])
                     if postings else names)
@@ -1289,7 +1330,8 @@ def payload_texts(draw):
                        ("fields", list(FIELDS)),
                        ("format", "kpindex-inverted-index"),
                        ("postings", postings)])
-    members = Members(draw(st.permutations(members)))
+    if draw(st.booleans()):
+        members = Members(draw(st.permutations(members)))
     for _ in range(draw(st.integers(0, 2))):
         key, junk = draw(st.sampled_from([("doc_lengths", junk_doc_lengths),
                                           ("postings", junk_postings)]))
@@ -1306,29 +1348,42 @@ SMALL_TEXT = saved_text(hand_index(
     {"top_n": 10, "nested": {"list": [1, 2.5, "ü"]}}))
 
 
+def members_text(postings="{}", tail=""):
+    """A payload text of the canonical members around an empty index,
+    `postings` being the text of that member's value and `tail` the text
+    before the closing brace."""
+    return ('{"config": {}, "doc_lengths": {}, "fields": '
+            + json.dumps(list(FIELDS))
+            + ', "format": "kpindex-inverted-index", "postings": '
+            + postings + tail + "}")
+
+
 class TestDecodeOracle:
     """load_index's term-by-term walk makes the index the whole-payload
-    json.loads decoder made, or raises its DataError message."""
+    json.loads decoder makes, or raises its DataError message. Both check
+    the canonical form in the order the text holds it, so they agree
+    exactly on every valid JSON text. On invalid JSON the walk stops at
+    the first fault it meets: where a fault of shape comes before the
+    syntax error, it names that fault and json.loads the syntax error."""
 
     @given(payload_texts())
     @example(SMALL_TEXT)
+    @example(dump(json.loads(SMALL_TEXT), " "))
     @example(dump(Members([("postings", {"x": [["a", "text", 1.0]]}),
                            ("doc_lengths", {"a": text_lengths(1.0)})]), " "))
     @example(dump(Members([("doc_lengths", []),
                            ("postings", {"x": [["a", "text", 1.0]]}),
                            ("doc_lengths", {"a": text_lengths(1.0)})]), ""))
-    @example(dump(Members([("doc_lengths", {"a": text_lengths(1.0)}),
-                           ("postings", Members([
-                               ("x", "junk"), ("y", [["a", "text", 1.0]]),
-                               ("x", {})]))]), ""))
-    @example(dump(Members([("doc_lengths", {"a": text_lengths(1.0)}),
-                           ("postings", Members([
-                               ("x", [["a", "text", 1.0]]),
-                               ("x", [["a", "text", 1.0]])]))]), ""))
+    @example(members_text(dump(Members([("x", [["a", "text", 1.0]]),
+                                        ("x", [["a", "text", 1.0]])]), "")))
+    @example(members_text('{"y": [], "x": 1}', ', "postings": {}'))
     @settings(max_examples=400, deadline=None)
     def test_walk_equals_whole_payload_decode(self, text):
-        assert (decoded(index_module._decode_payload, text)
-                == decoded(decode_payload_oracle, text))
+        whole = decoded(decode_payload_oracle, text)
+        assert decoded(index_module._decode_payload, text) == whole
+        assert not whole.startswith("DataError") or whole.startswith(
+            "DataError: c.kpix: ")
+        event("refused" if whole.startswith("DataError") else "loaded")
 
     @pytest.mark.parametrize("text", [
         "\ufeff" + SMALL_TEXT,
@@ -1337,23 +1392,23 @@ class TestDecodeOracle:
         SMALL_TEXT.replace("0.5]", "1" * 5000 + "]"),
         "[" + SMALL_TEXT + "]",
         '{"config": ' + nested_json() + ', "doc_lengths": {}, "postings": {}}',
-        '{"doc_lengths": {}, "postings": {"x": ' + nested_json() + "}}",
-        '{"doc_lengths": {}, "postings": ' + nested_json() + "}",
-        '{"doc_lengths": {}, "postings": {}, ' + nested_json() + "}",
+        members_text('{"x": ' + nested_json() + "}"),
+        members_text(nested_json()),
+        members_text(tail=", " + nested_json()),
         nested_json(),
         SMALL_TEXT + " x",
         SMALL_TEXT[:-1] + ", }",
         SMALL_TEXT.replace('"graph"', '"graph\n"'),
-        '{"doc_lengths": {}, "postings": {}}\n\t ',
-        '{"doc_lengths": {} "postings": {}}',
-        '{"doc_lengths": {}, "postings": {"x": []}, }',
-        '{"doc_lengths": {}, "postings": {"x" []}}',
-        '{"doc_lengths": {}, "postings": {"x": [],}}',
-        '{"doc_lengths": {}, "postings": {"x": ""}}',
-        '{"doc_lengths": {}, "postings": {"x": []}, "postings": 5}',
-        '{"doc_lengths": {}, "postings": 5, "postings": {"x": []}}',
+        members_text() + "\n\t ",
+        SMALL_TEXT.replace(', "fields"', ' "fields"'),
+        members_text('{"x": []}', ", "),
+        members_text('{"x" []}'),
+        members_text('{"x": [],}'),
+        members_text('{"x": ""}'),
+        members_text('{"x": []}', ', "postings": 5'),
+        members_text("5", ', "postings": {"x": []}'),
         '{"postings": {"x": [["a", "text", 1]]}}',
-        '{"doc_lengths": {}, "postings": {}, 1: 2}',
+        members_text(tail=", 1: 2"),
         "", " ", "{", "{}", "{ }", "null", '"x"',
     ], ids=["bom", "nan-weight", "infinite-length", "huge-int",
             "top-level-array", "nested-config", "nested-rows",
@@ -1373,6 +1428,101 @@ class TestDecodeOracle:
             for end in range(len(text) + 1):
                 assert (decoded(index_module._decode_payload, text[:end])
                         == decoded(decode_payload_oracle, text[:end])), end
+
+    def test_a_fault_of_shape_hides_a_later_syntax_error(self):
+        text = '{"doc_lengths": {}, 1: 2}'
+        assert decoded(index_module._decode_payload, text) == (
+            "DataError: c.kpix: index payload field 'doc_lengths' where "
+            "'config' belongs")
+        assert decoded(decode_payload_oracle, text) == (
+            "DataError: c.kpix: corrupt index payload")
+
+
+def canonical_pairs(postings=(("x", [["a", FIELD_TEXT, 1.0]]),)):
+    """The members of an index of one document, in the order save_index
+    writes them, as (name, value) pairs; `postings` as (term, rows)
+    pairs."""
+    return [("config", {}), ("doc_lengths", {"a": text_lengths(1.0)}),
+            ("fields", list(FIELDS)), ("format", "kpindex-inverted-index"),
+            ("postings", Members(postings))]
+
+
+CANONICAL = canonical_pairs()
+
+
+class TestCanonicalForm:
+    """load_index reads exactly what save_index writes: the members
+    config, doc_lengths, fields, format and postings, in that order and
+    each once, `format` naming the format, `fields` listing FIELDS in
+    order, and strictly increasing terms, each a list of [doc id, field,
+    float weight] rows. Any other payload is refused, naming the file and
+    the member; each case below but no-postings loaded before the reader
+    required that form, as did an int weight (see
+    test_load_refuses_weights_no_column_holds)."""
+
+    CASES = {
+        "bogus-format": (
+            [*CANONICAL[:3], ("format", "bogus"), CANONICAL[4]],
+            "index payload field 'format' is missing or malformed$"),
+        "no-fields": (
+            CANONICAL[:2] + CANONICAL[3:],
+            "index payload field 'format' where 'fields' belongs$"),
+        "fields-in-another-order": (
+            [*CANONICAL[:2], ("fields", sorted(FIELDS)), *CANONICAL[3:]],
+            "index payload field 'fields' is missing or malformed$"),
+        "members-out-of-order": (
+            [CANONICAL[1], CANONICAL[0], *CANONICAL[2:]],
+            "index payload field 'doc_lengths' where 'config' belongs$"),
+        "repeated-member": (
+            [CANONICAL[0], *CANONICAL],
+            "index payload field 'config' where 'doc_lengths' belongs$"),
+        "member-after-postings": (
+            [*CANONICAL, CANONICAL[4]],
+            "index payload field 'postings' where the end belongs$"),
+        "no-postings": (
+            CANONICAL[:4],
+            "index payload field 'postings' is missing or malformed$"),
+        "repeated-term": (
+            canonical_pairs([("x", [["a", FIELD_TEXT, 1.0]])] * 2),
+            "index payload field 'postings': term 'x' is not after 'x'$"),
+        "terms-out-of-order": (
+            canonical_pairs([("y", [["a", FIELD_TEXT, 0.5]]),
+                             ("x", [["a", FIELD_TEXT, 0.5]])]),
+            "index payload field 'postings': term 'x' is not after 'y'$"),
+        "object-rows": (
+            canonical_pairs([("x", {}), ("y", [["a", FIELD_TEXT, 1.0]])]),
+            "index payload field 'postings' is missing or malformed$"),
+    }
+
+    def test_canonical_payload_loads(self, tmp_path):
+        path = tmp_path / "c.kpix"
+        path.write_bytes(index_file_bytes(
+            dump(Members(CANONICAL), " ").encode()))
+        assert load_index(str(path)) == hand_index(
+            {"x": [("a", FIELD_TEXT, 1.0)]}, {"a": text_lengths(1.0)})
+
+    @pytest.mark.parametrize("members, error", CASES.values(),
+                             ids=CASES.keys())
+    def test_other_payloads_are_refused(self, tmp_path, members, error):
+        path = tmp_path / "c.kpix"
+        path.write_bytes(index_file_bytes(
+            dump(Members(members), " ").encode()))
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}: {error}"):
+            load_index(str(path))
+
+    def test_reader_takes_the_members_save_writes_in_sorted_order(
+            self, tmp_path, monkeypatch):
+        written = []
+        dumps = json.dumps
+
+        def spy(payload, **kwargs):
+            written.append(list(payload))
+            return dumps(payload, **kwargs)
+        monkeypatch.setattr(index_module.json, "dumps", spy)
+        save_index(small_index(), str(tmp_path / "c.kpix"))
+        assert list(index_module._MEMBERS) == sorted(written[0])
+        assert index_module._MEMBERS == tuple(PAYLOAD_MEMBERS)
 
 
 FIVE_DOC_ROWS = [
@@ -1954,7 +2104,7 @@ class TestNumberRangeProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.kpix")
             with open(path, "wb") as fh:
-                fh.write(index_file_bytes(json.dumps(payload).encode()))
+                fh.write(index_file_bytes(canonical_payload(payload)))
             with pytest.raises(DataError,
                                match=f"^{re.escape(path)}: {fault}"):
                 load_index(path)
