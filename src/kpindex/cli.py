@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError
 from .evaluation import evaluate_corpus, tfidf_baseline
 from .graph import to_dot
 from .index import build_index, load_index, save_index, search
-from .ranking import build_enriched_graph, pagerank, rank_keyphrases
+from .ranking import extract_document
 from .similarity import TfidfSimilarity, compute_idf
 
 MODELS = ("full", "no-expansion", "tfidf")
@@ -126,13 +126,12 @@ def _extract_all(corpus: Corpus, cfg: Config,
         Path(dot_dir).mkdir(parents=True, exist_ok=True)
     extracted, unconverged = {}, 0
     for doc_id in corpus.ids():
-        g = build_enriched_graph(doc_id, corpus, cfg, provider)
+        doc = extract_document(doc_id, corpus, cfg, provider)
         if dot_dir is not None:
             Path(dot_dir).joinpath(f"{doc_id}.dot").write_text(
-                to_dot(g, name=doc_id), encoding="utf-8")
-        scores, converged = pagerank(g, cfg)
-        unconverged += not converged
-        extracted[doc_id] = rank_keyphrases(g, scores, corpus, cfg)
+                to_dot(doc.graph, name=doc_id), encoding="utf-8")
+        unconverged += not doc.converged
+        extracted[doc_id] = doc.rows
     if unconverged:  # one line on stderr; stdout and the exit code stay as they are
         print(f"warning: PageRank did not converge within max_iter={cfg.max_iter} "
               f"on {unconverged} of {len(extracted)} documents", file=sys.stderr)
@@ -209,7 +208,8 @@ def _write_all(out, blob: bytes) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # _extract_all runs the stages itself, not through extract_pipeline
+        # a command also runs bulk work that no paused entry point covers:
+        # tfidf_baseline, evaluate_corpus and the neighbor queries
         lines = collector_paused(args.run)(args)
         try:
             blob = "".join(line + "\n" for line in lines).encode("utf-8")

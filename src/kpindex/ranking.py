@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import Config
 from .corpus import (Corpus, collector_paused, most_frequent_surface,
@@ -138,25 +139,38 @@ def rank_keyphrases(g: SemMultiGraph, scores: dict[str, float], corpus: Corpus,
 
 
 def build_enriched_graph(doc_id: str, corpus: Corpus, config: Config,
-                         provider: TfidfSimilarity) -> SemMultiGraph:
-    """Document graph -> neighbor expansion -> component bridging; with
-    k_neighbors == 0 there is no neighbor, so expansion adds nothing."""
+                         neighbors: list[tuple[str, float]]) -> SemMultiGraph:
+    """Document graph -> expansion by the ranked (id, similarity) list ->
+    component bridging; the empty list of k_neighbors == 0 adds nothing."""
     g = build_document_graph(
         corpus[doc_id], corpus.candidates_for(doc_id, config.max_len), config)
-    nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
-    expand_graph(g, nbrs.neighbors, corpus, config)
+    expand_graph(g, neighbors, corpus, config)
     return bridge_components(g, config)
 
 
+class ExtractedDocument(NamedTuple):
+    graph: SemMultiGraph  # the enriched graph, as --dot-dump renders it
+    converged: bool  # PageRank's last L1 change was at most tol
+    rows: list[RankedKeyphrase]
+
+
 @collector_paused
-def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
-                     provider: TfidfSimilarity) -> list[RankedKeyphrase]:
-    """Full per-document pipeline; deterministic for fixed (corpus, config).
+def extract_document(doc_id: str, corpus: Corpus, config: Config,
+                     provider: TfidfSimilarity) -> ExtractedDocument:
+    """The one sequence of a document's stages: neighbors, enriched graph,
+    PageRank, ranking; deterministic for fixed (corpus, config).
 
     The provider holds the corpus's tf-idf vectors: build one
     TfidfSimilarity(corpus) and pass it for every document. It runs with
     the cyclic garbage collector paused (corpus.collector_paused).
     """
-    g = build_enriched_graph(doc_id, corpus, config, provider)
-    scores, _ = pagerank(g, config)
-    return rank_keyphrases(g, scores, corpus, config)
+    nbrs = provider.neighbors(doc_id, config.k_neighbors, config.min_sim)
+    g = build_enriched_graph(doc_id, corpus, config, nbrs.neighbors)
+    scores, converged = pagerank(g, config)
+    return ExtractedDocument(g, converged, rank_keyphrases(g, scores, corpus, config))
+
+
+def extract_pipeline(doc_id: str, corpus: Corpus, config: Config,
+                     provider: TfidfSimilarity) -> list[RankedKeyphrase]:
+    """The ranked rows of extract_document."""
+    return extract_document(doc_id, corpus, config, provider).rows

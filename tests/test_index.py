@@ -749,9 +749,11 @@ class TestCollectorPause:
     """The package's bulk entry points run with the cyclic garbage
     collector paused, through the one helper corpus.collector_paused, and
     give its previous state back whether they return or raise. The CLI
-    pauses around each command, since _extract_all calls the stages
-    itself. save_index and the queries (search, neighbors) are not
-    paused: they ran no faster without the collector."""
+    pauses around each command too, since a command also runs bulk work
+    that no paused entry point covers (tfidf_baseline, evaluate_corpus,
+    the neighbor queries). save_index and the queries (search,
+    neighbors) are not paused: they ran no faster without the
+    collector."""
 
     @pytest.mark.parametrize("blob, error", [
         (None, None),
@@ -839,7 +841,7 @@ class TestCollectorPause:
                                                            monkeypatch):
         def broken(*args):
             raise RuntimeError("a bug")
-        monkeypatch.setattr(cli, "build_enriched_graph", broken)
+        monkeypatch.setattr(cli, "extract_document", broken)
         with collector(True):
             with pytest.raises(RuntimeError, match="a bug"):
                 cli.main(["extract", corpus_file(tmp_path, PAUSE_RECORDS)])
@@ -856,15 +858,15 @@ class TestCollectorPause:
          "InvertedIndex"),
         (lambda tmp: partial(load_index, saved(tmp, small_index())),
          index_module, "InvertedIndex"),
-        (lambda tmp: partial(cli.main, ["extract", corpus_file(
-            tmp, PAUSE_RECORDS)]), cli, "build_enriched_graph"),
+        (lambda tmp: partial(cli.main, ["evaluate", SAMPLE100, "--model",
+                                        "tfidf"]), cli, "tfidf_baseline"),
     ], ids=["load_corpus", "TfidfSimilarity", "extract_pipeline",
             "build_index", "load_index", "main"])
     def test_collector_is_off_inside(self, tmp_path, capsys, monkeypatch,
                                      prepare, owner, name):
         """A spy on one step inside the entry point sees the collector off.
-        The CLI's spy is a stage that _extract_all calls itself, outside
-        every paused library function."""
+        The CLI's spy is the tf-idf baseline that `evaluate --model tfidf`
+        calls, outside every paused library function."""
         call, original, seen = prepare(tmp_path), getattr(owner, name), []
 
         def spy(*args, **kwargs):
@@ -927,8 +929,8 @@ class TestCollectorPause:
 
 #: The entry points that pause the collector; cli.main pauses around the
 #: command it runs.
-PAUSED = [load_corpus, TfidfSimilarity.__init__, extract_pipeline,
-          build_index, load_index]
+PAUSED = [load_corpus, TfidfSimilarity.__init__,
+          ranking_module.extract_document, build_index, load_index]
 
 PAUSE_RECORDS = "".join(json.dumps(record) + "\n" for record in [
     {"id": "a", "title": "Graph ranking",
@@ -1309,15 +1311,30 @@ def saved_text(index):
     return save_index_oracle(index)[13:].decode("utf-8")
 
 
+#: a `format` value other than the format's name, and a `fields` value
+#: other than list(FIELDS): reordered or short
+wrong_formats = st.one_of(
+    st.sampled_from(["", "kpindex-inverted-index ", "KPINDEX-INVERTED-INDEX",
+                     "kpindex-inverted-index-v2"]),
+    st.text(max_size=24)).filter(lambda s: s != "kpindex-inverted-index")
+wrong_fields = st.one_of(
+    st.permutations(FIELDS),
+    st.lists(st.sampled_from(FIELDS), max_size=len(FIELDS) - 1,
+             unique=True)).filter(lambda f: f != list(FIELDS))
+
+
 @st.composite
 def payload_texts(draw):
-    """A saved index's payload text, or the same members written with
-    other whitespace, maybe in another order, with repeated terms and
-    repeated doc_lengths or postings members holding a copy or arbitrary
-    JSON. All but the saved text and its respacing are refused."""
+    """A payload text, and whether it must be refused for a wrong `format`
+    or `fields` value. The text is a saved index's payload, or the same
+    members written with other whitespace, maybe with a wrong `format` or
+    `fields`, maybe in another order, with repeated terms and repeated
+    doc_lengths or postings members holding a copy or arbitrary JSON. All
+    but the saved text and its respacing are refused."""
     index = draw(st.one_of(indexes(), summed_indexes()))
-    if draw(st.booleans()):
-        return saved_text(index)
+    wrong = draw(st.sampled_from([None, None, "format", "fields"]))
+    if wrong is None and draw(st.booleans()):
+        return saved_text(index), False
     postings = Members(sorted(tuple_postings(index).items()))
     for _ in range(draw(st.integers(0, 3))):
         term = draw(st.sampled_from([t for t, _ in postings])
@@ -1330,6 +1347,10 @@ def payload_texts(draw):
                        ("fields", list(FIELDS)),
                        ("format", "kpindex-inverted-index"),
                        ("postings", postings)])
+    if wrong is not None:
+        place = PAYLOAD_MEMBERS.index(wrong)
+        members[place] = (wrong, draw(wrong_formats if wrong == "format"
+                                      else wrong_fields))
     if draw(st.booleans()):
         members = Members(draw(st.permutations(members)))
     for _ in range(draw(st.integers(0, 2))):
@@ -1338,7 +1359,8 @@ def payload_texts(draw):
         copy = next(v for k, v in members if k == key)
         value = draw(st.one_of(st.just(copy), junk, json_values))
         members.insert(draw(st.integers(0, len(members))), (key, value))
-    return dump(members, draw(st.sampled_from(["", " ", "\n", " \t\r\n "])))
+    return (dump(members, draw(st.sampled_from(["", " ", "\n", " \t\r\n "]))),
+            wrong is not None)
 
 
 SMALL_TEXT = saved_text(hand_index(
@@ -1367,22 +1389,29 @@ class TestDecodeOracle:
     syntax error, it names that fault and json.loads the syntax error."""
 
     @given(payload_texts())
-    @example(SMALL_TEXT)
-    @example(dump(json.loads(SMALL_TEXT), " "))
-    @example(dump(Members([("postings", {"x": [["a", "text", 1.0]]}),
-                           ("doc_lengths", {"a": text_lengths(1.0)})]), " "))
-    @example(dump(Members([("doc_lengths", []),
-                           ("postings", {"x": [["a", "text", 1.0]]}),
-                           ("doc_lengths", {"a": text_lengths(1.0)})]), ""))
-    @example(members_text(dump(Members([("x", [["a", "text", 1.0]]),
-                                        ("x", [["a", "text", 1.0]])]), "")))
-    @example(members_text('{"y": [], "x": 1}', ', "postings": {}'))
+    @example((SMALL_TEXT, False))
+    @example((dump(json.loads(SMALL_TEXT), " "), False))
+    @example((dump(Members([("postings", {"x": [["a", "text", 1.0]]}),
+                            ("doc_lengths", {"a": text_lengths(1.0)})]), " "),
+              False))
+    @example((dump(Members([("doc_lengths", []),
+                            ("postings", {"x": [["a", "text", 1.0]]}),
+                            ("doc_lengths", {"a": text_lengths(1.0)})]), ""),
+              False))
+    @example((members_text(dump(Members([("x", [["a", "text", 1.0]]),
+                                         ("x", [["a", "text", 1.0]])]), "")),
+              False))
+    @example((members_text('{"y": [], "x": 1}', ', "postings": {}'), False))
+    @example((SMALL_TEXT.replace('"kpindex-inverted-index"', '"kpindex"'),
+              True))
     @settings(max_examples=400, deadline=None)
-    def test_walk_equals_whole_payload_decode(self, text):
+    def test_walk_equals_whole_payload_decode(self, text_and_wrong):
+        text, wrong = text_and_wrong
         whole = decoded(decode_payload_oracle, text)
         assert decoded(index_module._decode_payload, text) == whole
         assert not whole.startswith("DataError") or whole.startswith(
             "DataError: c.kpix: ")
+        assert whole.startswith("DataError") or not wrong
         event("refused" if whole.startswith("DataError") else "loaded")
 
     @pytest.mark.parametrize("text", [

@@ -19,8 +19,9 @@ CONFIG_FIELDS = [f.name for f in dataclasses.fields(Config)]
 
 STAGES = [graph.build_document_graph, graph.expand_graph,
           graph.bridge_components, ranking.build_enriched_graph,
-          ranking.extract_pipeline, ranking.pagerank,
-          ranking.rank_keyphrases, evaluation.tfidf_baseline]
+          ranking.extract_document, ranking.extract_pipeline,
+          ranking.pagerank, ranking.rank_keyphrases,
+          evaluation.tfidf_baseline]
 
 COMMAND_ARGS = {"extract": ["c.jsonl"], "index": ["c.jsonl", "c.kpix"],
                 "neighbors": ["c.jsonl"], "evaluate": ["c.jsonl"]}
@@ -135,7 +136,8 @@ def test_flags_not_given_keep_the_config_file_values(tmp_path):
 
 
 @pytest.mark.parametrize("fn, name", [
-    (ranking.build_enriched_graph, "provider"),
+    (ranking.build_enriched_graph, "neighbors"),
+    (ranking.extract_document, "provider"),
     (ranking.extract_pipeline, "provider"),
     (evaluation.tfidf_baseline, "idf"),
     (corpus_module.extract_candidates, "max_len"),
@@ -149,9 +151,10 @@ def test_stage_inputs_have_no_default(fn, name):
     assert param.default is inspect.Parameter.empty
 
 
-def test_graph_does_not_import_similarity():
-    """expand_graph takes the ranked neighbor list, not a NeighborSet."""
-    source = resources.files("kpindex").joinpath("graph.py").read_text("utf-8")
+def imported_names(module):
+    """Every module a kpindex module imports, and each name it imports
+    from one as "module.name"."""
+    source = resources.files("kpindex").joinpath(module).read_text("utf-8")
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -159,8 +162,22 @@ def test_graph_does_not_import_similarity():
             imported += [module] + [f"{module}.{a.name}" for a in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+    return imported
+
+
+def test_graph_does_not_import_similarity():
+    """expand_graph takes the ranked neighbor list, not a NeighborSet."""
+    imported = imported_names("graph.py")
     assert imported and not [name for name in imported
                              if "similarity" in name.split(".")]
+
+
+def test_cli_runs_no_stage_itself():
+    """extract_document is the one sequence of a document's stages: the
+    CLI takes nothing else from ranking."""
+    assert [name for name in imported_names("cli.py")
+            if name.startswith(".ranking")] == [".ranking",
+                                                ".ranking.extract_document"]
 
 
 def test_index_is_built_only_by_its_constructor():

@@ -12,8 +12,8 @@ from kpindex.corpus import most_frequent_surface
 from kpindex.graph import (Layer, NodeInfo, Origin, SemMultiGraph,
                            bridge_components, build_document_graph,
                            expand_graph, to_dot)
-from kpindex.ranking import (_power_iteration, build_enriched_graph,
-                             pagerank, rank_keyphrases)
+from kpindex.ranking import (_power_iteration, extract_document, pagerank,
+                             rank_keyphrases)
 
 from conftest import make_corpus
 from synth import build_synthetic_records
@@ -425,7 +425,8 @@ class TestEnrichedGraphAtKZero:
                                            window, min_sim, absent_quota,
                                            lambda_domain, beta):
         """With k_neighbors == 0 no neighbor reaches expand_graph, whatever
-        the other expansion knobs say."""
+        the other expansion knobs say; read off the record that
+        extract_document, the path every caller takes, returns."""
         corpus = make_corpus([(f"d{i}", "", text)
                               for i, text in enumerate(texts)], stopwords)
         provider = TfidfSimilarity(corpus)
@@ -436,7 +437,7 @@ class TestEnrichedGraphAtKZero:
             want = bridge_components(build_document_graph(
                 corpus[doc_id], corpus.candidates_for(doc_id, max_len),
                 config), config)
-            got = build_enriched_graph(doc_id, corpus, config, provider)
+            got = extract_document(doc_id, corpus, config, provider).graph
             assert bit_pattern(got) == bit_pattern(want)
 
 
