@@ -52,7 +52,6 @@ import heapq
 import itertools
 import json
 import math
-import operator
 import os
 import uuid
 from array import array
@@ -117,14 +116,18 @@ class InvertedIndex:
     bool) in [0, MAX_COUNT], all checked before any posting; each term's
     postings are a Postings of array('i') rows, bytes codes and
     array('d') weights, of one length; every row is below the number of
-    documents, every code below 3, every weight in (0, MAX_COUNT]; and
-    each term's postings strictly increase in (row, code), which is
-    (doc id, field) order. MAX_COUNT = 2**53 is the largest count a float
-    holds exactly; lengths and weights count tokens, so no corpus
-    reaches it. A breach is a DataError naming the part at fault
-    ('config', 'doc_lengths' or 'postings') and, where they apply, the
-    term, the document and the field (a row or code out of range is
-    named by its number). The constructor neither sorts nor changes its
+    documents, every code below 3, every weight in (0, MAX_COUNT]; each
+    term's postings strictly increase in (row, code), which is (doc id,
+    field) order; and each field length equals the math.fsum of that
+    document's weights in the field, as build_index writes it, checked
+    last. MAX_COUNT = 2**53 is the largest count a float holds exactly;
+    lengths and weights count tokens, so no corpus reaches it. A breach
+    is a DataError naming the part at fault ('config', 'doc_lengths' or
+    'postings') and, where they apply, the term, the document and the
+    field (a row or code out of range is named by its number; of the
+    lengths that are no fsum, the first in doc id and then FIELDS
+    order). A file that save_index writes of an accepted index loads
+    back equal. The constructor neither sorts nor changes its
     arguments. It sets `doc_ids`, sorted(doc_lengths), which maps a row
     to its doc id, and `norms`, each row's BM25 length norm
     K1 * (1 - B + B * dl / avgdl). Nothing changes an index afterwards
@@ -168,18 +171,39 @@ class InvertedIndex:
                                     f"{f!r}: length {_shown(length)} not in [0, 2**53]")
             weighted.append(math.fsum(FIELD_WEIGHTS[f] * lengths[f]
                                       for f in FIELDS))
+        sums = [0.0] * (3 * len(self.doc_ids))  # a cell's, at 3 * row + code
         for term, plist in self.postings.items():
             if type(term) is not str:
                 raise DataError(f"'postings': term {_shown(term)} is not a str")
-            _check_postings(term, plist, self.doc_ids)
+            _check_postings(term, plist, self.doc_ids, sums)
+        # while every weight is an integer and every sum stays below 2**53,
+        # each float addition is exact, so the plain sums are the fsums;
+        # otherwise each cell's weights are gathered (in any order) for fsum
+        if not (all(total < MAX_COUNT for total in sums)
+                and all(all(map(float.is_integer, plist.weights))
+                        for plist in self.postings.values())):
+            cells = [[] for _ in sums]
+            for plist in self.postings.values():
+                for row, code, weight in zip(plist.rows, plist.codes,
+                                             plist.weights):
+                    cells[3 * row + code].append(weight)
+            sums = [math.fsum(cell) for cell in cells]
+        for row, doc_id in enumerate(self.doc_ids):
+            lengths = self.doc_lengths[doc_id]
+            for f in FIELDS:
+                if sums[3 * row + _FIELD_CODES[f]] != lengths[f]:
+                    raise DataError(f"'doc_lengths': document {doc_id!r}: "
+                                    f"field {f!r}: not the fsum of its weights")
         avgdl = math.fsum(weighted) / len(weighted) if weighted else 0.0
         self.norms = [K1 * (1.0 - B + B * (dl / avgdl if avgdl > 0 else 0.0))
                       for dl in weighted]
 
 
-def _check_postings(term: str, plist, doc_ids: list[str]) -> None:
+def _check_postings(term: str, plist, doc_ids: list[str],
+                    sums: list[float]) -> None:
     """Refuse a term's postings that break the rule, naming the first
-    posting at fault."""
+    posting at fault; add each weight to its cell's sum, at 3 * row +
+    code."""
     if not (type(plist) is Postings
             and type(plist.rows) is array and plist.rows.typecode == "i"
             and type(plist.codes) is bytes
@@ -201,6 +225,7 @@ def _check_postings(term: str, plist, doc_ids: list[str]) -> None:
             problem = "not after the previous posting's (doc id, field)"
         else:
             last = key
+            sums[key] += weight
             continue
         doc = repr(doc_ids[row]) if 0 <= row < n else f"row {row}"
         field = repr(_CODE_FIELDS[code]) if code < 3 else f"code {code}"
@@ -330,10 +355,9 @@ def load_index(path: str) -> InvertedIndex:
     increasing terms, each a list of [doc id, field, float weight] rows
     naming a document of `doc_lengths` and a field of FIELDS. The
     InvertedIndex constructor checks the rest of the rule of a valid
-    index; then each field length must equal the math.fsum of that
-    document's weights in the field, as build_index writes it (a rule
-    for files only). Load stops at the first fault it meets, so a fault
-    of shape hides a later syntax error.
+    index, its values and the sum rule, and load returns the index it
+    makes. Load stops at the first fault it meets, so a fault of shape
+    hides a later syntax error.
 
     The payload text is decoded from the file buffer 64 KiB at a time.
     This only matters for a payload holding non-ASCII text, which decoded
@@ -412,51 +436,11 @@ def _decode_payload(path: str, text: str) -> InvertedIndex:
         raise DataError(f"{path}: index payload nested too deeply") from None
     if len(values) < len(_MEMBERS):
         raise _malformed(path, _MEMBERS[len(values)])
-    doc_lengths = values["doc_lengths"]
     try:
-        index = InvertedIndex(values["postings"], doc_lengths,
-                              values["config"])
+        return InvertedIndex(values["postings"], values["doc_lengths"],
+                             values["config"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    sums = _cell_sums(index)
-    for row, doc_id in enumerate(index.doc_ids):
-        for f in FIELDS:
-            if sums[3 * row + _FIELD_CODES[f]] != doc_lengths[doc_id][f]:
-                raise DataError(f"{path}: 'doc_lengths': document {doc_id!r}: "
-                                f"field {f!r}: not the fsum of its weights")
-    return index
-
-
-def _cell_sums(index: InvertedIndex) -> list[float]:
-    """The math.fsum of each (row, code) cell's weights, at 3 * row + code.
-
-    fsum does not depend on order, so the cells are summed term by term.
-    While every weight is an integer and every sum stays below 2**53, each
-    float addition is exact and so gives the fsum, with no float object
-    kept per posting; otherwise each cell's weights are gathered for fsum.
-    """
-    columns = [(plist.rows, plist.codes, plist.weights)
-               for plist in index.postings.values()]
-    sums = [0.0] * (3 * len(index.doc_ids))
-    for rows, codes, weights in columns:
-        for cell, weight in zip(_cells(rows, codes), weights):
-            sums[cell] += weight
-    if (all(total < MAX_COUNT for total in sums)
-            and all(all(map(float.is_integer, weights))
-                    for _, _, weights in columns)):
-        return sums
-    cells = [[] for _ in sums]
-    for rows, codes, weights in columns:
-        for cell, weight in zip(_cells(rows, codes), weights):
-            cells[cell].append(weight)
-    return [math.fsum(cell) for cell in cells]
-
-
-def _cells(rows: array, codes: bytes):
-    """Each posting's cell, 3 * row + code: (row, code) order is its
-    order."""
-    return map(operator.add, map(operator.mul, rows, itertools.repeat(3)),
-               codes)
 
 
 def _malformed(path: str, part: str) -> DataError:

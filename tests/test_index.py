@@ -324,7 +324,9 @@ class TestPersistence:
         id, field) order, are kept as given, the caller's own Postings;
         any other order, a repeated pair included, is refused at the first
         posting that breaks it."""
-        lengths = {doc_id: text_lengths(0.0) for doc_id in "abé"}
+        cells = cell_weights({"x": rows})
+        lengths = {doc_id: {f: math.fsum(cells[doc_id, f]) for f in FIELDS}
+                   for doc_id in "abé"}
         plist = columns(rows, lengths)
         pairs = [(doc_id, field) for doc_id, field, _ in rows]
         if all(a < b for a, b in zip(pairs, pairs[1:])):
@@ -360,16 +362,22 @@ class TestPersistence:
     def test_sum_rule_is_fsum_not_a_running_sum(self, tmp_path, weights,
                                                 length, loads):
         """A length must be the fsum of its weights, one per term here,
-        even where adding them in turn rounds."""
+        even where adding them in turn rounds; the constructor holds the
+        rule, and load refuses a file through it."""
+        lengths = {"a": text_lengths(length)}
+        postings = {f"t{i}": [("a", FIELD_TEXT, weight)]
+                    for i, weight in enumerate(weights)}
         path = write_payload(tmp_path / "c.kpix", {
-            "doc_lengths": {"a": text_lengths(length)},
-            "postings": {f"t{i}": [["a", "text", weight]]
-                         for i, weight in enumerate(weights)}})
+            "doc_lengths": lengths, "postings": postings})
+        error = re.escape(fsum_error("a", FIELD_TEXT))
         if loads:
+            assert hand_index(postings, lengths).doc_lengths is lengths
             assert load_index(path).doc_lengths["a"][FIELD_TEXT] == length
         else:
-            with pytest.raises(DataError, match="'text': not the fsum of its "
-                                                "weights$"):
+            with pytest.raises(DataError, match=f"^{error}$"):
+                hand_index(postings, lengths)
+            with pytest.raises(DataError,
+                               match=f"^{re.escape(path)}: {error}$"):
                 load_index(path)
 
 
@@ -409,7 +417,7 @@ class TestNumberRanges:
         positive float as a weight."""
         lengths = {"a": {f: MAX_COUNT for f in FIELDS},
                    "b": text_lengths(1.0), "c": text_lengths(1.0),
-                   "d": text_lengths(0.0)}
+                   "d": {**text_lengths(0.0), FIELD_KP_ABSENT: 5e-324}}
         postings = {"graph": [("a", f, MAX_COUNT) for f in sorted(FIELDS)]
                     + [("b", FIELD_TEXT, 1.0), ("c", FIELD_TEXT, 1.0),
                        ("d", FIELD_KP_ABSENT, 5e-324)]}
@@ -492,11 +500,11 @@ class TestUnknownDocumentOrField:
 
 
 class TestOneRule:
-    """The constructor refuses every index that load_index refuses, but
-    for load's sum rule: each case was accepted by the constructor, or
-    raised a bare KeyError, before the constructor held the whole rule.
-    A file holding the case is refused with the same message after its
-    path."""
+    """The constructor refuses every index that load_index refuses for
+    its values: each case was accepted by the constructor, or raised a
+    bare KeyError, before the constructor held the whole rule, the sum
+    rule included. A file holding the case is refused with the same
+    message after its path."""
 
     CASES = {
         "repeated-pair": (
@@ -536,6 +544,11 @@ class TestOneRule:
             {}, {"a": text_lengths(1e300)},
             r"'doc_lengths': document 'a': field 'text': length 1e\+300 "
             r"not in \[0, 2\*\*53\]$"),
+        "length-not-the-fsum": (
+            {"graph": [("a", FIELD_TEXT, 2.0), ("b", FIELD_TEXT, 1.0)]},
+            {"a": text_lengths(500.0), "b": text_lengths(1.0)},
+            "'doc_lengths': document 'a': field 'text': not the fsum of its "
+            "weights$"),
     }
 
     @pytest.mark.parametrize("postings, lengths, error", CASES.values(),
@@ -749,11 +762,11 @@ class TestCollectorPause:
     """The package's bulk entry points run with the cyclic garbage
     collector paused, through the one helper corpus.collector_paused, and
     give its previous state back whether they return or raise. The CLI
-    pauses around each command too, since a command also runs bulk work
-    that no paused entry point covers (tfidf_baseline, evaluate_corpus,
-    the neighbor queries). save_index and the queries (search,
-    neighbors) are not paused: they ran no faster without the
-    collector."""
+    pauses around each command too, so that work outside every paused
+    entry point is paused as well (compute_idf, tfidf_baseline,
+    evaluate_corpus, the neighbor queries, formatting the report).
+    save_index and the queries (search, neighbors) are not paused: they
+    ran no faster without the collector."""
 
     @pytest.mark.parametrize("blob, error", [
         (None, None),
@@ -996,61 +1009,43 @@ def sorted_postings(weight_of):
             for doc_id, field in sorted(weight_of)]
 
 
-@st.composite
-def indexes(draw):
-    """Up to four documents and five terms whose postings name only those
-    documents, each pair once and in (doc id, field) order, with lengths
-    unrelated to the postings."""
-    doc_lengths = draw(st.dictionaries(
-        names, st.fixed_dictionaries({f: weights for f in FIELDS}),
-        max_size=4))
-    plists = (st.dictionaries(st.tuples(st.sampled_from(sorted(doc_lengths)),
-                                        st.sampled_from(FIELDS)),
-                              weights, max_size=4).map(sorted_postings)
-              if doc_lengths else st.builds(list))
-    postings = draw(st.dictionaries(names, plists, max_size=5))
-    config = draw(st.dictionaries(st.text(max_size=4), json_values,
-                                  max_size=4))
-    return hand_index(postings, doc_lengths, config)
+def cell_weights(postings):
+    """Each (doc id, field) cell's weights, in term order, from {term:
+    (doc id, field, weight) rows}."""
+    cells = defaultdict(list)
+    for rows in postings.values():
+        for doc_id, field, weight in rows:
+            cells[doc_id, field].append(weight)
+    return cells
 
 
-class TestSaveOracle:
-    @given(indexes())
-    @example(InvertedIndex({}, {}, {}))
-    @example(hand_index({"réseau": [("d", FIELD_KP_ABSENT, 3.0),
-                                    ("é", FIELD_TEXT, 0.25)]},
-                        {"é": text_lengths(0.25), "d": text_lengths(0.0)},
-                        {"nested": {"list": [1, 2.5, "ü"]}}))
-    @settings(max_examples=200, deadline=None)
-    def test_save_writes_the_oracle_bytes(self, index):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "c.kpix")
-            save_index(index, path)
-            with open(path, "rb") as fh:
-                assert fh.read() == save_index_oracle(index)
+def fsum_fault(postings, doc_lengths):
+    """The sum rule as it reads: the first (doc id, field), in sorted doc
+    id order and then FIELDS order, whose length is not the math.fsum of
+    that document's weights in the field, or None."""
+    cells = cell_weights(postings)
+    for doc_id in sorted(doc_lengths):
+        for f in FIELDS:
+            if math.fsum(cells[doc_id, f]) != doc_lengths[doc_id][f]:
+                return doc_id, f
+    return None
 
-    @given(st.deferred(lambda: summed_indexes()))
-    @example(hand_index({"graph": [("a", FIELD_TEXT, 2), ("é", FIELD_KP_ABSENT,
-                                                          0.5)]},
-                        {"a": text_lengths(2),
-                         "é": {**text_lengths(0.0), FIELD_KP_ABSENT: 0.5}}))
-    @settings(max_examples=100, deadline=None)
-    def test_loaded_index_writes_the_oracle_bytes(self, index):
-        loaded = round_trip(index)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "c.kpix")
-            save_index(loaded, path)
-            with open(path, "rb") as fh:
-                assert fh.read() == save_index_oracle(loaded)
-        assert save_index_oracle(loaded) == save_index_oracle(index)
+
+def fsum_error(doc_id, field):
+    """The constructor's message for a length that is not its fsum."""
+    return (f"'doc_lengths': document {doc_id!r}: field {field!r}: not the "
+            f"fsum of its weights")
 
 
 @st.composite
-def summed_indexes(draw):
-    """An index the constructor accepts whose every field length is the
-    fsum of its posting weights, as build_index writes it. Weights are
-    ints or floats, small enough that five sum within MAX_COUNT, and an
-    integral length may be an int."""
+def summed_parts(draw):
+    """The parts of an index the constructor accepts: postings as {term:
+    (doc id, field, weight) rows}, doc_lengths and a config. Every field
+    length is the fsum of its posting weights, as build_index writes it.
+    Weights are ints or floats, small enough that five sum within
+    MAX_COUNT, and an integral length may be an int. Tests build the index
+    in their body, so an example the constructor refuses fails that test
+    alone, not the collection of this file."""
     ids = draw(st.lists(names, max_size=4, unique=True))
     in_range = st.one_of(st.integers(1, 2**50),
                          st.floats(min_value=5e-324, max_value=2.0**50))
@@ -1072,22 +1067,54 @@ def summed_indexes(draw):
             doc_lengths[doc_id][f] = length
     config = draw(st.dictionaries(st.text(max_size=4), json_values,
                                   max_size=4))
-    return hand_index({term: sorted_postings(weight_of)
-                       for term, weight_of in weight_maps.items()},
-                      doc_lengths, config)
+    return ({term: sorted_postings(weight_of)
+             for term, weight_of in weight_maps.items()}, doc_lengths, config)
+
+
+class TestSaveOracle:
+    @given(summed_parts())
+    @example(({}, {}, {}))
+    @example(({"réseau": [("d", FIELD_KP_ABSENT, 3.0),
+                          ("é", FIELD_TEXT, 0.25)]},
+              {"é": text_lengths(0.25),
+               "d": {**text_lengths(0.0), FIELD_KP_ABSENT: 3.0}},
+              {"nested": {"list": [1, 2.5, "ü"]}}))
+    @settings(max_examples=200, deadline=None)
+    def test_save_writes_the_oracle_bytes(self, parts):
+        index = hand_index(*parts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            save_index(index, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == save_index_oracle(index)
+
+    @given(summed_parts())
+    @example(({"graph": [("a", FIELD_TEXT, 2), ("é", FIELD_KP_ABSENT, 0.5)]},
+              {"a": text_lengths(2),
+               "é": {**text_lengths(0.0), FIELD_KP_ABSENT: 0.5}}, {}))
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_index_writes_the_oracle_bytes(self, parts):
+        index = hand_index(*parts)
+        loaded = round_trip(index)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.kpix")
+            save_index(loaded, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == save_index_oracle(loaded)
+        assert save_index_oracle(loaded) == save_index_oracle(index)
 
 
 class TestRoundTrip:
-    @given(summed_indexes())
-    @example(InvertedIndex({}, {}, {}))
-    @example(hand_index({"graph": [("a", FIELD_TEXT, 2), ("b", FIELD_TEXT,
-                                                             0.5)],
-                         "rank": [("a", FIELD_TEXT, 1.0)]},
-                        {"a": text_lengths(3), "b": text_lengths(0.5)}))
+    @given(summed_parts())
+    @example(({}, {}, {}))
+    @example(({"graph": [("a", FIELD_TEXT, 2), ("b", FIELD_TEXT, 0.5)],
+               "rank": [("a", FIELD_TEXT, 1.0)]},
+              {"a": text_lengths(3), "b": text_lengths(0.5)}, {}))
     @settings(max_examples=200, deadline=None)
-    def test_load_gives_back_what_save_wrote(self, index):
+    def test_load_gives_back_what_save_wrote(self, parts):
         """load_index(save_index(ix)) == ix, and saving the loaded index
         writes the same bytes."""
+        index = hand_index(*parts)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = (os.path.join(tmp, name) for name in "ab")
             save_index(index, first)
@@ -1102,42 +1129,142 @@ class TestRoundTrip:
     @example(({"x": (("a", FIELD_TEXT, 1.0),)}, {"a": text_lengths(1.0)},
               {1: 2}))
     @example(({}, {}, {"x": (1, 2)}))
+    @example(({"graph": [("a", FIELD_TEXT, 2.0), ("b", FIELD_TEXT, 1.0)]},
+              {"a": text_lengths(500.0), "b": text_lengths(1.0)}, {}))
     @settings(max_examples=200, deadline=None)
     def test_hand_built_index_round_trips_or_is_refused(self, parts):
-        """Whatever shape its rows and numbers had, a hand-built index
-        either loads back equal or is refused for its config."""
+        """Whatever shape its rows and numbers had, and whatever its
+        lengths, a hand-built index either loads back equal or is refused:
+        for its config, or for the first length that is not the fsum of
+        its weights. No index the constructor takes saves to a file that
+        load refuses."""
+        fault = fsum_fault(*parts[:2])
         try:
             index = hand_index(*parts)
         except DataError as exc:
-            assert str(exc).startswith("'config': ")
-            event("refused")
+            if str(exc).startswith("'config': "):
+                event("refused for its config")
+            else:
+                assert fault is not None
+                assert str(exc) == fsum_error(*fault)
+                event("refused for a length")
             return
+        assert fault is None
         assert round_trip(index) == index
         event("round-trips")
 
 
 @st.composite
 def reshaped_parts(draw):
-    """A summed index's (doc id, field, weight) rows, each row a list or a
-    tuple, each term's rows a list or a tuple and an integral weight maybe
-    an int, with doc_lengths and a config that JSON may not give back
-    equal."""
-    index = draw(summed_indexes())
+    """Summed parts whose rows are each a list or a tuple, each term's rows
+    a list or a tuple and an integral weight maybe an int, with lengths
+    that may be unrelated to the weights and a config that JSON may not
+    give back equal."""
+    rows_of_term, doc_lengths, config = draw(summed_parts())
     postings = {}
-    for term, rows in tuple_postings(index).items():
+    for term, rows in rows_of_term.items():
         shaped = []
         for doc_id, field, weight in rows:
+            weight = float(weight)
             if weight.is_integer() and draw(st.booleans()):
                 weight = int(weight)
             shaped.append(draw(st.sampled_from([tuple, list]))(
                 (doc_id, field, weight)))
         postings[term] = draw(st.sampled_from([tuple, list]))(shaped)
+    if draw(st.booleans(), label="unrelated lengths"):
+        unrelated = st.one_of(st.integers(0, 2**53),
+                              st.floats(min_value=0.0, max_value=MAX_COUNT))
+        doc_lengths = {doc_id: {f: draw(st.one_of(st.just(length), unrelated))
+                                for f, length in lengths.items()}
+                       for doc_id, lengths in doc_lengths.items()}
     odd_configs = st.dictionaries(
         st.one_of(st.text(max_size=2), st.integers(), st.none()),
         st.one_of(json_values, st.tuples(st.integers()), st.floats(),
                   st.frozensets(st.integers(), max_size=2)), max_size=3)
-    config = draw(st.one_of(st.just(index.config), odd_configs))
-    return postings, index.doc_lengths, config
+    config = draw(st.one_of(st.just(config), odd_configs))
+    return postings, doc_lengths, config
+
+
+def added_in_turn(weights):
+    """The weights added one at a time from 0.0, as plain float adds."""
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return total
+
+
+# integer and fractional weights whose cell sums are exact or round, and
+# lie below, at or past 2**53
+sum_rule_weights = st.one_of(
+    st.integers(1, 9).map(float),
+    st.sampled_from([0.1, 0.2, 0.3, 1.0, MAX_COUNT - 2, MAX_COUNT - 1,
+                     MAX_COUNT]),
+    st.integers(2**52, 2**53).map(float),
+    st.floats(min_value=5e-324, max_value=MAX_COUNT))
+
+
+@st.composite
+def sum_rule_cases(draw):
+    """Postings of up to three documents and four terms, and in-range
+    lengths, each its cell's fsum, the cell's weights added in turn (in
+    term order, as the constructor meets them), a float next to the fsum,
+    or any number in [0, MAX_COUNT]."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "é"]), min_size=1,
+                        unique=True))
+    cells = st.tuples(st.sampled_from(ids), st.sampled_from(FIELDS))
+    postings = {f"t{i}": sorted_postings(weight_of) for i, weight_of in
+                enumerate(draw(st.lists(st.dictionaries(
+                    cells, sum_rule_weights, max_size=4), max_size=4)))}
+    weights = cell_weights(postings)
+    lengths = {}
+    for doc_id in ids:
+        lengths[doc_id] = {}
+        for f in FIELDS:
+            fsum = math.fsum(weights[doc_id, f])
+            length = draw(st.one_of(
+                st.sampled_from([fsum, added_in_turn(weights[doc_id, f]),
+                                 math.nextafter(fsum, 0.0),
+                                 math.nextafter(fsum, math.inf)]),
+                st.floats(min_value=0.0, max_value=MAX_COUNT)))
+            lengths[doc_id][f] = min(length, MAX_COUNT)
+    return postings, lengths
+
+
+class TestSumRuleOracle:
+    @given(sum_rule_cases())
+    @example(({"t0": [("a", FIELD_TEXT, 0.1)], "t1": [("a", FIELD_TEXT, 0.2)],
+               "t2": [("a", FIELD_TEXT, 0.3)]},
+              {"a": text_lengths(0.1 + 0.2 + 0.3)}))
+    @example(({"t0": [("a", FIELD_TEXT, MAX_COUNT)],
+               "t1": [("a", FIELD_TEXT, 1.0)], "t2": [("a", FIELD_TEXT, 1.0)]},
+              {"a": text_lengths(MAX_COUNT)}))
+    @example(({"t0": [("a", FIELD_TEXT, MAX_COUNT - 2)],
+               "t1": [("a", FIELD_TEXT, 1.0), ("b", FIELD_TEXT, 0.5)],
+               "t2": [("a", FIELD_TEXT, 1.0), ("b", FIELD_TEXT, 0.25)]},
+              {"a": text_lengths(MAX_COUNT), "b": text_lengths(0.75)}))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_accepts_exactly_the_fsum_lengths(self, case):
+        """The constructor adds weights in turn where that is exact and
+        gathers them for fsum elsewhere; either way it accepts an index
+        exactly when every length is the fsum of its cell's weights, and
+        otherwise names the first length that is not."""
+        postings, lengths = case
+        weights = [weight for rows in postings.values()
+                   for _, _, weight in rows]
+        event("integer weights" if all(map(float.is_integer, weights))
+              else "fractional weights")
+        if any(math.fsum(cell) > MAX_COUNT
+               for cell in cell_weights(postings).values()):
+            event("a cell sums past 2**53")
+        fault = fsum_fault(postings, lengths)
+        if fault is None:
+            assert hand_index(postings, lengths).doc_lengths is lengths
+            event("accepted")
+        else:
+            with pytest.raises(DataError,
+                               match=f"^{re.escape(fsum_error(*fault))}$"):
+                hand_index(postings, lengths)
+            event("refused")
 
 
 # payload parts that are arbitrary JSON, or near-valid shapes holding it
@@ -1260,22 +1387,11 @@ def decode_payload_oracle(path, text):
                     in enumerate(sorted(members["doc_lengths"]))})
     if len(members) < len(PAYLOAD_MEMBERS):
         raise malformed(PAYLOAD_MEMBERS[len(members)])
-    doc_lengths = members["doc_lengths"]
     try:
-        index = InvertedIndex(members["postings"], doc_lengths,
-                              members["config"])
+        return InvertedIndex(members["postings"], members["doc_lengths"],
+                             members["config"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    cells = defaultdict(list)
-    for rows in tuple_postings(index).values():
-        for doc_id, field, weight in rows:
-            cells[doc_id, field].append(weight)
-    for doc_id in sorted(doc_lengths):
-        for f in FIELDS:
-            if math.fsum(cells[doc_id, f]) != doc_lengths[doc_id][f]:
-                raise DataError(f"{path}: 'doc_lengths': document {doc_id!r}: "
-                                f"field {f!r}: not the fsum of its weights")
-    return index
 
 
 def decoded(decode, text):
@@ -1331,7 +1447,7 @@ def payload_texts(draw):
     `fields`, maybe in another order, with repeated terms and repeated
     doc_lengths or postings members holding a copy or arbitrary JSON. All
     but the saved text and its respacing are refused."""
-    index = draw(st.one_of(indexes(), summed_indexes()))
+    index = hand_index(*draw(summed_parts()))
     wrong = draw(st.sampled_from([None, None, "format", "fields"]))
     if wrong is None and draw(st.booleans()):
         return saved_text(index), False
@@ -2018,12 +2134,11 @@ class TestPruning:
                  for doc_id in ("r1", "r2", "n1", "n2")})
 
 
-# lengths and weights anywhere in their ranges, the ends included
-in_range_lengths = st.one_of(st.sampled_from([0.0, 5e-324, MAX_COUNT]),
-                             st.floats(min_value=0.0, max_value=MAX_COUNT))
+# weights anywhere in their range, the ends included
 in_range_weights = st.one_of(st.sampled_from([5e-324, 1.0, MAX_COUNT]),
                              st.floats(min_value=5e-324, max_value=MAX_COUNT))
-# just outside them, NaN and both infinities included
+# lengths and weights just outside their ranges, NaN and both infinities
+# included
 out_of_range_lengths = st.one_of(
     st.just(math.nan), st.floats(max_value=-5e-324),
     st.floats(min_value=PAST_CAP))
@@ -2034,18 +2149,27 @@ out_of_range_weights = st.one_of(
 
 @st.composite
 def hand_built_parts(draw):
-    """Postings and lengths of up to six documents, the lengths unrelated
-    to the postings, with up to six postings per stem in (doc id, field)
-    order."""
+    """Postings of up to six documents, with up to six postings per stem in
+    (doc id, field) order and weights anywhere in their range, and the
+    lengths that are their fsums. A posting whose weight would take its
+    cell's fsum past MAX_COUNT is left out."""
     ids = [f"d{i}" for i in range(draw(st.integers(1, 6)))]
-    lengths = {doc_id: draw(st.fixed_dictionaries(
-        {f: in_range_lengths for f in FIELDS})) for doc_id in ids}
     plists = st.dictionaries(st.tuples(st.sampled_from(ids),
                                        st.sampled_from(FIELDS)),
                              in_range_weights, min_size=1, max_size=6)
     postings = draw(st.dictionaries(st.sampled_from(STEMS),
                                     plists.map(sorted_postings),
                                     max_size=len(STEMS)))
+    cells = defaultdict(list)
+    for term, rows in postings.items():
+        kept = []
+        for doc_id, field, weight in rows:
+            cell = cells[doc_id, field]
+            if math.fsum([*cell, weight]) <= MAX_COUNT:
+                cell.append(weight)
+                kept.append((doc_id, field, weight))
+        postings[term] = kept
+    lengths = {d: {f: math.fsum(cells[d, f]) for f in FIELDS} for d in ids}
     return postings, lengths
 
 
@@ -2073,10 +2197,7 @@ def refused_cases(draw):
     else:
         doc_id, field = draw(cells)
         bad_length = draw(out_of_range_lengths)
-    weights = defaultdict(list)
-    for plist in postings.values():
-        for row_doc, row_field, weight in plist:
-            weights[row_doc, row_field].append(weight)
+    weights = cell_weights(postings)
     lengths = {d: {f: math.fsum(weights[d, f]) for f in FIELDS} for d in ids}
     if bad_length is not None:
         lengths[doc_id][field] = bad_length
@@ -2085,12 +2206,12 @@ def refused_cases(draw):
 
 class TestNumberRangeProperties:
     @given(hand_built_parts(), queries, st.integers(1, 7))
-    @example(({"graph": [("d0", FIELD_KP_PRESENT, MAX_COUNT),
-                         ("d1", FIELD_TEXT, 5e-324)],
+    @example(({"graph": [("d0", f, MAX_COUNT) for f in sorted(FIELDS)]
+                        + [("d1", FIELD_TEXT, 5e-324)],
                "rank": [("d1", FIELD_KP_ABSENT, MAX_COUNT),
                         ("d1", FIELD_TEXT, 5e-324)]},
               {"d0": {f: MAX_COUNT for f in FIELDS},
-               "d1": text_lengths(5e-324)}),
+               "d1": {**text_lengths(1e-323), FIELD_KP_ABSENT: MAX_COUNT}}),
              "ranking graph ranking", 1)
     @settings(max_examples=300, deadline=None)
     def test_accepted_indexes_score_finitely_and_equal_oracles(
@@ -2118,8 +2239,8 @@ class TestNumberRangeProperties:
         """The constructor names the part, the document and the field at
         fault, and the term of a posting. It checks lengths first, so a bad
         weight whose fsum puts its length out of range is refused as that
-        length. Load runs the constructor before its sum rule, so a file
-        is refused with the same message after the file's path."""
+        length. Load runs the constructor, so a file is refused with the
+        same message after the file's path."""
         postings, lengths, (doc_id, field), bad_weight = case
         if 0.0 <= lengths[doc_id][field] <= MAX_COUNT:
             assert bad_weight
